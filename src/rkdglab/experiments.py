@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BlowUpError
+from .errors import BlowUpError, ConfigError
 from .mesh import build_mesh_1d, build_mesh_2d
 from .operators import DGSpace, eval_grid, project, quadrature_grid
 from .schemes import evolve, taylor_scheme
@@ -161,11 +161,17 @@ class AccuracyRow:
     flagged: bool = False
 
 
-def _worker_count(workers):
+def worker_count(workers):
+    """Thread count for a table or sweep: workers, else $RKDGLAB_WORKERS, else 1."""
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get(WORKERS_ENV)
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
 
 
 def _run_single(scheme, k, problem, n, timestep, perturb, seed, n_quad):
@@ -199,7 +205,7 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
         )
         return job, err, flagged
 
-    nworkers = _worker_count(workers)
+    nworkers = worker_count(workers)
     if nworkers > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             results = list(pool.map(run, jobs))

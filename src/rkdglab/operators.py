@@ -206,42 +206,49 @@ class BlockOperator:
         out._transpose = self
         return out
 
-    def symbols(self, thetas):
+    @property
+    def is_circulant(self):
+        """True when Fourier modes of the cell grid diagonalize the operator."""
+        return self.space.mesh.is_uniform and self.shares_blocks
+
+    def symbols(self, angles):
         """Fourier symbols sum_o blocks[o] e^{i o.theta} on a uniform mesh.
 
-        1D: thetas is a 1D angle array, result (T, m, m).
-        2D: thetas is a (theta_x, theta_y) pair of 1D arrays, result
-        (Tx*Ty, m, m) over the tensor grid.
+        angles holds one row (theta,) in 1D or (theta_x, theta_y) in 2D
+        per frequency; the result has shape (len(angles), m, m).
         """
-        if not (self.space.mesh.is_uniform and self.shares_blocks):
+        if not self.is_circulant:
             raise ValueError("Fourier symbols need uniform meshes with shared blocks")
+        angles = np.asarray(angles, dtype=float)
         m = self.space.n_modes
-        if self.space.dim == 1:
-            th = np.asarray(thetas)
-            out = np.zeros((len(th), m, m), dtype=complex)
-            for off, blk in self.blocks.items():
-                out += blk[None] * np.exp(1j * off * th)[:, None, None]
-            return out
-        thx, thy = (np.asarray(t) for t in thetas)
-        out = np.zeros((len(thx), len(thy), m, m), dtype=complex)
-        for (ox, oy), blk in self.blocks.items():
-            phase = np.exp(1j * ox * thx)[:, None] * np.exp(1j * oy * thy)[None, :]
-            out += blk[None, None] * phase[:, :, None, None]
-        return out.reshape(-1, m, m)
+        out = np.zeros((len(angles), m, m), dtype=complex)
+        for off, blk in self.blocks.items():
+            phase = np.prod(np.exp(1j * np.atleast_1d(off) * angles), axis=1)
+            out += blk[None] * phase[:, None, None]
+        return out
 
     def norm_symbols(self):
         """Symbols at the mesh frequencies; these diagonalize the operator."""
-        mesh = self.space.mesh
-        if self.space.dim == 1:
-            n = mesh.n_cells
-            return self.symbols(2.0 * np.pi * np.arange(n) / n)
-        thx = 2.0 * np.pi * np.arange(mesh.nx) / mesh.nx
-        thy = 2.0 * np.pi * np.arange(mesh.ny) / mesh.ny
-        return self.symbols((thx, thy))
+        return self.symbols(fft_angles(self.space))
 
     def as_dense(self):
         """Dense matrix acting on flattened coefficients (small sizes only)."""
         return dense_from_matvec(self.apply_array, self.space)
+
+
+def fft_angles(space, half=False):
+    """Angles 2 pi j / n of the discrete Fourier modes of the cell grid.
+
+    One row per frequency, first axis slowest, as numpy.fft orders them.
+    half keeps only the non-negative frequencies of the last cell axis,
+    the half spectrum that numpy.fft.rfftn returns.
+    """
+    counts = space.shape[:-1]
+    axes = [2.0 * np.pi * np.arange(n) / n for n in counts]
+    if half:
+        axes[-1] = axes[-1][: counts[-1] // 2 + 1]
+    grid = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grid], axis=-1)
 
 
 def dense_from_matvec(apply_array, space, chunk=512):

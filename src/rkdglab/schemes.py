@@ -14,7 +14,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import BlowUpError, UnsupportedDegreeError
-from .operators import DGSpace, GridFunction, assemble_upwind, dense_from_matvec, reduce_operator
+from .operators import (
+    DGSpace,
+    GridFunction,
+    assemble_upwind,
+    dense_from_matvec,
+    fft_angles,
+    reduce_operator,
+)
 
 BLOWUP_LIMIT = 1e12
 
@@ -145,6 +152,21 @@ def _stage_operators(scheme, full_op, reduced_op):
     return [reduced_op if f else full_op for f in flags]
 
 
+def symbol_increment(alphas, tau, full_sym, inner_sym):
+    """Per-frequency symbol of one compact-form step minus the identity, E = G - I.
+
+    Nested (Horner) evaluation of tau S sum_{i>=1} alpha_i (tau S_hat)^{i-1}
+    on stacks of (m, m) symbols of the full operator (S) and of the
+    inner-stage operator (S_hat, the reduced one for sdA).
+    """
+    s = len(alphas) - 1
+    eye = np.eye(full_sym.shape[-1])
+    v = alphas[s] * eye
+    for i in range(s - 1, 0, -1):
+        v = alphas[i] * eye + tau * (inner_sym @ v)
+    return tau * (full_sym @ v)
+
+
 def step(scheme, full_op, reduced_op, u, tau, form="compact"):
     """One time step of size tau.
 
@@ -202,27 +224,58 @@ def step(scheme, full_op, reduced_op, u, tau, form="compact"):
 
 @dataclass
 class EvolveResult:
-    """Final state plus stepping metadata."""
+    """Final state plus stepping metadata.
+
+    path names the route that produced u: "fourier" (one transform of the
+    cell grid, powers of the per-frequency one-step symbols) or
+    "stepping" (repeated one-step maps; also a zero final time).
+    """
 
     u: GridFunction
     n_steps: int
     t_final: float
     shortened_last_step: bool
+    path: str
+
+
+#: frequencies whose symbols are formed and powered together, which keeps
+#: the memory of the Fourier path independent of the mesh size
+FREQ_CHUNK = 256
 
 
 def evolve(scheme, mesh, k, u0, final_time, tau, form="compact"):
-    """Repeated stepping to final_time; the last step is shortened if needed."""
+    """u0 advanced to final_time in steps of tau; the last step is shortened if needed.
+
+    On a uniform mesh (the operator is block-circulant) with the compact
+    form and a uniform stage plan, the steps are taken in Fourier space:
+    see _evolve_fourier.  Everything else, and any case in which stepping
+    might have blown up, runs the stepping loop.
+    """
     space = DGSpace(mesh, k)
     if u0.space != space:
         raise ValueError("initial state does not live on the requested space")
     full_op = assemble_upwind(mesh, k)
     reduced_op = reduce_operator(full_op) if (k >= 1) else full_op
     if final_time == 0.0:
-        return EvolveResult(u=u0.copy(), n_steps=0, t_final=0.0, shortened_last_step=False)
+        return EvolveResult(u=u0.copy(), n_steps=0, t_final=0.0, shortened_last_step=False,
+                            path="stepping")
 
     n_whole = int(np.floor(final_time / tau + 1e-9))
     remainder = final_time - n_whole * tau
     shortened = remainder > 1e-12 * max(final_time, 1.0)
+    meta = dict(n_steps=n_whole + (1 if shortened else 0), t_final=final_time,
+                shortened_last_step=shortened)
+
+    # sdA with k = 0 has no reduced operator; stepping raises for it
+    stage_plan = scheme.stage_plan
+    if (form == "compact" and full_op.is_circulant
+            and (stage_plan is None or len(set(stage_plan)) == 1)
+            and not (scheme.uses_reduced_stages and k == 0)):
+        inner = reduced_op if scheme.uses_reduced_stages else full_op
+        coeffs = _evolve_fourier(scheme.alphas, full_op, inner, u0.coeffs, tau, n_whole,
+                                 remainder if shortened else None)
+        if coeffs is not None and _state_ok(coeffs):
+            return EvolveResult(u=GridFunction(space, coeffs), path="fourier", **meta)
 
     u = u0
     for n in range(n_whole):
@@ -235,12 +288,55 @@ def evolve(scheme, mesh, k, u0, final_time, tau, form="compact"):
             raise BlowUpError(
                 "solution blew up at the shortened final step", step_index=n_whole + 1
             )
-    return EvolveResult(
-        u=u,
-        n_steps=n_whole + (1 if shortened else 0),
-        t_final=final_time,
-        shortened_last_step=shortened,
-    )
+    return EvolveResult(u=u, path="stepping", **meta)
+
+
+def _evolve_fourier(alphas, full_op, inner_op, coeffs, tau, n_whole, remainder):
+    """Coefficients after n_whole steps of tau (and one of remainder, unless None).
+
+    A real FFT over the cell axes turns the block-circulant one-step map
+    into one (m, m) symbol G per frequency.  G^n is applied by binary
+    powering on E = G - I (squared as E <- 2E + E^2, applied as
+    v <- v + E v): squaring G itself would amplify the rounding of its
+    identity part n-fold and cost the fifth-order schemes their accuracy.
+
+    Returns None unless stepping provably stays below BLOWUP_LIMIT: every
+    intermediate state G^j u0 (j <= n) has 2-norm at most
+    prod_i max(1, ||G^(2^i)||_F) ||u0||_2 by Parseval, so that product, the
+    shortened step's factor and ||u0||_2 must stay finite and below the
+    limit.  The caller then steps instead and flags exactly as stepping does.
+    """
+    space = full_op.space
+    u_norm = float(np.linalg.norm(coeffs))
+    if not u_norm < BLOWUP_LIMIT:           # also catches nan
+        return None
+    cell_axes = tuple(range(space.dim))
+    spec = np.fft.rfftn(coeffs, axes=cell_axes)
+    flat = spec.reshape(-1, space.n_modes)      # may be a copy: transform back from flat
+    angles = fft_angles(space, half=True)
+    eye = np.eye(space.n_modes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(flat), FREQ_CHUNK):
+            chunk = slice(start, start + FREQ_CHUNK)
+            full = full_op.symbols(angles[chunk])
+            inner = full if inner_op is full_op else inner_op.symbols(angles[chunk])
+            v = flat[chunk]
+            growth = np.full(len(v), u_norm)
+            steps = [(symbol_increment(alphas, tau, full, inner), n_whole)]
+            if remainder is not None:
+                steps.append((symbol_increment(alphas, remainder, full, inner), 1))
+            for e, n in steps:
+                while n:
+                    growth *= np.maximum(1.0, np.linalg.norm(eye + e, axis=(1, 2)))
+                    if not growth.max() < BLOWUP_LIMIT:
+                        return None
+                    if n & 1:
+                        v = v + (e @ v[..., None])[..., 0]
+                    n >>= 1
+                    if n:
+                        e = 2.0 * e + e @ e
+            flat[chunk] = v
+    return np.fft.irfftn(flat.reshape(spec.shape), s=space.shape[:-1], axes=cell_axes)
 
 
 def _state_ok(coeffs):
@@ -293,14 +389,8 @@ class EvolutionMap:
         red_sym = full_sym
         if self.reduced_op is not self.full_op:
             red_sym = self.reduced_op.norm_symbols()
-        alphas = self.scheme.alphas
-        s = self.scheme.stages
-        m = full_sym.shape[-1]
-        eye = np.eye(m)
-        v = alphas[s] * np.broadcast_to(eye, full_sym.shape).copy()
-        for i in range(s - 1, 0, -1):
-            v = alphas[i] * eye + self.tau * (red_sym @ v)
-        return eye + self.tau * (full_sym @ v)
+        return np.eye(full_sym.shape[-1]) + symbol_increment(
+            self.scheme.alphas, self.tau, full_sym, red_sym)
 
     def as_dense(self):
         return dense_from_matvec(self.apply_array, self.space)

@@ -7,7 +7,6 @@ non-expansiveness; values of ||K^m||^2 - 1 below the measurement
 resolution of the norm computation are snapped to the floor.
 """
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -15,6 +14,7 @@ import numpy as np
 
 from .basis import reference_tables
 from .errors import UnsupportedDegreeError
+from .experiments import worker_count
 from .mesh import build_mesh_1d, build_mesh_2d
 from .operators import assemble_upwind, operator_norm, reduce_operator
 from .schemes import EvolutionMap
@@ -22,7 +22,6 @@ from .schemes import EvolutionMap
 DELTA_FLOOR = 1e-16
 #: |norm^2 - 1| below this is indistinguishable from zero in double precision
 NORM_RESOLUTION = 1e-13
-WORKERS_ENV = "RKDGLAB_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,7 @@ def cfl_sweep(scheme, k, dim, n_list, m, cfl_grid, workers=None):
                 dim=dim, n=n, m=m, cfl=float(cfl), delta=math.nan, flagged=True,
             )
 
-    env = os.environ.get(WORKERS_ENV)
-    nworkers = max(1, int(workers if workers is not None else (env or 1)))
+    nworkers = worker_count(workers)
     if nworkers > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             points = list(pool.map(run, jobs))

@@ -137,3 +137,15 @@ def test_io_failure_exit_code():
     values = resolve(command="cfl", r="2", k="1",
                      output="/nonexistent-dir/impossible/out.csv")
     assert run(values) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "--r", "2", "--k", "1", "--N", "4", "--cfl", "0.1"],
+    ["accuracy", "--r", "2", "--N", "10"],
+])
+def test_bad_worker_env_is_a_config_error(argv, monkeypatch, capsys):
+    monkeypatch.setenv("RKDGLAB_WORKERS", "abc")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: RKDGLAB_WORKERS") and "'abc'" in captured.err
+    assert captured.out == ""

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from rkdglab import schemes
 from rkdglab.errors import BlowUpError, UnsupportedDegreeError
-from rkdglab.mesh import build_mesh_1d
+from rkdglab.experiments import ProblemSpec, accuracy_table, benchmark_tau
+from rkdglab.mesh import build_mesh_1d, build_mesh_2d
 from rkdglab.operators import (
     DGSpace,
     assemble_upwind,
@@ -12,6 +14,7 @@ from rkdglab.operators import (
     reduce_operator,
 )
 from rkdglab.schemes import (
+    BLOWUP_LIMIT,
     BUILTIN_TABLEAUS,
     EvolutionMap,
     SchemeSpec,
@@ -242,3 +245,159 @@ def test_keykey_energy_gap_ratio():
         sups.append(float(np.linalg.eigvalsh(basis.T @ numer @ basis).max()))
     spread = (max(sups) - min(sups)) / max(abs(s) for s in sups)
     assert spread < 0.25, f"energy-gap ratio drifts {spread:.1%}: {sups}"
+
+
+# ---------------------------------------------------------------------------
+# Fourier-space evolution on uniform meshes vs. a plain stepping loop
+# ---------------------------------------------------------------------------
+
+def _stepping_loop(scheme, mesh, k, u0, final_time, tau):
+    """(final state, None) or (None, index of the flagged step), stepping only."""
+    op, red = _ops(mesh, k)
+    n = int(np.floor(final_time / tau + 1e-9))
+    rem = final_time - n * tau
+    taus = [tau] * n + ([rem] if rem > 1e-12 * max(final_time, 1.0) else [])
+    u = u0
+    for index, dt in enumerate(taus, start=1):
+        u = step(scheme, op, red, u, dt)
+        peak = np.max(np.abs(u.coeffs))
+        if not (np.isfinite(peak) and peak < BLOWUP_LIMIT):
+            return None, index
+    return u, None
+
+
+def _evolve_outcome(*args, **kwargs):
+    try:
+        return evolve(*args, **kwargs).u, None
+    except BlowUpError as exc:
+        return None, exc.step_index
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """Counts the step() calls evolve makes (the test's own loop is not counted)."""
+    calls = []
+    real = schemes.step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, "step", counted)
+    return calls
+
+
+def _uniform_mesh(dim, n):
+    return build_mesh_1d(n) if dim == 1 else build_mesh_2d(n, n)
+
+
+@pytest.mark.parametrize("shortened", [False, True])
+@pytest.mark.parametrize("variant", ["standard", "sdA"])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fourier_evolve_matches_stepping(dim, r, variant, shortened, step_calls):
+    n = 11 if dim == 1 else 5          # odd cell counts: the half spectrum has no Nyquist row
+    mesh = _uniform_mesh(dim, n)
+    k = r - 1
+    scheme = taylor_scheme(r, variant)
+    u0 = DGSpace(mesh, k).random(10 * r + dim)
+    tau = benchmark_tau(r, dim, n)
+    final_time = (30.4 if shortened else 30) * tau
+    res = evolve(scheme, mesh, k, u0, final_time, tau)
+    assert res.path == "fourier" and len(step_calls) == 0
+    assert res.shortened_last_step == shortened
+    assert res.n_steps == 30 + shortened
+    ref, flagged = _stepping_loop(scheme, mesh, k, u0, final_time, tau)
+    assert flagged is None
+    assert (res.u - ref).norm() <= 1e-12 * ref.norm()
+
+
+def test_fourier_evolve_matches_stepping_over_ten_thousand_steps(step_calls):
+    mesh = build_mesh_1d(320)
+    k = 4
+    scheme = taylor_scheme(5, "sdA")
+    u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, k))
+    tau = benchmark_tau(5, 1, 320)
+    res = evolve(scheme, mesh, k, u0, 1.0, tau)
+    assert res.path == "fourier" and len(step_calls) == 0
+    assert res.n_steps >= 10_000 and res.shortened_last_step
+    ref, _ = _stepping_loop(scheme, mesh, k, u0, 1.0, tau)
+    assert (res.u - ref).norm() <= 1e-12 * ref.norm()
+
+
+def test_perturbed_meshes_and_butcher_form_still_step(step_calls):
+    scheme = taylor_scheme(3, "sdA")
+    k = 2
+    tau = 0.01
+    perturbed = build_mesh_1d(12, 0.15, seed=3)
+    u0 = DGSpace(perturbed, k).random(4)
+    res = evolve(scheme, perturbed, k, u0, 0.105, tau)
+    assert res.path == "stepping" and len(step_calls) == res.n_steps == 11
+    ref, _ = _stepping_loop(scheme, perturbed, k, u0, 0.105, tau)
+    assert (res.u - ref).norm() == 0.0
+
+    del step_calls[:]
+    uniform = build_mesh_1d(12)
+    u0 = DGSpace(uniform, k).random(5)
+    res = evolve(scheme, uniform, k, u0, 0.1, tau, form="butcher")
+    assert res.path == "stepping" and len(step_calls) == res.n_steps == 10
+
+    mixed = SchemeSpec(
+        order=3, stages=3, alphas=scheme.alphas, variant="sdA",
+        tableau=BUILTIN_TABLEAUS[3], stage_plan=(True, False, True),
+    )
+    assert evolve(mixed, uniform, k, u0, 0.1, tau, form="butcher").path == "stepping"
+    assert evolve(scheme, uniform, k, u0, 0.0, tau).path == "stepping"
+
+
+def test_fourier_evolve_keeps_unsupported_degree_error():
+    mesh = build_mesh_1d(8)
+    u0 = DGSpace(mesh, 0).random(0)
+    with pytest.raises(UnsupportedDegreeError):
+        evolve(taylor_scheme(2, "sdA"), mesh, 0, u0, 0.01, 1e-3)
+
+
+def test_blowup_parity_with_stepping():
+    k = 2
+    sda3 = taylor_scheme(3, "sdA")
+    # the unstable case of test_evolve_detects_blowup_above_cfl_limit
+    mesh = build_mesh_1d(64)
+    u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, k))
+    tau = 0.3 / 64
+    got = _evolve_outcome(sda3, mesh, k, u0, 2000 * tau, tau)
+    ref = _stepping_loop(sda3, mesh, k, u0, 2000 * tau, tau)
+    assert got[0] is None and got[1] == ref[1] is not None
+
+    # a non-finite initial state is flagged at the first step
+    bad = u0.copy()
+    bad.coeffs[5, 1] = np.nan
+    assert _evolve_outcome(sda3, mesh, k, bad, 10 * tau, tau) == (None, 1)
+    assert _stepping_loop(sda3, mesh, k, bad, 10 * tau, tau) == (None, 1)
+
+    # above the 0.191 limit but with bounded growth: the Fourier route is
+    # taken and, like stepping, does not flag
+    mesh = build_mesh_1d(40)
+    u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, k))
+    res = evolve(sda3, mesh, k, u0, 1.0, 0.22 / 40)
+    assert res.path == "fourier" and res.u.norm() > 10.0 * u0.norm()
+    assert _stepping_loop(sda3, mesh, k, u0, 1.0, 0.22 / 40)[1] is None
+
+
+def test_accuracy_table_blowup_parity(monkeypatch):
+    # fixed tau = 0.015 is cfl 0.3 at N=20 and 0.6 at N=40, above the r=3 limits
+    problem = ProblemSpec(dim=1, ic="sin", final_time=1.0)
+    pairs = [(taylor_scheme(3, v), 2) for v in ("standard", "sdA")]
+    fourier = accuracy_table(pairs, problem, (20, 40), timestep=0.015)
+    monkeypatch.setattr(schemes, "_evolve_fourier", lambda *args: None)
+    stepped = accuracy_table(pairs, problem, (20, 40), timestep=0.015)
+    assert [r.flagged for r in fourier] == [r.flagged for r in stepped]
+    assert any(r.flagged for r in fourier) and not all(r.flagged for r in fourier)
+    for a, b in zip(fourier, stepped):
+        assert a.l2_error == b.l2_error or (np.isnan(a.l2_error) and np.isnan(b.l2_error))
+    for scheme, k in pairs:
+        for n in (20, 40):
+            mesh = build_mesh_1d(n)
+            u0 = project(problem.field().value, DGSpace(mesh, k))
+            got = _evolve_outcome(scheme, mesh, k, u0, 1.0, 0.015)
+            ref = _stepping_loop(scheme, mesh, k, u0, 1.0, 0.015)
+            assert got[1] == ref[1]
