@@ -167,6 +167,8 @@ def _schemes_for(values):
     for variant in variants:
         for r in values["r"]:
             k = values["k"] if values["k"] != "auto" else r - 1
+            if variant == "sdA" and k == 0:
+                raise ConfigError("variant sdA needs polynomial degree k >= 1, got k = 0")
             pairs.append((taylor_scheme(r, variant), k))
     return pairs
 

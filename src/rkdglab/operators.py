@@ -137,7 +137,15 @@ class BlockOperator:
     Offsets are ints in 1D and (ox, oy) pairs in 2D.  A block value may be
     a single (m, m) matrix shared by all cells or, in 1D, an (N, m, m)
     stack of per-cell matrices.
+
+    Operators on one space form an algebra: A @ B composes, c * A scales
+    and A + B adds; an (m, m) array M in place of an operator stands for
+    the operator with M as its shared offset-zero block, so A + c * eye
+    adds a multiple of the identity.
     """
+
+    # numpy defers array + op to this class's __radd__
+    __array_ufunc__ = None
 
     def __init__(self, space, blocks):
         self.space = space
@@ -150,6 +158,41 @@ class BlockOperator:
     @property
     def shares_blocks(self):
         return all(b.ndim == 2 for b in self.blocks.values())
+
+    def _operand(self, other):
+        if isinstance(other, BlockOperator):
+            if other.space != self.space:
+                raise IncompatibleSpacesError("operator spaces differ")
+            return other
+        zero = 0 if self.space.dim == 1 else (0, 0)
+        return BlockOperator(self.space, {zero: np.asarray(other, dtype=float)})
+
+    def __add__(self, other):
+        blocks = dict(self.blocks)
+        for off, blk in self._operand(other).blocks.items():
+            blocks[off] = blocks[off] + blk if off in blocks else blk
+        return BlockOperator(self.space, blocks)
+
+    __radd__ = __add__
+
+    def __mul__(self, scalar):
+        if not np.isscalar(scalar):
+            return NotImplemented
+        return BlockOperator(self.space, {off: scalar * b for off, b in self.blocks.items()})
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        """Composition: (A @ B) u = A (B u), with block A_o B_p at offset o + p."""
+        other = self._operand(other)
+        blocks = {}
+        for o, a in self.blocks.items():
+            for p, b in other.blocks.items():
+                if b.ndim == 3:
+                    b = np.roll(b, -o, axis=0)      # B_p of cell c + o
+                off = o + p if self.space.dim == 1 else (o[0] + p[0], o[1] + p[1])
+                blocks[off] = blocks[off] + a @ b if off in blocks else a @ b
+        return BlockOperator(self.space, blocks)
 
     def apply(self, u):
         if isinstance(u, GridFunction):
@@ -230,6 +273,27 @@ class BlockOperator:
     def norm_symbols(self):
         """Symbols at the mesh frequencies; these diagonalize the operator."""
         return self.symbols(fft_angles(self.space))
+
+    def stacked(self):
+        """(weights, gather): the blocks side by side and an operand index to match.
+
+        For coefficients c, c.take(gather) has one row per cell holding
+        c_{cell + o} for every offset o in block order, so A c is the
+        contraction of that row with the cell's weights: weights is
+        (m, J m) for shared blocks and (cells, m, J m) for per-cell stacks.
+        """
+        m = self.space.n_modes
+        shape = self.space.shape[:-1]
+        cells = np.arange(int(np.prod(shape))).reshape(shape)
+        axes = tuple(range(self.space.dim))
+        nbrs = np.stack([np.roll(cells, np.negative(off), axis=axes).ravel()
+                         for off in self.blocks], axis=1)
+        gather = (nbrs[:, :, None] * m + np.arange(m)).reshape(len(nbrs), -1)
+        blocks = list(self.blocks.values())
+        if self.shares_blocks:
+            return np.concatenate(blocks, axis=1), gather
+        stack_shape = (len(nbrs), m, m)
+        return np.concatenate([np.broadcast_to(b, stack_shape) for b in blocks], axis=2), gather
 
     def as_dense(self):
         """Dense matrix acting on flattened coefficients (small sizes only)."""

@@ -10,7 +10,12 @@ projected function.
 import numpy as np
 
 from .basis import basis_2d_index, gauss_quadrature, legendre_modes, reference_tables
-from .errors import CflTooLargeError, ProjectionFailureError, UnsupportedMeshError
+from .errors import (
+    CflTooLargeError,
+    PowerIterationError,
+    ProjectionFailureError,
+    UnsupportedMeshError,
+)
 from .operators import GridFunction, operator_norm, project
 
 
@@ -173,24 +178,27 @@ def pi_star(field, scheme, space, upwind_op, reduced_op, tau, q, tol=1e-12, max_
 
     v = rhs.copy()
     scale = max(rhs.norm(), 1e-300)
-    for _ in range(max_iter):
+    previous = np.inf
+    reason = f"still moving after {max_iter} iterations"
+    for iteration in range(1, max_iter + 1):
         v_next = rhs - apply_tail_poly(v)
         delta = (v_next - v).norm()
         v = v_next
-        if not np.isfinite(delta):
-            break
         if delta <= tol * scale:
             return v
+        if not delta < previous:            # also nan: the iteration diverges
+            reason = f"update stopped contracting at iteration {iteration}"
+            break
+        previous = delta
     contraction = None
     try:
         op_norm = operator_norm(reduced_op, "auto")
         contraction = sum(
             abs(alphas[i]) * (tau * op_norm) ** (i - 1) for i in range(2, s + 1)
         )
-    except Exception:  # diagnostics only
+    except (np.linalg.LinAlgError, PowerIterationError):  # diagnostics only
         pass
     raise CflTooLargeError(
-        f"resolvent fixed point still moving after {max_iter} iterations "
-        f"(contraction estimate {contraction})",
+        f"resolvent fixed point {reason} (contraction estimate {contraction})",
         contraction=contraction,
     )

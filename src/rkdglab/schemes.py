@@ -143,28 +143,44 @@ def energy_coefficients(alphas):
     return EnergyCoefficients(beta=beta, gamma=gamma)
 
 
-def _stage_operators(scheme, full_op, reduced_op):
-    """Per-inner-stage operator choices."""
+def _stage_flags(scheme):
+    """Per-inner-stage choices, True where the stage uses the reduced operator."""
     if scheme.stage_plan is not None:
-        flags = scheme.stage_plan
-    else:
-        flags = tuple([scheme.uses_reduced_stages] * scheme.stages)
-    return [reduced_op if f else full_op for f in flags]
+        return tuple(scheme.stage_plan)
+    return (scheme.uses_reduced_stages,) * scheme.stages
 
 
-def symbol_increment(alphas, tau, full_sym, inner_sym):
-    """Per-frequency symbol of one compact-form step minus the identity, E = G - I.
+def _check_degree(scheme, space):
+    if space.degree == 0 and any(_stage_flags(scheme)):
+        raise UnsupportedDegreeError("reduced-stage variant needs k >= 1")
+
+
+def _inner_operator(scheme, full_op, reduced_op):
+    """The one operator of the inner stages of a uniform stage plan.
+
+    The plan decides, not the variant: an all-reduced plan uses the
+    reduced operator even for variant "standard".
+    """
+    flags = set(_stage_flags(scheme))
+    if len(flags) > 1:
+        raise ValueError("compact form requires a uniform stage plan")
+    _check_degree(scheme, full_op.space)
+    return reduced_op if True in flags else full_op
+
+
+def symbol_increment(alphas, tau, full, inner, eye):
+    """One compact-form step minus the identity, E = G - I.
 
     Nested (Horner) evaluation of tau S sum_{i>=1} alpha_i (tau S_hat)^{i-1}
-    on stacks of (m, m) symbols of the full operator (S) and of the
-    inner-stage operator (S_hat, the reduced one for sdA).
+    with S the full operator and S_hat the inner-stage one (the reduced
+    one for sdA).  S and S_hat are stacks of per-frequency (m, m) symbols
+    or BlockOperators; eye is the (m, m) identity.
     """
     s = len(alphas) - 1
-    eye = np.eye(full_sym.shape[-1])
     v = alphas[s] * eye
     for i in range(s - 1, 0, -1):
-        v = alphas[i] * eye + tau * (inner_sym @ v)
-    return tau * (full_sym @ v)
+        v = alphas[i] * eye + tau * (inner @ v)
+    return tau * (full @ v)
 
 
 def step(scheme, full_op, reduced_op, u, tau, form="compact"):
@@ -176,8 +192,7 @@ def step(scheme, full_op, reduced_op, u, tau, form="compact"):
     applications, which coincides with the Butcher form for linear
     autonomous problems.
     """
-    if scheme.uses_reduced_stages and u.space.degree == 0:
-        raise UnsupportedDegreeError("reduced-stage variant needs k >= 1")
+    _check_degree(scheme, u.space)
     if tau == 0.0:
         return u.copy()
 
@@ -191,7 +206,7 @@ def step(scheme, full_op, reduced_op, u, tau, form="compact"):
                 )
                 return step(scheme, full_op, reduced_op, u, tau, form="compact")
             raise ValueError("scheme has no tableau for Butcher-form stepping")
-        inner_ops = _stage_operators(scheme, full_op, reduced_op)
+        inner_ops = [reduced_op if f else full_op for f in _stage_flags(scheme)]
         s = tab.stages
         stage_vals = []
         applied = []
@@ -209,9 +224,7 @@ def step(scheme, full_op, reduced_op, u, tau, form="compact"):
         return GridFunction(u.space, out)
 
     if form == "compact":
-        if scheme.stage_plan is not None and len(set(scheme.stage_plan)) > 1:
-            raise ValueError("compact form requires a uniform stage plan")
-        inner = reduced_op if scheme.uses_reduced_stages else full_op
+        inner = _inner_operator(scheme, full_op, reduced_op)
         alphas = scheme.alphas
         s = scheme.stages
         v = alphas[s] * u.coeffs
@@ -246,10 +259,11 @@ FREQ_CHUNK = 256
 def evolve(scheme, mesh, k, u0, final_time, tau, form="compact"):
     """u0 advanced to final_time in steps of tau; the last step is shortened if needed.
 
-    On a uniform mesh (the operator is block-circulant) with the compact
-    form and a uniform stage plan, the steps are taken in Fourier space:
-    see _evolve_fourier.  Everything else, and any case in which stepping
-    might have blown up, runs the stepping loop.
+    The compact form needs a uniform stage plan.  On a uniform mesh (the
+    operator is block-circulant) its steps are taken in Fourier space: see
+    _evolve_fourier.  Otherwise, and in any case in which stepping might
+    have blown up, it steps with the fused one-step operator: see
+    _evolve_fused.  The Butcher form steps through step().
     """
     space = DGSpace(mesh, k)
     if u0.space != space:
@@ -266,29 +280,56 @@ def evolve(scheme, mesh, k, u0, final_time, tau, form="compact"):
     meta = dict(n_steps=n_whole + (1 if shortened else 0), t_final=final_time,
                 shortened_last_step=shortened)
 
-    # sdA with k = 0 has no reduced operator; stepping raises for it
-    stage_plan = scheme.stage_plan
-    if (form == "compact" and full_op.is_circulant
-            and (stage_plan is None or len(set(stage_plan)) == 1)
-            and not (scheme.uses_reduced_stages and k == 0)):
-        inner = reduced_op if scheme.uses_reduced_stages else full_op
-        coeffs = _evolve_fourier(scheme.alphas, full_op, inner, u0.coeffs, tau, n_whole,
-                                 remainder if shortened else None)
-        if coeffs is not None and _state_ok(coeffs):
-            return EvolveResult(u=GridFunction(space, coeffs), path="fourier", **meta)
+    last = remainder if shortened else None
+    if form == "compact":
+        inner = _inner_operator(scheme, full_op, reduced_op)
+        if full_op.is_circulant:
+            coeffs = _evolve_fourier(scheme.alphas, full_op, inner, u0.coeffs, tau, n_whole, last)
+            if coeffs is not None and _state_ok(coeffs):
+                return EvolveResult(u=GridFunction(space, coeffs), path="fourier", **meta)
+        coeffs = _evolve_fused(scheme.alphas, full_op, inner, u0.coeffs, tau, n_whole, last)
+        return EvolveResult(u=GridFunction(space, coeffs), path="stepping", **meta)
 
     u = u0
     for n in range(n_whole):
         u = step(scheme, full_op, reduced_op, u, tau, form=form)
-        if not _state_ok(u.coeffs):
-            raise BlowUpError(f"solution blew up at step {n + 1}", step_index=n + 1)
+        _check_step(u.coeffs, n + 1, False)
     if shortened:
         u = step(scheme, full_op, reduced_op, u, remainder, form=form)
-        if not _state_ok(u.coeffs):
-            raise BlowUpError(
-                "solution blew up at the shortened final step", step_index=n_whole + 1
-            )
+        _check_step(u.coeffs, n_whole + 1, True)
     return EvolveResult(u=u, path="stepping", **meta)
+
+
+def _check_step(coeffs, index, shortened):
+    if not _state_ok(coeffs):
+        where = "the shortened final step" if shortened else f"step {index}"
+        raise BlowUpError(f"solution blew up at {where}", step_index=index)
+
+
+def _evolve_fused(alphas, full_op, inner_op, coeffs, tau, n_whole, remainder):
+    """Coefficients after n_whole steps of tau (and one of remainder, unless None).
+
+    One compact-form step is the fixed map u -> u + E u, with E a block
+    operator (offsets 0 .. -s in 1D) built once per step size by
+    symbol_increment on the operators themselves.  With E's blocks stacked
+    side by side, a step is one gather of the neighbour coefficients, one
+    contraction and one add.  The identity stays out of the stacked blocks:
+    folded in, the rounding of I + E would repeat identically in every step
+    and add up (to 1e-13 relative over 10^4 steps, against 1e-14 here).
+    Every step is checked as the stepping loop checks it.
+    """
+    eye = np.eye(full_op.space.n_modes)
+    u = coeffs.reshape(-1, full_op.space.n_modes)
+    steps = [(tau, n_whole, False)] + ([(remainder, 1, True)] if remainder is not None else [])
+    index = 0
+    for dt, n, shortened in steps:
+        weights, gather = symbol_increment(alphas, dt, full_op, inner_op, eye).stacked()
+        spec = "nj,cj->cn" if weights.ndim == 2 else "cnj,cj->cn"
+        for _ in range(n):
+            index += 1
+            u = u + np.einsum(spec, weights, u.take(gather))
+            _check_step(u, index, shortened)
+    return u.reshape(full_op.space.shape)
 
 
 def _evolve_fourier(alphas, full_op, inner_op, coeffs, tau, n_whole, remainder):
@@ -322,9 +363,9 @@ def _evolve_fourier(alphas, full_op, inner_op, coeffs, tau, n_whole, remainder):
             inner = full if inner_op is full_op else inner_op.symbols(angles[chunk])
             v = flat[chunk]
             growth = np.full(len(v), u_norm)
-            steps = [(symbol_increment(alphas, tau, full, inner), n_whole)]
+            steps = [(symbol_increment(alphas, tau, full, inner, eye), n_whole)]
             if remainder is not None:
-                steps.append((symbol_increment(alphas, remainder, full, inner), 1))
+                steps.append((symbol_increment(alphas, remainder, full, inner, eye), 1))
             for e, n in steps:
                 while n:
                     growth *= np.maximum(1.0, np.linalg.norm(eye + e, axis=(1, 2)))
@@ -350,7 +391,7 @@ class EvolutionMap:
     def __init__(self, scheme, full_op, reduced_op, tau):
         self.scheme = scheme
         self.full_op = full_op
-        self.reduced_op = reduced_op if scheme.uses_reduced_stages else full_op
+        self.reduced_op = _inner_operator(scheme, full_op, reduced_op)
         self.tau = tau
         self.space = full_op.space
 
@@ -389,8 +430,8 @@ class EvolutionMap:
         red_sym = full_sym
         if self.reduced_op is not self.full_op:
             red_sym = self.reduced_op.norm_symbols()
-        return np.eye(full_sym.shape[-1]) + symbol_increment(
-            self.scheme.alphas, self.tau, full_sym, red_sym)
+        eye = np.eye(full_sym.shape[-1])
+        return eye + symbol_increment(self.scheme.alphas, self.tau, full_sym, red_sym, eye)
 
     def as_dense(self):
         return dense_from_matvec(self.apply_array, self.space)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import reference_tables
-from .errors import UnsupportedDegreeError
+from .errors import PowerIterationError
 from .experiments import worker_count
 from .mesh import build_mesh_1d, build_mesh_2d
 from .operators import assemble_upwind, operator_norm, reduce_operator
@@ -64,8 +64,6 @@ def _mesh_for(dim, n):
 def evolution_map(scheme, mesh, k, cfl):
     full_op = assemble_upwind(mesh, k)
     reduced_op = reduce_operator(full_op) if k >= 1 else full_op
-    if scheme.uses_reduced_stages and k == 0:
-        raise UnsupportedDegreeError("reduced-stage variant needs k >= 1")
     n = mesh.n_cells if mesh.dim == 1 else mesh.nx
     tau = cfl / (mesh.dim * n)
     return EvolutionMap(scheme, full_op, reduced_op, tau)
@@ -107,7 +105,7 @@ def cfl_sweep(scheme, k, dim, n_list, m, cfl_grid, workers=None):
         n, cfl = job
         try:
             return delta(scheme, _mesh_for(dim, n), k, cfl, m)
-        except Exception:
+        except (PowerIterationError, np.linalg.LinAlgError):
             return StabilityPoint(
                 scheme=f"RK{scheme.order}DG{k}", variant=scheme.variant,
                 dim=dim, n=n, m=m, cfl=float(cfl), delta=math.nan, flagged=True,

@@ -149,3 +149,11 @@ def test_bad_worker_env_is_a_config_error(argv, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: RKDGLAB_WORKERS") and "'abc'" in captured.err
     assert captured.out == ""
+
+
+def test_sda_with_k0_is_a_config_error(capsys):
+    assert main(["stability", "--variant", "sdA", "--k", "0", "--r", "2", "--N", "8",
+                 "--cfl", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: variant sdA") and "k = 0" in captured.err
+    assert captured.out == ""

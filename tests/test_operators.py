@@ -103,6 +103,39 @@ def test_transpose_is_adjoint():
         assert l2_inner(op.apply(u), v) == pytest.approx(l2_inner(u, op.transpose().apply(v)), rel=1e-13)
 
 
+@pytest.mark.parametrize("mesh", [build_mesh_1d(7), perturbed_mesh(7, seed=6), build_mesh_2d(4, 3)],
+                         ids=["uniform", "perturbed", "2d"])
+def test_operator_algebra_matches_repeated_applies(mesh):
+    op = assemble_upwind(mesh, 2)
+    red = reduce_operator(op)
+    eye = np.eye(op.space.n_modes)
+    c = np.random.default_rng(9).standard_normal(op.space.shape)
+    pairs = [
+        (op @ red, op.apply_array(red.apply_array(c))),
+        (red @ op @ op, red.apply_array(op.apply_array(op.apply_array(c)))),
+        (2.5 * op + red + 3.0 * eye, 2.5 * op.apply_array(c) + red.apply_array(c) + 3.0 * c),
+        (eye + 0.5 * (op @ eye), c + 0.5 * op.apply_array(c)),
+    ]
+    for combined, expected in pairs:
+        assert np.abs(combined.apply_array(c) - expected).max() <= 1e-13 * np.abs(expected).max()
+        weights, gather = combined.stacked()
+        spec = "nj,cj->cn" if weights.ndim == 2 else "cnj,cj->cn"
+        fused = np.einsum(spec, weights, c.take(gather)).reshape(c.shape)
+        assert np.abs(fused - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert set((op @ op @ op).blocks) == (
+        {0, -1, -2, -3} if mesh.dim == 1
+        else {(-a, -b) for a in range(4) for b in range(4) if a + b <= 3})
+
+
+def test_operator_algebra_rejects_other_spaces():
+    op = assemble_upwind(build_mesh_1d(6), 1)
+    other = assemble_upwind(build_mesh_1d(7), 1)
+    with pytest.raises(IncompatibleSpacesError):
+        op @ other
+    with pytest.raises(IncompatibleSpacesError):
+        op + other
+
+
 # ---------------------------------------------------------------------------
 # reduction
 # ---------------------------------------------------------------------------

@@ -291,6 +291,7 @@ def test_pi_star_rejects_bad_q():
         pi_star(field, taylor_scheme(3, "sdA"), space, op, red, 0.001, 3)  # q > k+1
 
 
+@pytest.mark.filterwarnings("error")
 def test_pi_star_cfl_too_large():
     field = TravelingSine(1)
     mesh = build_mesh_1d(8)
@@ -299,6 +300,15 @@ def test_pi_star_cfl_too_large():
     with pytest.raises(CflTooLargeError) as info:
         pi_star(field, taylor_scheme(2, "sdA"), space, op, red, 10.0, 2)
     assert info.value.contraction is None or info.value.contraction > 1.0
+
+
+def test_pi_star_stops_once_the_update_grows():
+    field = TravelingSine(1)
+    mesh = build_mesh_1d(8)
+    space = DGSpace(mesh, 1)
+    op, red = _ops(mesh, 1)
+    with pytest.raises(CflTooLargeError, match="stopped contracting at iteration 2"):
+        pi_star(field, taylor_scheme(2, "sdA"), space, op, red, 10.0, 2)
 
 
 def test_special_projection_dispatch():

@@ -332,9 +332,11 @@ def test_perturbed_meshes_and_butcher_form_still_step(step_calls):
     perturbed = build_mesh_1d(12, 0.15, seed=3)
     u0 = DGSpace(perturbed, k).random(4)
     res = evolve(scheme, perturbed, k, u0, 0.105, tau)
-    assert res.path == "stepping" and len(step_calls) == res.n_steps == 11
+    # the fused one-step operator steps without step(); it sums the same
+    # terms in another order, so agreement is to rounding, not bitwise
+    assert res.path == "stepping" and len(step_calls) == 0 and res.n_steps == 11
     ref, _ = _stepping_loop(scheme, perturbed, k, u0, 0.105, tau)
-    assert (res.u - ref).norm() == 0.0
+    assert (res.u - ref).norm() <= 1e-12 * ref.norm()
 
     del step_calls[:]
     uniform = build_mesh_1d(12)
@@ -355,6 +357,127 @@ def test_fourier_evolve_keeps_unsupported_degree_error():
     u0 = DGSpace(mesh, 0).random(0)
     with pytest.raises(UnsupportedDegreeError):
         evolve(taylor_scheme(2, "sdA"), mesh, 0, u0, 0.01, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the fused one-step operator (meshes without a Fourier route) vs. stepping
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shortened", [False, True])
+@pytest.mark.parametrize("variant", ["standard", "sdA"])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_fused_evolve_matches_stepping(r, variant, shortened, step_calls):
+    mesh = build_mesh_1d(11, 0.15, seed=r)
+    k = r - 1
+    scheme = taylor_scheme(r, variant)
+    u0 = DGSpace(mesh, k).random(10 * r)
+    tau = benchmark_tau(r, 1, 11)
+    final_time = (30.4 if shortened else 30) * tau
+    res = evolve(scheme, mesh, k, u0, final_time, tau)
+    assert res.path == "stepping" and len(step_calls) == 0
+    assert res.shortened_last_step == shortened
+    assert res.n_steps == 30 + shortened
+    ref, flagged = _stepping_loop(scheme, mesh, k, u0, final_time, tau)
+    assert flagged is None
+    assert (res.u - ref).norm() <= 1e-12 * ref.norm()
+
+
+def test_fused_evolve_matches_stepping_over_ten_thousand_steps(step_calls):
+    mesh = build_mesh_1d(320, 0.15, seed=7)
+    k = 4
+    scheme = taylor_scheme(5, "sdA")
+    u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, k))
+    tau = benchmark_tau(5, 1, 320)
+    res = evolve(scheme, mesh, k, u0, 1.0, tau)
+    assert res.path == "stepping" and len(step_calls) == 0
+    assert res.n_steps >= 10_000 and res.shortened_last_step
+    ref, _ = _stepping_loop(scheme, mesh, k, u0, 1.0, tau)
+    assert (res.u - ref).norm() <= 1e-12 * ref.norm()
+
+
+@pytest.mark.parametrize("variant", ["standard", "sdA"])
+def test_fused_evolve_is_the_2d_fourier_fallback(variant, step_calls, monkeypatch):
+    monkeypatch.setattr(schemes, "_evolve_fourier", lambda *args: None)
+    mesh = build_mesh_2d(5, 4)
+    k = 2
+    scheme = taylor_scheme(3, variant)
+    u0 = DGSpace(mesh, k).random(7)
+    tau = benchmark_tau(3, 2, 5)
+    res = evolve(scheme, mesh, k, u0, 20.4 * tau, tau)
+    assert res.path == "stepping" and len(step_calls) == 0 and res.n_steps == 21
+    ref, flagged = _stepping_loop(scheme, mesh, k, u0, 20.4 * tau, tau)
+    assert flagged is None
+    assert (res.u - ref).norm() <= 1e-12 * ref.norm()
+
+
+def test_fused_evolve_blowup_parity_with_stepping():
+    k = 2
+    sda3 = taylor_scheme(3, "sdA")
+    mesh = build_mesh_1d(64, 0.15, seed=2)
+    u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, k))
+    tau = 0.3 / 64
+    got = _evolve_outcome(sda3, mesh, k, u0, 2000 * tau, tau)
+    ref = _stepping_loop(sda3, mesh, k, u0, 2000 * tau, tau)
+    assert got[0] is None and got[1] == ref[1] is not None
+
+    bad = u0.copy()
+    bad.coeffs[5, 1] = np.nan
+    assert _evolve_outcome(sda3, mesh, k, bad, 10 * tau, tau) == (None, 1)
+    assert _stepping_loop(sda3, mesh, k, bad, 10 * tau, tau) == (None, 1)
+
+    u0 = DGSpace(mesh, 0).random(0)
+    with pytest.raises(UnsupportedDegreeError):
+        evolve(taylor_scheme(2, "sdA"), mesh, 0, u0, 0.01, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# a uniform stage plan, not the variant, picks the inner-stage operator
+# ---------------------------------------------------------------------------
+
+def _planned(variant, flag):
+    base = taylor_scheme(3, variant)
+    return SchemeSpec(order=3, stages=3, alphas=base.alphas, variant=variant,
+                      tableau=base.tableau, stage_plan=(flag,) * 3)
+
+
+@pytest.mark.parametrize("flag, same_as", [(True, "sdA"), (False, "standard")])
+def test_uniform_stage_plan_overrides_the_variant(flag, same_as):
+    other = "standard" if same_as == "sdA" else "sdA"
+    planned = _planned(other, flag)
+    reference = taylor_scheme(3, same_as)
+    k = 2
+    mesh = build_mesh_1d(8)
+    op, red = _ops(mesh, k)
+    u = op.space.random(3)
+    tau = 0.05
+    for form in ("compact", "butcher"):
+        got = step(planned, op, red, u, tau, form=form)
+        assert (got - step(reference, op, red, u, tau, form=form)).norm() == 0.0
+    compact = step(planned, op, red, u, tau, form="compact")
+    butcher = step(planned, op, red, u, tau, form="butcher")
+    assert (compact - butcher).norm() <= 1e-13 * u.norm()
+    emap = EvolutionMap(planned, op, red, tau)
+    assert np.array_equal(emap.apply_array(u.coeffs),
+                          EvolutionMap(reference, op, red, tau).apply_array(u.coeffs))
+    for mesh in (build_mesh_1d(12), build_mesh_1d(12, 0.15, seed=3)):
+        u0 = DGSpace(mesh, k).random(6)
+        got = evolve(planned, mesh, k, u0, 0.105, 0.01)
+        ref = evolve(reference, mesh, k, u0, 0.105, 0.01)
+        assert got.path == ref.path and (got.u - ref.u).norm() == 0.0
+
+
+def test_all_reduced_stage_plan_rejects_k0():
+    planned = _planned("standard", True)
+    mesh = build_mesh_1d(8)
+    op, red = _ops(mesh, 0)
+    u = op.space.random(0)
+    for form in ("compact", "butcher"):
+        with pytest.raises(UnsupportedDegreeError):
+            step(planned, op, red, u, 1e-3, form=form)
+    with pytest.raises(UnsupportedDegreeError):
+        evolve(planned, mesh, 0, u, 0.01, 1e-3)
+    with pytest.raises(UnsupportedDegreeError):
+        EvolutionMap(planned, op, red, 1e-3)
 
 
 def test_blowup_parity_with_stepping():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from rkdglab import stability
+from rkdglab.errors import PowerIterationError, UnsupportedDegreeError
 from rkdglab.mesh import build_mesh_1d, build_mesh_2d
 from rkdglab.stability import (
     DELTA_FLOOR,
@@ -54,6 +56,18 @@ def test_cfl_sweep_single_point_and_order():
     assert [(p.n, p.cfl) for p in pts] == [(16, 0.05), (16, 0.10), (32, 0.05), (32, 0.10)]
     with pytest.raises(ValueError):
         cfl_sweep(scheme, 2, 1, (), 1, (0.1,))
+
+
+def test_cfl_sweep_flags_numerical_failures_only(monkeypatch):
+    with pytest.raises(UnsupportedDegreeError):
+        cfl_sweep(taylor_scheme(2, "sdA"), 0, 1, (8,), 1, (0.1,))
+
+    def fail(*args, **kwargs):
+        raise PowerIterationError("no convergence")
+
+    monkeypatch.setattr(stability, "delta", fail)
+    (point,) = cfl_sweep(taylor_scheme(2), 1, 1, (8,), 1, (0.1,))
+    assert point.flagged and np.isnan(point.delta)
 
 
 def test_weak_stability_slopes():
