@@ -33,7 +33,7 @@ from .schemes import (
     step,
     taylor_scheme,
 )
-from .stability import FourierCfl, StabilityPoint, cfl_sweep, delta, fourier_cfl, fourier_symbol
+from .stability import FourierCfl, StabilityPoint, cfl_sweep, delta, fourier_cfl
 from .experiments import (
     AccuracyRow,
     ProblemSpec,

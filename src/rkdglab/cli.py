@@ -44,7 +44,6 @@ KEY_SPECS = {
     "flat_mode": ("flat_mode", "r"),
     "output": ("str", "-"),
     "quad_points": ("int_or_auto", "auto"),
-    "workers": ("int_or_auto", "auto"),
 }
 
 DEFAULT_CFL_GRID = (0.025, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45)
@@ -163,10 +162,17 @@ def _raw(x):
 
 def _schemes_for(values):
     variants = ("standard", "sdA") if values["variant"] == "both" else (values["variant"],)
+    command = values["command"]
     pairs = []
     for variant in variants:
         for r in values["r"]:
             k = values["k"] if values["k"] != "auto" else r - 1
+            if k < 0:
+                raise ConfigError(f"polynomial degree k must be >= 0, got k = {k}")
+            if command == "cfl" and (r < 2 or k < 1):
+                raise ConfigError(f"cfl needs r >= 2 and k >= 1, got r = {r}, k = {k}")
+            if command == "regularity" and k != r - 1:
+                raise ConfigError(f"regularity needs k = r - 1, got r = {r}, k = {k}")
             if variant == "sdA" and k == 0:
                 raise ConfigError("variant sdA needs polynomial degree k >= 1, got k = 0")
             pairs.append((taylor_scheme(r, variant), k))
@@ -190,7 +196,6 @@ def run(values, out_stream=None, err_stream=None):
             return 2
         return 0 if failures == 0 else 1
 
-    workers = None if values["workers"] == "auto" else values["workers"]
     n_quad = None if values["quad_points"] == "auto" else values["quad_points"]
     rows = []
     if command in ("accuracy", "regularity"):
@@ -201,7 +206,7 @@ def run(values, out_stream=None, err_stream=None):
             table = accuracy_table(
                 _schemes_for(values), problem, values["N"],
                 timestep=values["timestep"], perturb=values["perturb"],
-                seed=values["seed"], workers=workers, n_quad=n_quad,
+                seed=values["seed"], n_quad=n_quad,
             )
         else:
             table = []
@@ -210,7 +215,7 @@ def run(values, out_stream=None, err_stream=None):
                 table.extend(regularity_study(
                     scheme, k, values["flat_mode"], values["N"], final_time=t_end,
                     dim=values["dim"], perturb=values["perturb"], seed=values["seed"],
-                    workers=workers, n_quad=n_quad,
+                    n_quad=n_quad,
                 ))
         for row in table:
             warn_rows += 1 if row.flagged else 0
@@ -224,7 +229,7 @@ def run(values, out_stream=None, err_stream=None):
         header = STABILITY_HEADER
         for scheme, k in _schemes_for(values):
             for pt in cfl_sweep(scheme, k, values["dim"], values["N"],
-                                values["m"], values["cfl"], workers=workers):
+                                values["m"], values["cfl"]):
                 failed_rows += 1 if pt.flagged else 0
                 rows.append(
                     f"{pt.scheme},{pt.variant},{pt.dim},{pt.n},{pt.m},"

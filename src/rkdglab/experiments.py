@@ -1,18 +1,14 @@
 """Convergence studies: exact-solution transport, L2 errors and EOC tables."""
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError
+from .errors import BlowUpError
 from .mesh import build_mesh_1d, build_mesh_2d
 from .operators import DGSpace, eval_grid, project, quadrature_grid
 from .schemes import evolve, taylor_scheme
-
-WORKERS_ENV = "RKDGLAB_WORKERS"
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +157,6 @@ class AccuracyRow:
     flagged: bool = False
 
 
-def worker_count(workers):
-    """Thread count for a table or sweep: workers, else $RKDGLAB_WORKERS, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-
-
 def _run_single(scheme, k, problem, n, timestep, perturb, seed, n_quad):
     mesh = build_problem_mesh(problem, n, perturb=perturb, seed=seed)
     space = DGSpace(mesh, k)
@@ -189,35 +172,20 @@ def _run_single(scheme, k, problem, n, timestep, perturb, seed, n_quad):
 
 
 def accuracy_table(schemes, problem, n_list, timestep="benchmark",
-                   perturb=0.0, seed=0, workers=None, n_quad=None):
+                   perturb=0.0, seed=0, n_quad=None):
     """Errors and orders over a refinement sweep, for several (scheme, k) pairs.
 
     schemes is a list of (SchemeSpec, k).  The initial state is the L2
     projection of the initial data.  Rows are ordered by (scheme, N); a
     blow-up is recorded as a flagged row rather than an exception.
     """
-    jobs = [(scheme, k, n) for (scheme, k) in schemes for n in n_list]
-
-    def run(job):
-        scheme, k, n = job
-        err, flagged = _run_single(
-            scheme, k, problem, n, timestep, perturb, seed, n_quad,
-        )
-        return job, err, flagged
-
-    nworkers = worker_count(workers)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
-    by_job = {job: (err, flagged) for job, err, flagged in results}
     rows = []
     for scheme, k in schemes:
         prev = None
         for n in n_list:
-            err, flagged = by_job[(scheme, k, n)]
+            err, flagged = _run_single(
+                scheme, k, problem, n, timestep, perturb, seed, n_quad,
+            )
             eoc = None
             if prev is not None and np.isfinite(err) and np.isfinite(prev[1]) and err > 0:
                 eoc = math.log(prev[1] / err) / math.log(n / prev[0])
@@ -242,7 +210,7 @@ def regularity_default_time(order):
 
 
 def regularity_study(scheme, k, flat_mode, n_list, final_time=None,
-                     dim=1, perturb=0.0, seed=0, workers=None, n_quad=None):
+                     dim=1, perturb=0.0, seed=0, n_quad=None):
     """Accuracy sweep for data of limited smoothness, flat = r or r + 1."""
     if scheme.order != k + 1:
         raise ValueError("regularity study is set up for r = k + 1 schemes")
@@ -255,7 +223,7 @@ def regularity_study(scheme, k, flat_mode, n_list, final_time=None,
     t_end = final_time if final_time is not None else regularity_default_time(scheme.order)
     problem = ProblemSpec(dim=dim, ic="sinpow", flat=flat, final_time=t_end)
     return accuracy_table([(scheme, k)], problem, n_list, perturb=perturb,
-                          seed=seed, workers=workers, n_quad=n_quad)
+                          seed=seed, n_quad=n_quad)
 
 
 def default_schemes(orders=(2, 3, 4, 5), variants=("standard", "sdA")):

@@ -17,6 +17,7 @@ from .errors import (
     UnsupportedMeshError,
 )
 from .operators import GridFunction, operator_norm, project
+from .schemes import symbol_increment
 
 
 def gauss_radau(f, space, n_points=None):
@@ -167,21 +168,18 @@ def pi_star(field, scheme, space, upwind_op, reduced_op, tau, q, tol=1e-12, max_
             tail = alphas[i] * tail_seed + tau * reduced_op.apply(tail)
         rhs = rhs + tau**q * tail
 
-    # solve (I + E) v = rhs with E = sum_{i>=2} alpha_i (tau Lt)^{i-1}
-    def apply_tail_poly(v):
-        if s < 2 or tau == 0.0:
-            return space.zeros()
-        t = alphas[s] * v
-        for i in range(s - 1, 1, -1):
-            t = alphas[i] * v + tau * reduced_op.apply(t)
-        return tau * reduced_op.apply(t)
-
+    # solve (I + E) v = rhs with E = sum_{i>=2} alpha_i (tau Lt)^{i-1}:
+    # the increment of the stage polynomial with coefficients alpha_1..alpha_s
+    if s < 2 or tau == 0.0:
+        return rhs
+    tail_poly = symbol_increment(alphas[1:], tau, reduced_op, reduced_op,
+                                 np.eye(space.n_modes))
     v = rhs.copy()
     scale = max(rhs.norm(), 1e-300)
     previous = np.inf
     reason = f"still moving after {max_iter} iterations"
     for iteration in range(1, max_iter + 1):
-        v_next = rhs - apply_tail_poly(v)
+        v_next = rhs - tail_poly.apply(v)
         delta = (v_next - v).norm()
         v = v_next
         if delta <= tol * scale:

@@ -9,6 +9,7 @@ degree-reduced operator at all inner stages.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -183,6 +184,20 @@ def symbol_increment(alphas, tau, full, inner, eye):
     return tau * (full @ v)
 
 
+def _stepping_form(scheme, form):
+    """The form to step in: Butcher form above order 4 has no built-in
+    tableau and falls back to the compact form, with one warning."""
+    if form == "butcher" and scheme.tableau is None:
+        if scheme.order <= 4:
+            raise ValueError("scheme has no tableau for Butcher-form stepping")
+        warnings.warn(
+            "no built-in tableau above order 4; falling back to the compact form",
+            RuntimeWarning, stacklevel=3,
+        )
+        return "compact"
+    return form
+
+
 def step(scheme, full_op, reduced_op, u, tau, form="compact"):
     """One time step of size tau.
 
@@ -195,17 +210,10 @@ def step(scheme, full_op, reduced_op, u, tau, form="compact"):
     _check_degree(scheme, u.space)
     if tau == 0.0:
         return u.copy()
+    form = _stepping_form(scheme, form)
 
     if form == "butcher":
         tab = scheme.tableau
-        if tab is None:
-            if scheme.order > 4:
-                warnings.warn(
-                    "no built-in tableau above order 4; falling back to the compact form",
-                    RuntimeWarning,
-                )
-                return step(scheme, full_op, reduced_op, u, tau, form="compact")
-            raise ValueError("scheme has no tableau for Butcher-form stepping")
         inner_ops = [reduced_op if f else full_op for f in _stage_flags(scheme)]
         s = tab.stages
         stage_vals = []
@@ -263,7 +271,8 @@ def evolve(scheme, mesh, k, u0, final_time, tau, form="compact"):
     operator is block-circulant) its steps are taken in Fourier space: see
     _evolve_fourier.  Otherwise, and in any case in which stepping might
     have blown up, it steps with the fused one-step operator: see
-    _evolve_fused.  The Butcher form steps through step().
+    _evolve_fused.  The Butcher form steps through step(); above order 4,
+    where no tableau is built in, it warns once and takes the compact form.
     """
     space = DGSpace(mesh, k)
     if u0.space != space:
@@ -281,6 +290,7 @@ def evolve(scheme, mesh, k, u0, final_time, tau, form="compact"):
                 shortened_last_step=shortened)
 
     last = remainder if shortened else None
+    form = _stepping_form(scheme, form)
     if form == "compact":
         inner = _inner_operator(scheme, full_op, reduced_op)
         if full_op.is_circulant:
@@ -399,13 +409,14 @@ class EvolutionMap:
     def n_dofs(self):
         return self.space.n_dofs
 
+    @cached_property
+    def increment(self):
+        """E = K - I as a BlockOperator, built on the first apply."""
+        eye = np.eye(self.space.n_modes)
+        return symbol_increment(self.scheme.alphas, self.tau, self.full_op, self.reduced_op, eye)
+
     def apply_array(self, c):
-        alphas = self.scheme.alphas
-        s = self.scheme.stages
-        v = alphas[s] * c
-        for i in range(s - 1, 0, -1):
-            v = alphas[i] * c + self.tau * self.reduced_op.apply_array(v)
-        return c + self.tau * self.full_op.apply_array(v)
+        return c + self.increment.apply_array(c)
 
     def apply(self, u):
         return GridFunction(self.space, self.apply_array(u.coeffs))
@@ -414,15 +425,8 @@ class EvolutionMap:
         return self.apply_array(x.reshape(self.space.shape)).ravel()
 
     def rmatvec(self, x):
-        alphas = self.scheme.alphas
-        s = self.scheme.stages
         c = x.reshape(self.space.shape)
-        red_t = self.reduced_op.transpose()
-        w = self.tau * self.full_op.transpose().apply_array(c)
-        acc = alphas[s] * w
-        for i in range(s - 1, 0, -1):
-            acc = alphas[i] * w + self.tau * red_t.apply_array(acc)
-        return (c + acc).ravel()
+        return (c + self.increment.transpose().apply_array(c)).ravel()
 
     def norm_symbols(self):
         """Per-frequency symbols of the one-step map (uniform meshes)."""

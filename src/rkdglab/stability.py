@@ -7,17 +7,14 @@ non-expansiveness; values of ||K^m||^2 - 1 below the measurement
 resolution of the norm computation are snapped to the floor.
 """
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import reference_tables
 from .errors import PowerIterationError
-from .experiments import worker_count
 from .mesh import build_mesh_1d, build_mesh_2d
-from .operators import assemble_upwind, operator_norm, reduce_operator
-from .schemes import EvolutionMap
+from .operators import assemble_upwind, fft_angles, operator_norm, reduce_operator
+from .schemes import EvolutionMap, _inner_operator, symbol_increment, taylor_scheme
 
 DELTA_FLOOR = 1e-16
 #: |norm^2 - 1| below this is indistinguishable from zero in double precision
@@ -34,27 +31,6 @@ class StabilityPoint:
     cfl: float
     delta: float
     flagged: bool = False
-
-
-@dataclass(frozen=True)
-class FourierSymbol:
-    """Blocks of the 1D symbol: h L_h / beta at angle theta is A + B e^{-i theta}."""
-
-    degree: int
-    diag: np.ndarray
-    neighbor: np.ndarray
-
-    def at(self, thetas):
-        th = np.asarray(thetas, dtype=float)
-        return self.diag[None] + self.neighbor[None] * np.exp(-1j * th)[:, None, None]
-
-
-def fourier_symbol(k):
-    """Symbol blocks of the uniform-mesh upwind operator, h-and-beta normalized."""
-    right, left, stiff = reference_tables(k)
-    diag = 2.0 * (stiff - np.outer(right, right))
-    neighbor = 2.0 * np.outer(left, right)
-    return FourierSymbol(degree=k, diag=diag, neighbor=neighbor)
 
 
 def _mesh_for(dim, n):
@@ -95,28 +71,20 @@ def delta(scheme, mesh, k, cfl, m=1, method="auto"):
     )
 
 
-def cfl_sweep(scheme, k, dim, n_list, m, cfl_grid, workers=None):
+def cfl_sweep(scheme, k, dim, n_list, m, cfl_grid):
     """Cartesian (N, cfl) sweep; rows ordered by (N, cfl), failures flagged."""
     if len(n_list) == 0 or len(cfl_grid) == 0:
         raise ValueError("sweep grids must be non-empty")
-    jobs = [(n, cfl) for n in n_list for cfl in cfl_grid]
-
-    def run(job):
-        n, cfl = job
-        try:
-            return delta(scheme, _mesh_for(dim, n), k, cfl, m)
-        except (PowerIterationError, np.linalg.LinAlgError):
-            return StabilityPoint(
-                scheme=f"RK{scheme.order}DG{k}", variant=scheme.variant,
-                dim=dim, n=n, m=m, cfl=float(cfl), delta=math.nan, flagged=True,
-            )
-
-    nworkers = worker_count(workers)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            points = list(pool.map(run, jobs))
-    else:
-        points = [run(job) for job in jobs]
+    points = []
+    for n in n_list:
+        for cfl in cfl_grid:
+            try:
+                points.append(delta(scheme, _mesh_for(dim, n), k, cfl, m))
+            except (PowerIterationError, np.linalg.LinAlgError):
+                points.append(StabilityPoint(
+                    scheme=f"RK{scheme.order}DG{k}", variant=scheme.variant,
+                    dim=dim, n=n, m=m, cfl=float(cfl), delta=math.nan, flagged=True,
+                ))
     return points
 
 
@@ -133,36 +101,26 @@ def fourier_cfl(variant, r, k, n_theta=2048, bisect_tol=5e-4,
     """Maximal CFL via per-angle spectral radius of the 1D amplification symbol.
 
     Bisection on c for max_theta rho(G(c, theta)) <= 1 + growth_tol, with
-    G the stability polynomial in c*S for the standard variant and the
-    reduced-inner-stage composition for the sdA variant.  The growth
-    tolerance admits the slow eigenvalue drift of the weakly stable
-    schemes while pinning the sharp blow-up threshold.
+    G the one-step symbol of the scheme on the uniform n_theta-cell mesh
+    at tau = c h, whose frequencies are the n_theta sampled angles.  The
+    growth tolerance admits the slow eigenvalue drift of the weakly
+    stable schemes while pinning the sharp blow-up threshold.
     """
     if k < 1 or r < 2:
         raise ValueError("Fourier CFL computed for k >= 1, r >= 2")
-    sym = fourier_symbol(k)
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    s_full = sym.at(thetas)
-    s_red = s_full.copy()
-    s_red[:, -1, :] = 0.0
-    alphas = [1.0 / math.factorial(i) for i in range(r + 1)]
-    m = k + 1
-    eye = np.eye(m)
-
-    def max_rho(c):
-        if variant == "standard":
-            g = np.broadcast_to(alphas[r] * eye, s_full.shape).copy()
-            for i in range(r - 1, -1, -1):
-                g = alphas[i] * eye + (c * s_full) @ g
-        else:
-            g = np.broadcast_to(alphas[r] * eye, s_full.shape).copy()
-            for i in range(r - 1, 0, -1):
-                g = alphas[i] * eye + (c * s_red) @ g
-            g = eye + (c * s_full) @ g
-        return float(np.abs(np.linalg.eigvals(g)).max())
+    scheme = taylor_scheme(r, variant)
+    op = assemble_upwind(build_mesh_1d(n_theta), k)
+    # real operators: G(2 pi - theta) = conj G(theta) has the same spectral
+    # radius, so the angles in [0, pi] decide
+    angles = fft_angles(op.space, half=True)
+    full = op.symbols(angles)
+    inner_op = _inner_operator(scheme, op, reduce_operator(op))
+    inner = full if inner_op is op else inner_op.symbols(angles)
+    eye = np.eye(k + 1)
 
     def stable(c):
-        return max_rho(c) <= 1.0 + growth_tol
+        g = eye + symbol_increment(scheme.alphas, c / n_theta, full, inner, eye)
+        return float(np.abs(np.linalg.eigvals(g)).max()) <= 1.0 + growth_tol
 
     lo, hi = 0.0, c_max
     if stable(hi):

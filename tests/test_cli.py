@@ -139,16 +139,28 @@ def test_io_failure_exit_code():
     assert run(values) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["stability", "--r", "2", "--k", "1", "--N", "4", "--cfl", "0.1"],
-    ["accuracy", "--r", "2", "--N", "10"],
-])
-def test_bad_worker_env_is_a_config_error(argv, monkeypatch, capsys):
-    monkeypatch.setenv("RKDGLAB_WORKERS", "abc")
+@pytest.mark.parametrize("argv, message", [
+    (["cfl", "--k", "0", "--r", "2"], "cfl needs r >= 2 and k >= 1, got r = 2, k = 0"),
+    (["cfl", "--r", "1"], "cfl needs r >= 2 and k >= 1, got r = 1, k = 0"),
+    (["accuracy", "--k", "-1", "--r", "2", "--N", "8"], "k must be >= 0, got k = -1"),
+    (["regularity", "--k", "-1", "--r", "2", "--N", "8"], "k must be >= 0, got k = -1"),
+    (["regularity", "--k", "1", "--r", "3", "--N", "8"], "regularity needs k = r - 1"),
+    (["stability", "--k", "-1", "--r", "2", "--N", "8", "--cfl", "0.1"],
+     "k must be >= 0, got k = -1"),
+], ids=["cfl-k0", "cfl-r1", "accuracy-negative-k", "regularity-negative-k",
+        "regularity-k-not-r-1", "stability-negative-k"])
+def test_bad_degree_or_order_is_a_config_error(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: RKDGLAB_WORKERS") and "'abc'" in captured.err
+    assert captured.err.startswith("error: ") and message in captured.err
     assert captured.out == ""
+
+
+def test_workers_key_is_gone(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("command = cfl\nr = 2\nworkers = 2\n")
+    assert main(["--config", str(cfg)]) == 2
+    assert "unknown config key 'workers'" in capsys.readouterr().err
 
 
 def test_sda_with_k0_is_a_config_error(capsys):

@@ -174,13 +174,3 @@ def test_smooth_eoc_reaches_design_order_2d():
     problem = ProblemSpec(dim=2, ic="sin", final_time=1.0)
     rows = accuracy_table([(taylor_scheme(3, "sdA"), 2)], problem, (20, 40, 80))
     assert abs(rows[-1].eoc - 3) <= 0.05
-
-
-def test_workers_do_not_change_results():
-    problem = ProblemSpec(dim=1, ic="sin", final_time=1.0)
-    schemes = [(taylor_scheme(2), 1), (taylor_scheme(3), 2)]
-    seq = accuracy_table(schemes, problem, (20, 40), workers=1)
-    par = accuracy_table(schemes, problem, (20, 40), workers=4)
-    assert [(r.scheme, r.n, r.l2_error) for r in seq] == [
-        (r.scheme, r.n, r.l2_error) for r in par
-    ]

@@ -63,6 +63,18 @@ def test_butcher_fallback_above_order_4():
     assert (a - b).norm() == 0.0
 
 
+def test_butcher_evolve_above_order_4_warns_once(step_calls):
+    mesh = build_mesh_1d(11, 0.15, seed=5)
+    scheme = taylor_scheme(5)
+    u0 = DGSpace(mesh, 4).random(6)
+    tau = benchmark_tau(5, 1, 11)
+    with pytest.warns(RuntimeWarning, match="above order 4") as record:
+        res = evolve(scheme, mesh, 4, u0, 10 * tau, tau, form="butcher")
+    assert len(record) == 1 and len(step_calls) == 0 and res.n_steps == 10
+    ref = evolve(scheme, mesh, 4, u0, 10 * tau, tau).u
+    assert (res.u - ref).norm() <= 1e-12 * ref.norm()
+
+
 def test_reduced_variant_rejects_k0():
     mesh = build_mesh_1d(8)
     op, red = _ops(mesh, 0)
@@ -428,6 +440,33 @@ def test_fused_evolve_blowup_parity_with_stepping():
     u0 = DGSpace(mesh, 0).random(0)
     with pytest.raises(UnsupportedDegreeError):
         evolve(taylor_scheme(2, "sdA"), mesh, 0, u0, 0.01, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# EvolutionMap (growth metric) vs. the staged compact step
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("variant", ["standard", "sdA"])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_evolution_map_matches_compact_step(dim, r, variant):
+    n = 9 if dim == 1 else 4
+    mesh = build_mesh_1d(n, 0.15, seed=r) if dim == 1 else build_mesh_2d(n, n)
+    k = r - 1
+    op, red = _ops(mesh, k)
+    scheme = taylor_scheme(r, variant)
+    tau = 0.1 / (dim * n)
+    emap = EvolutionMap(scheme, op, red, tau)
+    us = [op.space.random(seed) for seed in range(3)]
+    refs = [step(scheme, op, red, u, tau).coeffs for u in us]
+    batch = emap.apply_array(np.stack([u.coeffs for u in us], axis=-1))
+    for j, (u, ref) in enumerate(zip(us, refs)):
+        scale = np.linalg.norm(ref)
+        assert np.linalg.norm(emap.apply_array(u.coeffs) - ref) <= 1e-12 * scale
+        assert np.linalg.norm(batch[..., j] - ref) <= 1e-12 * scale
+    x = us[0].coeffs.ravel()
+    expected = emap.as_dense().T @ x
+    assert np.linalg.norm(emap.rmatvec(x) - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ import pytest
 from rkdglab import stability
 from rkdglab.errors import PowerIterationError, UnsupportedDegreeError
 from rkdglab.mesh import build_mesh_1d, build_mesh_2d
+from rkdglab.operators import assemble_upwind
 from rkdglab.stability import (
     DELTA_FLOOR,
     cfl_sweep,
     delta,
     fourier_cfl,
-    fourier_symbol,
 )
 from rkdglab.schemes import taylor_scheme
 
@@ -102,8 +102,7 @@ def test_delta_curves_similar_across_n():
 
 def test_symbol_annihilates_constants_at_zero_angle():
     for k in (1, 3):
-        sym = fourier_symbol(k)
-        s0 = sym.at(np.array([0.0]))[0]
+        s0 = assemble_upwind(build_mesh_1d(16), k).symbols([[0.0]])[0]
         const = np.zeros(k + 1)
         const[0] = 1.0
         assert np.abs(s0 @ const).max() <= 1e-13
@@ -113,6 +112,21 @@ def test_fourier_cfl_table_spot_values():
     assert fourier_cfl("sdA", 2, 1).value == pytest.approx(0.333, abs=0.005)
     assert fourier_cfl("standard", 4, 3).value == pytest.approx(0.145, abs=0.005)
     assert fourier_cfl("sdA", 3, 2).value == pytest.approx(0.191, abs=0.005)
+
+
+#: Fourier CFL numbers for r = 2..8, k = r - 1, frozen as printed by repr
+FROZEN_CFL = {
+    "standard": ("0.3330078125", "0.20947265625", "0.14501953125", "0.115234375",
+                 "0.09375", "0.08056640625", "0.06982421875"),
+    "sdA": ("0.3330078125", "0.19091796875", "0.126953125", "0.1044921875",
+            "0.08544921875", "0.076171875", "0.064453125"),
+}
+
+
+@pytest.mark.parametrize("variant", ["standard", "sdA"])
+def test_fourier_cfl_frozen_table(variant):
+    values = tuple(repr(fourier_cfl(variant, r, r - 1).value) for r in range(2, 9))
+    assert values == FROZEN_CFL[variant]
 
 
 def test_fourier_cfl_variants_agree_at_second_order():
