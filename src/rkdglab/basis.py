@@ -24,26 +24,6 @@ class Quadrature:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class PolyBasis:
-    """Modal basis descriptor: P^k on an interval or total-degree P^k on a box."""
-
-    dim: int
-    degree: int
-
-    @property
-    def n_modes(self):
-        k = self.degree
-        return k + 1 if self.dim == 1 else (k + 1) * (k + 2) // 2
-
-    @property
-    def modes(self):
-        """1D: mode orders 0..k.  2D: graded-lex (a, b) pairs with a+b <= k."""
-        if self.dim == 1:
-            return list(range(self.degree + 1))
-        return basis_2d_index(self.degree)
-
-
 @lru_cache(maxsize=64)
 def gauss_quadrature(n_points):
     """Gauss-Legendre nodes and weights on [-1, 1]."""
@@ -86,6 +66,41 @@ def basis_2d_index(k):
     if k < 0:
         raise ValueError("degree must be nonnegative")
     return tuple((tot - b, b) for tot in range(k + 1) for b in range(tot + 1))
+
+
+@lru_cache(maxsize=64)
+def tensor_index(k):
+    """Positions a (k+1) + b of the 2D modes (a, b) in the flattened (k+1, k+1) tensor.
+
+    Coefficients go to the tensor layout by t[..., tensor_index(k)] = c on
+    zeros of shape (..., (k+1)**2), and back by t.reshape(..., -1)[..., tensor_index(k)].
+    """
+    idx = np.array([a * (k + 1) + b for a, b in basis_2d_index(k)])
+    idx.setflags(write=False)
+    return idx
+
+
+def to_tensor(coeffs, k):
+    """2D modal coefficients (..., n_modes) as a (..., k+1, k+1) tensor, zero above degree k."""
+    out = np.zeros(coeffs.shape[:-1] + ((k + 1) ** 2,))
+    out[..., tensor_index(k)] = coeffs
+    return out.reshape(coeffs.shape[:-1] + (k + 1, k + 1))
+
+
+@lru_cache(maxsize=64)
+def _kron_sum_pattern(k):
+    ia, ib = np.array(basis_2d_index(k)).T
+    return np.ix_(ia, ia), np.ix_(ib, ib), ib[:, None] == ib, ia[:, None] == ia
+
+
+def kron_sum_2d(a, b):
+    """A (x) I + I (x) B on the total-degree modes, for 1D (k+1, k+1) tables A and B.
+
+    Entry (p, q) for modes p = (a, b), q = (a', b') is
+    A[a, a'] [b = b'] + B[b, b'] [a = a']: A acts along x, B along y.
+    """
+    pairs_a, pairs_b, same_b, same_a = _kron_sum_pattern(len(a) - 1)
+    return a[pairs_a] * same_b + b[pairs_b] * same_a
 
 
 @lru_cache(maxsize=64)

@@ -9,6 +9,7 @@ and every rounded column has a full-precision twin with suffix _raw.
 import argparse
 import io
 import math
+import operator
 import sys
 
 from . import __version__
@@ -27,30 +28,34 @@ CFL_HEADER = "scheme,variant,r,k,cfl,cfl_raw"
 _INT_LIST = "int_list"
 _FLOAT_LIST = "float_list"
 
-#: key -> (kind, default); "auto" defaults are resolved per command
+#: key -> (kind, default, range); "auto" defaults are resolved per command.
+#: A range lists (comparison, bound) pairs that every number given for the
+#: key must satisfy.
 KEY_SPECS = {
-    "command": ("command", None),
-    "r": (_INT_LIST, "auto"),
-    "k": ("int_or_auto", "auto"),
-    "variant": ("variant", "standard"),
-    "dim": ("dim", 1),
-    "N": (_INT_LIST, "auto"),
-    "perturb": ("float", 0.0),
-    "seed": ("int", 0),
-    "m": ("int", 1),
-    "cfl": (_FLOAT_LIST, "auto"),
-    "T": ("float_or_auto", "auto"),
-    "timestep": ("timestep", "benchmark"),
-    "flat_mode": ("flat_mode", "r"),
-    "output": ("str", "-"),
-    "quad_points": ("int_or_auto", "auto"),
+    "command": ("command", None, ()),
+    "r": (_INT_LIST, "auto", ((">=", 1),)),
+    "k": ("int_or_auto", "auto", ((">=", 0),)),
+    "variant": ("variant", "standard", ()),
+    "dim": ("int", 1, ((">=", 1), ("<=", 2))),
+    "N": (_INT_LIST, "auto", ((">=", 2),)),
+    "perturb": ("float", 0.0, ((">=", 0), ("<", 0.5))),
+    "seed": ("int", 0, ((">=", 0),)),
+    "m": ("int", 1, ((">=", 1),)),
+    "cfl": (_FLOAT_LIST, "auto", ((">=", 0),)),
+    "T": ("float_or_auto", "auto", ((">=", 0), ("<", math.inf))),
+    "timestep": ("timestep", "benchmark", ((">", 0),)),
+    "flat_mode": ("flat_mode", "r", ()),
+    "output": ("str", "-", ()),
+    "quad_points": ("int_or_auto", "auto", ((">=", 1),)),
 }
+
+_COMPARISONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
 DEFAULT_CFL_GRID = (0.025, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45)
 
 
 def _parse_value(key, raw):
-    kind, _ = KEY_SPECS[key]
+    kind, _, _ = KEY_SPECS[key]
     raw = raw.strip()
     try:
         if kind == "command":
@@ -75,11 +80,6 @@ def _parse_value(key, raw):
             if raw not in ("standard", "sdA", "both"):
                 raise ConfigError(f"variant must be standard, sdA or both, got {raw!r}")
             return raw
-        if kind == "dim":
-            val = int(raw)
-            if val not in (1, 2):
-                raise ConfigError("dim must be 1 or 2")
-            return val
         if kind == "flat_mode":
             if raw not in ("r", "r+1"):
                 raise ConfigError("flat_mode must be 'r' or 'r+1'")
@@ -93,16 +93,26 @@ def _parse_value(key, raw):
     raise ConfigError(f"unhandled key kind for {key!r}")
 
 
+def _check_range(key, value):
+    """Reject any number in value outside the key's range ("auto" and the like pass)."""
+    bounds = KEY_SPECS[key][2]
+    for val in value if isinstance(value, tuple) else (value,):
+        if isinstance(val, str):
+            continue
+        if not all(_COMPARISONS[cmp](val, bound) for cmp, bound in bounds):
+            rule = " and ".join(f"{cmp} {bound}" for cmp, bound in bounds)
+            raise ConfigError(f"{key} must be {rule}, got {key} = {val}")
+
+
 def parse_config(text=None, overrides=None):
     """Resolve a config from file text plus override pairs (strict schema)."""
-    values = {key: default for key, (_, default) in KEY_SPECS.items()}
-    explicit = set()
+    values = {key: default for key, (_, default, _) in KEY_SPECS.items()}
 
     def absorb(key, raw, origin):
         if key not in KEY_SPECS:
             raise ConfigError(f"unknown config key {key!r} ({origin})")
         values[key] = _parse_value(key, raw)
-        explicit.add(key)
+        _check_range(key, values[key])
 
     if text:
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -122,8 +132,6 @@ def parse_config(text=None, overrides=None):
 
     if values["r"] == "auto":
         values["r"] = tuple(range(2, 9)) if command == "cfl" else (2, 3, 4, 5)
-    if any(r < 1 for r in values["r"]):
-        raise ConfigError("orders r must be positive")
     if values["k"] != "auto" and len(values["r"]) > 1:
         raise ConfigError("conflict: explicit k with several orders r")
     if values["N"] == "auto":
@@ -167,8 +175,6 @@ def _schemes_for(values):
     for variant in variants:
         for r in values["r"]:
             k = values["k"] if values["k"] != "auto" else r - 1
-            if k < 0:
-                raise ConfigError(f"polynomial degree k must be >= 0, got k = {k}")
             if command == "cfl" and (r < 2 or k < 1):
                 raise ConfigError(f"cfl needs r >= 2 and k >= 1, got r = {r}, k = {k}")
             if command == "regularity" and k != r - 1:

@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import BlowUpError
 from .mesh import build_mesh_1d, build_mesh_2d
-from .operators import DGSpace, eval_grid, project, quadrature_grid
+from .operators import DGSpace, eval_grid, project, quadrature_grid, quadrature_points
 from .schemes import evolve, taylor_scheme
 
 
@@ -91,8 +91,8 @@ class ProblemSpec:
 
     def error_quadrature(self, k):
         # singular sinpow derivatives need denser error quadrature
-        base = max(10, k + 4)
-        return max(16, k + 4) if self.ic == "sinpow" else base
+        nq = quadrature_points(k)
+        return max(16, nq) if self.ic == "sinpow" else nq
 
     def label(self):
         name = self.ic if self.flat is None else f"{self.ic}({self.flat})"

@@ -10,10 +10,6 @@ import numpy as np
 
 from .errors import InvalidMeshError, InvalidPerturbationError, InvalidSpeedError
 
-#: Generator used for node perturbation.  PCG64 is seeded explicitly so
-#: perturbed meshes are bitwise reproducible across platforms.
-RNG_NAME = "numpy PCG64"
-
 
 @dataclass(frozen=True)
 class Mesh1D:
@@ -47,10 +43,6 @@ class Mesh1D:
     @property
     def cell_sizes(self):
         return np.diff(self.nodes)
-
-    @property
-    def h_max(self):
-        return float(self.cell_sizes.max())
 
     @property
     def quasi_uniformity(self):
@@ -105,10 +97,6 @@ class Mesh2D:
     @property
     def n_cells(self):
         return self.nx * self.ny
-
-    @property
-    def h_max(self):
-        return max(self.hx, self.hy)
 
     @property
     def is_uniform(self):

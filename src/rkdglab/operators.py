@@ -6,10 +6,19 @@ L2 adjoints.  Operators on periodic meshes are block-sparse: a diagonal
 block per cell plus one block per upwind neighbor.
 """
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .basis import PolyBasis, basis_2d_index, gauss_quadrature, legendre_modes, reference_tables
+from .basis import (
+    basis_2d_index,
+    gauss_quadrature,
+    kron_sum_2d,
+    legendre_modes,
+    reference_tables,
+    tensor_index,
+    to_tensor,
+)
 from .errors import (
     IncompatibleSpacesError,
     PowerIterationError,
@@ -32,7 +41,6 @@ class DGSpace:
             raise UnsupportedDegreeError("polynomial degree must be >= 0")
         self.mesh = mesh
         self.degree = degree
-        self.basis = PolyBasis(dim=mesh.dim, degree=degree)
 
     @property
     def dim(self):
@@ -40,7 +48,8 @@ class DGSpace:
 
     @property
     def n_modes(self):
-        return self.basis.n_modes
+        k = self.degree
+        return k + 1 if self.dim == 1 else (k + 1) * (k + 2) // 2
 
     @property
     def shape(self):
@@ -202,27 +211,15 @@ class BlockOperator:
         return self.apply_array(u)
 
     def apply_array(self, c):
-        """Apply to raw coefficients; a trailing batch axis is allowed."""
-        out = None
-        if self.space.dim == 1:
-            for off, blk in self.blocks.items():
-                shifted = c if off == 0 else np.roll(c, -off, axis=0)
-                term = (
-                    np.einsum("nm,im...->in...", blk, shifted)
-                    if blk.ndim == 2
-                    else np.einsum("inm,im...->in...", blk, shifted)
-                )
-                out = term if out is None else out + term
-        else:
-            for (ox, oy), blk in self.blocks.items():
-                shifted = c
-                if ox:
-                    shifted = np.roll(shifted, -ox, axis=0)
-                if oy:
-                    shifted = np.roll(shifted, -oy, axis=1)
-                term = np.einsum("nm,xym...->xyn...", blk, shifted)
-                out = term if out is None else out + term
-        return out
+        """Apply to raw coefficients; a trailing batch axis is allowed.
+
+        One gather of the neighbour coefficients and one contraction with
+        the stacked blocks: see kernel.
+        """
+        weights, gather, spec = self.kernel
+        batch = c.shape[self.space.dim + 1:]
+        rows = c.reshape((-1,) + batch).take(gather, axis=0)
+        return np.einsum(spec, weights, rows).reshape(c.shape)
 
     def matvec(self, x):
         return self.apply_array(x.reshape(self.space.shape)).ravel()
@@ -274,13 +271,17 @@ class BlockOperator:
         """Symbols at the mesh frequencies; these diagonalize the operator."""
         return self.symbols(fft_angles(self.space))
 
-    def stacked(self):
-        """(weights, gather): the blocks side by side and an operand index to match.
+    @cached_property
+    def kernel(self):
+        """(weights, gather, spec): the blocks side by side, an operand index and a contraction.
 
-        For coefficients c, c.take(gather) has one row per cell holding
-        c_{cell + o} for every offset o in block order, so A c is the
-        contraction of that row with the cell's weights: weights is
-        (m, J m) for shared blocks and (cells, m, J m) for per-cell stacks.
+        For coefficients c flattened over cells and modes, c.take(gather,
+        axis=0) has one row per cell holding c_{cell + o} for every offset o
+        in block order, so A c is the contraction of that row with the
+        cell's weights: weights is (m, J m) for shared blocks and
+        (cells, m, J m) for per-cell stacks, and the einsum spec carries any
+        trailing batch axes.  Built on the first apply; the blocks must not
+        change afterwards.
         """
         m = self.space.n_modes
         shape = self.space.shape[:-1]
@@ -291,9 +292,10 @@ class BlockOperator:
         gather = (nbrs[:, :, None] * m + np.arange(m)).reshape(len(nbrs), -1)
         blocks = list(self.blocks.values())
         if self.shares_blocks:
-            return np.concatenate(blocks, axis=1), gather
+            return np.concatenate(blocks, axis=1), gather, "nj,cj...->cn..."
         stack_shape = (len(nbrs), m, m)
-        return np.concatenate([np.broadcast_to(b, stack_shape) for b in blocks], axis=2), gather
+        weights = np.concatenate([np.broadcast_to(b, stack_shape) for b in blocks], axis=2)
+        return weights, gather, "cnj,cj...->cn..."
 
     def as_dense(self):
         """Dense matrix acting on flattened coefficients (small sizes only)."""
@@ -315,7 +317,7 @@ def fft_angles(space, half=False):
     return np.stack([g.ravel() for g in grid], axis=-1)
 
 
-def dense_from_matvec(apply_array, space, chunk=512):
+def dense_from_matvec(apply_array, space, chunk=128):
     """Assemble the dense matrix of a batch-capable coefficient map."""
     n = space.n_dofs
     out = np.empty((n, n))
@@ -354,21 +356,12 @@ def assemble_upwind(mesh, k):
 
     if isinstance(mesh, Mesh2D):
         space = DGSpace(mesh, k)
-        ids = basis_2d_index(k)
-        nm = len(ids)
-        diag = np.zeros((nm, nm))
-        left_blk = np.zeros((nm, nm))
-        bottom_blk = np.zeros((nm, nm))
         cx = 2.0 * mesh.beta_x / mesh.hx
         cy = 2.0 * mesh.beta_y / mesh.hy
-        for p, (a, b) in enumerate(ids):
-            for q, (a2, b2) in enumerate(ids):
-                if b == b2:
-                    diag[p, q] += cx * vol_minus_out[a, a2]
-                    left_blk[p, q] += cx * inflow[a, a2]
-                if a == a2:
-                    diag[p, q] += cy * vol_minus_out[b, b2]
-                    bottom_blk[p, q] += cy * inflow[b, b2]
+        diag = kron_sum_2d(cx * vol_minus_out, cy * vol_minus_out)
+        zero = np.zeros_like(inflow)
+        left_blk = kron_sum_2d(cx * inflow, zero)
+        bottom_blk = kron_sum_2d(zero, cy * inflow)
         return BlockOperator(space, {(0, 0): diag, (-1, 0): left_blk, (0, -1): bottom_blk})
 
     raise TypeError(f"unsupported mesh type {type(mesh)!r}")
@@ -398,9 +391,29 @@ def reduce_operator(op, k=None):
 # projections onto V_h^k, V_h^{k-1} and the top-degree complement
 # ---------------------------------------------------------------------------
 
-def _projection_points(space, n_points=None):
-    k = space.degree
+def quadrature_points(k, n_points=None):
+    """Gauss points per cell direction: n_points, by default max(10, k + 4)."""
     return n_points if n_points is not None else max(10, k + 4)
+
+
+def cell_quadrature(space, n_points=None):
+    """(quad, points, weights): a Gauss rule mapped to every cell of the mesh.
+
+    points is (x,) with x (n_cells, q) in 1D and (x, y) with x (nx, q),
+    y (ny, q) in 2D; weights include the cell Jacobians and have shape
+    (n_cells, q) or (nx, ny, q, q).  quad is the reference rule on [-1, 1].
+    """
+    quad = gauss_quadrature(quadrature_points(space.degree, n_points))
+    mesh = space.mesh
+    if space.dim == 1:
+        h = mesh.cell_sizes
+        x = mesh.nodes[:-1, None] + (quad.nodes[None, :] + 1.0) * h[:, None] / 2.0
+        return quad, (x,), quad.weights * (h[:, None] / 2.0)
+    hx, hy = mesh.hx, mesh.hy
+    x = (np.arange(mesh.nx)[:, None] + (quad.nodes[None, :] + 1.0) / 2.0) * hx
+    y = (np.arange(mesh.ny)[:, None] + (quad.nodes[None, :] + 1.0) / 2.0) * hy
+    w = (hx * hy / 4.0) * np.einsum("q,r->qr", quad.weights, quad.weights)
+    return quad, (x, y), np.broadcast_to(w[None, None], (mesh.nx, mesh.ny) + w.shape)
 
 
 def project(f, space=None, target="full", n_points=None):
@@ -435,25 +448,20 @@ def project(f, space=None, target="full", n_points=None):
 
 
 def _project_callable(f, space, n_points=None):
-    nq = _projection_points(space, n_points)
-    quad = gauss_quadrature(nq)
+    quad, points, _ = cell_quadrature(space, n_points)
     k = space.degree
     vals, _ = legendre_modes(k, quad.nodes)
     mesh = space.mesh
     if space.dim == 1:
-        nodes, h = mesh.nodes, mesh.cell_sizes
-        x = nodes[:-1, None] + (quad.nodes[None, :] + 1.0) * h[:, None] / 2.0
-        fx = f(x)
+        h = mesh.cell_sizes
+        fx = f(*points)
         coeffs = np.sqrt(h / 2.0)[:, None] * np.einsum("q,mq,iq->im", quad.weights, vals, fx)
         return GridFunction(space, coeffs)
-    nx, ny, hx, hy = mesh.nx, mesh.ny, mesh.hx, mesh.hy
-    xq = (np.arange(nx)[:, None] + (quad.nodes[None, :] + 1.0) / 2.0) * hx
-    yq = (np.arange(ny)[:, None] + (quad.nodes[None, :] + 1.0) / 2.0) * hy
+    xq, yq = points
     fxy = f(xq[:, None, :, None], yq[None, :, None, :])
     tensor = np.einsum("q,r,aq,br,xyqr->xyab", quad.weights, quad.weights, vals, vals, fxy)
-    tensor *= np.sqrt(hx * hy) / 2.0
-    ids = basis_2d_index(k)
-    coeffs = np.stack([tensor[:, :, a, b] for (a, b) in ids], axis=-1)
+    tensor *= np.sqrt(mesh.hx * mesh.hy) / 2.0
+    coeffs = tensor.reshape(mesh.nx, mesh.ny, -1)[..., tensor_index(k)]
     return GridFunction(space, coeffs)
 
 
@@ -463,21 +471,8 @@ def quadrature_grid(space, n_points=None):
     1D: (x, w) with shape (n_cells, q).  2D: (x, y, w) with x (nx, q),
     y (ny, q) and w (nx, ny, q, q); weights include cell Jacobians.
     """
-    nq = _projection_points(space, n_points)
-    quad = gauss_quadrature(nq)
-    mesh = space.mesh
-    if space.dim == 1:
-        h = mesh.cell_sizes
-        x = mesh.nodes[:-1, None] + (quad.nodes[None, :] + 1.0) * h[:, None] / 2.0
-        w = np.broadcast_to(quad.weights[None, :], x.shape) * (h[:, None] / 2.0)
-        return x, w
-    hx, hy = mesh.hx, mesh.hy
-    x = (np.arange(mesh.nx)[:, None] + (quad.nodes[None, :] + 1.0) / 2.0) * hx
-    y = (np.arange(mesh.ny)[:, None] + (quad.nodes[None, :] + 1.0) / 2.0) * hy
-    wq = quad.weights
-    w = (hx * hy / 4.0) * np.einsum("q,r->qr", wq, wq)
-    w = np.broadcast_to(w[None, None], (mesh.nx, mesh.ny, nq, nq))
-    return x, y, w
+    _, points, w = cell_quadrature(space, n_points)
+    return (*points, w)
 
 
 def strong_derivative(u):
@@ -493,37 +488,22 @@ def strong_derivative(u):
     if space.dim == 1:
         scale = -mesh.beta * 2.0 / mesh.cell_sizes
         return GridFunction(space, scale[:, None] * np.einsum("mn,im->in", stiff, u.coeffs))
-    ids = basis_2d_index(k)
-    nm = len(ids)
-    mat = np.zeros((nm, nm))
-    cx = -mesh.beta_x * 2.0 / mesh.hx
-    cy = -mesh.beta_y * 2.0 / mesh.hy
-    for p, (a, b) in enumerate(ids):
-        for q, (a2, b2) in enumerate(ids):
-            if b == b2:
-                mat[p, q] += cx * stiff[a2, a]
-            if a == a2:
-                mat[p, q] += cy * stiff[b2, b]
+    mat = kron_sum_2d(-mesh.beta_x * 2.0 / mesh.hx * stiff.T, -mesh.beta_y * 2.0 / mesh.hy * stiff.T)
     return GridFunction(space, np.einsum("nm,xym->xyn", mat, u.coeffs))
 
 
 def eval_grid(u, n_points=None):
     """Values of a grid function at the quadrature_grid points."""
     space = u.space
-    nq = _projection_points(space, n_points)
-    quad = gauss_quadrature(nq)
     k = space.degree
-    vals, _ = legendre_modes(k, quad.nodes)
+    nodes = gauss_quadrature(quadrature_points(k, n_points)).nodes
+    vals, _ = legendre_modes(k, nodes)
     mesh = space.mesh
     if space.dim == 1:
         scale = np.sqrt(2.0 / mesh.cell_sizes)
         return scale[:, None] * np.einsum("im,mq->iq", u.coeffs, vals)
-    ids = basis_2d_index(k)
-    tensor = np.zeros((mesh.nx, mesh.ny, k + 1, k + 1))
-    for p, (a, b) in enumerate(ids):
-        tensor[:, :, a, b] = u.coeffs[:, :, p]
     scale = 2.0 / np.sqrt(mesh.hx * mesh.hy)
-    return scale * np.einsum("xyab,aq,br->xyqr", tensor, vals, vals)
+    return scale * np.einsum("xyab,aq,br->xyqr", to_tensor(u.coeffs, k), vals, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -558,21 +538,13 @@ def _edge_traces_2d(u):
     k = space.degree
     mesh = space.mesh
     right, left, _ = reference_tables(k)
-    ids = basis_2d_index(k)
-    m1 = k + 1
-    cx = np.zeros((space.n_modes, m1, 2))   # mode -> x-line coeffs at (top, bottom)
-    cy = np.zeros((space.n_modes, m1, 2))   # mode -> y-line coeffs at (right, left)
-    sy = np.sqrt(2.0 / mesh.hy)
+    tensor = to_tensor(u.coeffs, k)
     sx = np.sqrt(2.0 / mesh.hx)
-    for p, (a, b) in enumerate(ids):
-        cx[p, a, 0] = right[b] * sy
-        cx[p, a, 1] = left[b] * sy
-        cy[p, b, 0] = right[a] * sx
-        cy[p, b, 1] = left[a] * sx
-    top = np.einsum("xyp,pa->xya", u.coeffs, cx[:, :, 0])
-    bottom = np.einsum("xyp,pa->xya", u.coeffs, cx[:, :, 1])
-    rgt = np.einsum("xyp,pb->xyb", u.coeffs, cy[:, :, 0])
-    lft = np.einsum("xyp,pb->xyb", u.coeffs, cy[:, :, 1])
+    sy = np.sqrt(2.0 / mesh.hy)
+    top = np.einsum("xyab,b->xya", tensor, right * sy)
+    bottom = np.einsum("xyab,b->xya", tensor, left * sy)
+    rgt = np.einsum("xyab,a->xyb", tensor, right * sx)
+    lft = np.einsum("xyab,a->xyb", tensor, left * sx)
     return top, bottom, rgt, lft
 
 
@@ -660,19 +632,15 @@ def operator_norm(op, method="auto", m=1, seed=0, dense_cap=4096, rtol=1e-10, ma
 
     Methods: "dense_svd" assembles op densely (allowed up to dense_cap
     unknowns); "power_iteration" runs matrix-free on (op^m)(op^m)^T;
-    "auto" uses exact Fourier block-diagonalization for circulant
-    operators on uniform meshes, falling back to dense_svd under the cap
-    and power iteration above it.
+    "auto" uses exact Fourier block-diagonalization for maps whose
+    is_circulant is true (uniform meshes, shared blocks), and otherwise
+    dense_svd under the cap and power iteration above it.
     """
     if m < 1:
         raise ValueError("power m must be >= 1")
     if method == "auto":
-        sym = getattr(op, "norm_symbols", None)
-        if sym is not None:
-            try:
-                return _symbol_norm(op, m)
-            except ValueError:
-                pass
+        if getattr(op, "is_circulant", False):
+            return _symbol_norm(op, m)
         if op.n_dofs <= dense_cap:
             return operator_norm(op, "dense_svd", m=m, dense_cap=dense_cap)
         return operator_norm(op, "power_iteration", m=m, seed=seed, rtol=rtol, max_iter=max_iter)

@@ -9,14 +9,14 @@ projected function.
 """
 import numpy as np
 
-from .basis import basis_2d_index, gauss_quadrature, legendre_modes, reference_tables
+from .basis import kron_sum_2d, legendre_modes, reference_tables, tensor_index
 from .errors import (
     CflTooLargeError,
     PowerIterationError,
     ProjectionFailureError,
     UnsupportedMeshError,
 )
-from .operators import GridFunction, operator_norm, project
+from .operators import GridFunction, cell_quadrature, operator_norm, project
 from .schemes import symbol_increment
 
 
@@ -26,14 +26,9 @@ def gauss_radau(f, space, n_points=None):
         raise UnsupportedMeshError("gauss_radau is the 1D projection")
     k = space.degree
     mesh = space.mesh
-    nq = n_points if n_points is not None else max(10, k + 4)
-    quad = gauss_quadrature(nq)
-    vals, _ = legendre_modes(k, quad.nodes)
     right, _, _ = reference_tables(k)
-    nodes, h = mesh.nodes, mesh.cell_sizes
-
-    x = nodes[:-1, None] + (quad.nodes[None, :] + 1.0) * h[:, None] / 2.0
-    moments = np.sqrt(h / 2.0)[:, None] * np.einsum("q,mq,iq->im", quad.weights, vals, f(x))
+    h = mesh.cell_sizes
+    moments = project(f, space, n_points=n_points).coeffs
 
     # local (k+1) x (k+1) system: k moment rows plus the right-trace row;
     # in the orthonormal basis the matrix is cell-independent
@@ -42,7 +37,7 @@ def gauss_radau(f, space, n_points=None):
     a[k, :] = right
     rhs = np.empty((k + 1, mesh.n_cells))
     rhs[:k] = moments[:, :k].T
-    rhs[k] = f(nodes[1:]) * np.sqrt(h / 2.0)
+    rhs[k] = f(mesh.nodes[1:]) * np.sqrt(h / 2.0)
     try:
         coeffs = np.linalg.solve(a, rhs).T
     except np.linalg.LinAlgError as exc:  # pragma: no cover - matrix is triangular-ish
@@ -54,28 +49,19 @@ def _lsz_system(space):
     """Cell-local matrix of the 2D projection conditions (uniform mesh)."""
     k = space.degree
     mesh = space.mesh
-    ids = basis_2d_index(k)
-    m = len(ids)
     right, left, stiff = reference_tables(k)
-    bx, by = mesh.beta_x, mesh.beta_y
-    cx, cy = 2.0 / mesh.hx, 2.0 / mesh.hy
+    jump = right - left
 
-    g = np.zeros((m, m))
-    for r_, (p, q) in enumerate(ids):        # test mode
-        for c_, (a, b) in enumerate(ids):    # trial mode
-            val = 0.0
-            if b == q:
-                val += bx * cx * stiff[p, a]
-                val -= bx * cx * right[a] * (right[p] - left[p])
-            if a == p:
-                val += by * cy * stiff[q, b]
-                val -= by * cy * right[b] * (right[q] - left[q])
-            g[r_, c_] = val
+    def along(beta, c):
+        # test mode p, trial mode a: beta c (stiff[p, a] - right[a] (right[p] - left[p]))
+        return beta * c * stiff - np.outer(jump, beta * c * right)
+
+    g = kron_sum_2d(along(mesh.beta_x, 2.0 / mesh.hx), along(mesh.beta_y, 2.0 / mesh.hy))
     # the constant test row is identically zero; the cell-average condition
     # takes its place, which in this basis pins the (0, 0) coefficient
     g[0, :] = 0.0
     g[0, 0] = 1.0
-    return g, ids
+    return g
 
 
 def lsz(f, space, n_points=None):
@@ -86,42 +72,36 @@ def lsz(f, space, n_points=None):
         raise UnsupportedMeshError("lsz projection requires a uniform mesh")
     k = space.degree
     mesh = space.mesh
-    nq = n_points if n_points is not None else max(10, k + 4)
-    quad = gauss_quadrature(nq)
+    quad, (xq, yq), _ = cell_quadrature(space, n_points)
     vals, ders = legendre_modes(k, quad.nodes)
     right, left, _ = reference_tables(k)
-    g, ids = _lsz_system(space)
-    m = len(ids)
+    jump = right - left
+    g = _lsz_system(space)
+    m = space.n_modes
     nx, ny, hx, hy = mesh.nx, mesh.ny, mesh.hx, mesh.hy
     bx, by = mesh.beta_x, mesh.beta_y
 
-    xq = (np.arange(nx)[:, None] + (quad.nodes[None, :] + 1.0) / 2.0) * hx
-    yq = (np.arange(ny)[:, None] + (quad.nodes[None, :] + 1.0) / 2.0) * hy
     fvol = f(xq[:, None, :, None], yq[None, :, None, :])          # (nx, ny, q, q)
     ytop = (np.arange(ny)[None, :, None] + 1.0) * hy
     ftop = f(xq[:, None, :], np.broadcast_to(ytop, (nx, ny, 1)))  # (nx, ny, q)
     xright = (np.arange(nx)[:, None, None] + 1.0) * hx
     frgt = f(np.broadcast_to(xright, (nx, ny, 1)), yq[None, :, :])
 
-    rhs = np.empty((nx, ny, m))
+    # every test mode (p, q) at once, in the (k+1, k+1) tensor layout: the
+    # volume term against beta . grad of the test mode, minus the top and
+    # right edge terms
     wqx = quad.weights * hx / 2.0
     wqy = quad.weights * hy / 2.0
     sxy = 2.0 / np.sqrt(hx * hy)
-    for r_, (p, q) in enumerate(ids):
-        if r_ == 0:
-            # cell average, expressed as the L2 coefficient of the constant mode
-            rhs[:, :, 0] = np.einsum("q,r,xyqr->xy", wqx, wqy, fvol) * vals[0, 0] ** 2 * sxy
-            continue
-        grad_test = bx * np.einsum("q,r,xyqr,q,r->xy", wqx, wqy, fvol, ders[p] * 2.0 / hx, vals[q])
-        grad_test += by * np.einsum("q,r,xyqr,q,r->xy", wqx, wqy, fvol, vals[p], ders[q] * 2.0 / hy)
-        grad_test *= sxy
-        top = by * (right[q] - left[q]) * np.sqrt(2.0 / hy) * np.sqrt(2.0 / hx) * np.einsum(
-            "q,xyq,q->xy", wqx, ftop, vals[p]
-        )
-        rgt = bx * (right[p] - left[p]) * np.sqrt(2.0 / hx) * np.sqrt(2.0 / hy) * np.einsum(
-            "r,xyr,r->xy", wqy, frgt, vals[q]
-        )
-        rhs[:, :, r_] = grad_test - top - rgt
+    volume = "q,r,xyqr,pq,sr->xyps"
+    grad_test = bx * np.einsum(volume, wqx, wqy, fvol, ders * 2.0 / hx, vals)
+    grad_test += by * np.einsum(volume, wqx, wqy, fvol, vals, ders * 2.0 / hy)
+    edge = np.sqrt(2.0 / hx) * np.sqrt(2.0 / hy)
+    top = by * edge * np.einsum("q,xyq,pq->xyp", wqx, ftop, vals)[..., :, None] * jump
+    rgt = bx * edge * np.einsum("r,xyr,sr->xys", wqy, frgt, vals)[..., None, :] * jump[:, None]
+    rhs = (sxy * grad_test - top - rgt).reshape(nx, ny, -1)[..., tensor_index(k)]
+    # cell average, expressed as the L2 coefficient of the constant mode
+    rhs[..., 0] = np.einsum("q,r,xyqr->xy", wqx, wqy, fvol) * vals[0, 0] ** 2 * sxy
     try:
         coeffs = np.linalg.solve(g, rhs.reshape(-1, m).T).T
     except np.linalg.LinAlgError as exc:

@@ -1,7 +1,17 @@
-"""Shared quadrature oracles, independent of the block-operator assembly."""
+"""Shared quadrature oracles, independent of the block-operator assembly,
+and values shared between tests."""
 import numpy as np
+import pytest
 
 from rkdglab.basis import basis_2d_index, gauss_quadrature, legendre_modes
+from rkdglab.stability import fourier_cfl
+
+
+@pytest.fixture(scope="session")
+def cfl_family():
+    """fourier_cfl(variant, r, r - 1) for r = 2..8 and both variants, computed once."""
+    return {(variant, r): fourier_cfl(variant, r, r - 1)
+            for variant in ("standard", "sdA") for r in range(2, 9)}
 
 
 def eval_cellwise_1d(mesh, k, coeffs, ref_points):

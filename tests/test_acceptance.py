@@ -22,7 +22,7 @@ from rkdglab.operators import (
 )
 from rkdglab.projections import gauss_radau, lsz, pi_star
 from rkdglab.schemes import EvolutionMap, energy_coefficients, step, taylor_scheme
-from rkdglab.stability import DELTA_FLOOR, delta, fourier_cfl
+from rkdglab.stability import DELTA_FLOOR, delta
 from rkdglab.experiments import TravelingSine
 
 
@@ -115,11 +115,11 @@ def _table(rows):
 # criteria
 # ---------------------------------------------------------------------------
 
-def test_criterion_1_cfl_table():
+def test_criterion_1_cfl_table(cfl_family):
     crit = Criterion("1 (Fourier CFL table)")
     for variant, expected in CFL_TABLE.items():
         for r, ref in zip(range(2, 9), expected):
-            got = fourier_cfl(variant, r, r - 1)
+            got = cfl_family[(variant, r)]
             crit.check(got.found, f"{variant} r={r}: no stable step found")
             crit.check(
                 abs(got.value - ref) <= 0.005,

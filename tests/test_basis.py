@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rkdglab.basis import basis_2d_index, gauss_quadrature, legendre_modes
+from rkdglab.basis import basis_2d_index, gauss_quadrature, kron_sum_2d, legendre_modes, to_tensor
 
 
 def test_mode_values_closed_forms():
@@ -68,6 +68,27 @@ def test_2d_index_ordering():
         assert len(ids) == (k + 1) * (k + 2) // 2
         assert sorted(set(ids)) == sorted(ids)
         assert all(a + b <= k and a >= 0 and b >= 0 for (a, b) in ids)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_2d_embedding_matches_mode_loops(k):
+    rng = np.random.default_rng(20 + k)
+    a, b = rng.standard_normal((2, k + 1, k + 1))
+    ids = basis_2d_index(k)
+    expected = np.zeros((len(ids), len(ids)))
+    for p, (a1, b1) in enumerate(ids):
+        for q, (a2, b2) in enumerate(ids):
+            if b1 == b2:
+                expected[p, q] += a[a1, a2]
+            if a1 == a2:
+                expected[p, q] += b[b1, b2]
+    assert np.array_equal(kron_sum_2d(a, b), expected)
+
+    coeffs = rng.standard_normal((3, 2, len(ids)))
+    tensor = to_tensor(coeffs, k)
+    for p, (a1, b1) in enumerate(ids):
+        assert np.array_equal(tensor[:, :, a1, b1], coeffs[:, :, p])
+    assert np.count_nonzero(tensor) == coeffs.size
 
 
 def test_derivative_reduces_degree():

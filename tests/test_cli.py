@@ -169,3 +169,26 @@ def test_sda_with_k0_is_a_config_error(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: variant sdA") and "k = 0" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["accuracy", "--r", "2", "--N", "1"], "N must be >= 2, got N = 1"),
+    (["accuracy", "--dim", "2", "--r", "2", "--N", "8,1"], "N must be >= 2, got N = 1"),
+    (["stability", "--r", "2", "--m", "0"], "m must be >= 1, got m = 0"),
+    (["accuracy", "--r", "2", "--perturb", "0.5"], "perturb must be >= 0 and < 0.5, got perturb = 0.5"),
+    (["accuracy", "--r", "2", "--perturb", "-0.1"], "perturb must be >= 0 and < 0.5, got perturb = -0.1"),
+    (["accuracy", "--r", "2", "--quad-points", "0"], "quad_points must be >= 1, got quad_points = 0"),
+    (["accuracy", "--r", "2", "--timestep", "0"], "timestep must be > 0, got timestep = 0.0"),
+    (["accuracy", "--r", "2", "--timestep", "-0.01"], "timestep must be > 0, got timestep = -0.01"),
+    (["accuracy", "--r", "2", "--N", "8", "--T", "-1"], "T must be >= 0 and < inf, got T = -1.0"),
+    (["stability", "--r", "2", "--cfl", "0.1,-0.1"], "cfl must be >= 0, got cfl = -0.1"),
+    (["accuracy", "--r", "0"], "r must be >= 1, got r = 0"),
+    (["accuracy", "--dim", "3"], "dim must be >= 1 and <= 2, got dim = 3"),
+    (["accuracy", "--seed", "-1"], "seed must be >= 0, got seed = -1"),
+], ids=["N1", "N1-2d", "m0", "perturb-high", "perturb-negative", "quad0", "timestep0",
+        "timestep-negative", "T-negative", "cfl-negative", "r0", "dim3", "seed-negative"])
+def test_out_of_range_value_is_a_config_error(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

@@ -103,6 +103,31 @@ def test_transpose_is_adjoint():
         assert l2_inner(op.apply(u), v) == pytest.approx(l2_inner(u, op.transpose().apply(v)), rel=1e-13)
 
 
+def dense_from_blocks(op):
+    """Dense matrix of (A u)_c = sum_o blocks[o] u_{c+o}, by a loop over cells and offsets."""
+    space = op.space
+    m = space.n_modes
+    counts = space.shape[:-1]
+    cells = list(np.ndindex(*counts))
+    dense = np.zeros((space.n_dofs, space.n_dofs))
+    for i, cell in enumerate(cells):
+        for off, blk in op.blocks.items():
+            nbr = tuple((c + o) % n for c, o, n in zip(cell, np.atleast_1d(off), counts))
+            j = cells.index(nbr)
+            dense[i * m:(i + 1) * m, j * m:(j + 1) * m] += blk if blk.ndim == 2 else blk[i]
+    return dense
+
+
+def assert_matches_blocks(op, c):
+    """apply_array agrees with the block-loop matrix, with and without a batch axis."""
+    dense = dense_from_blocks(op)
+    expected = (dense @ c.ravel()).reshape(c.shape)
+    assert np.abs(op.apply_array(c) - expected).max() <= 1e-13 * np.abs(expected).max()
+    batch = np.random.default_rng(4).standard_normal(c.shape + (3,))
+    expected = (dense @ batch.reshape(-1, 3)).reshape(batch.shape)
+    assert np.abs(op.apply_array(batch) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 @pytest.mark.parametrize("mesh", [build_mesh_1d(7), perturbed_mesh(7, seed=6), build_mesh_2d(4, 3)],
                          ids=["uniform", "perturbed", "2d"])
 def test_operator_algebra_matches_repeated_applies(mesh):
@@ -118,13 +143,19 @@ def test_operator_algebra_matches_repeated_applies(mesh):
     ]
     for combined, expected in pairs:
         assert np.abs(combined.apply_array(c) - expected).max() <= 1e-13 * np.abs(expected).max()
-        weights, gather = combined.stacked()
-        spec = "nj,cj->cn" if weights.ndim == 2 else "cnj,cj->cn"
-        fused = np.einsum(spec, weights, c.take(gather)).reshape(c.shape)
-        assert np.abs(fused - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert_matches_blocks(combined, c)
+    assert_matches_blocks(op, c)
     assert set((op @ op @ op).blocks) == (
         {0, -1, -2, -3} if mesh.dim == 1
         else {(-a, -b) for a in range(4) for b in range(4) if a + b <= 3})
+
+
+@pytest.mark.parametrize("perturb", [0.0, 0.2], ids=["uniform", "perturbed"])
+def test_apply_with_wrapping_offsets(perturb):
+    # on two cells the offsets 0..-3 of op @ op @ op reach each cell twice
+    op = assemble_upwind(build_mesh_1d(2, perturb, seed=1), 2)
+    c = np.random.default_rng(5).standard_normal(op.space.shape)
+    assert_matches_blocks(op @ op @ op, c)
 
 
 def test_operator_algebra_rejects_other_spaces():

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+
+import rkdglab
 
 from rkdglab import schemes
 from rkdglab.errors import BlowUpError, UnsupportedDegreeError
@@ -154,6 +161,31 @@ def test_evolve_shortens_last_step():
     assert res.n_steps == 6
 
 
+@pytest.mark.parametrize("perturb", [0.0, 0.2], ids=["uniform", "perturbed"])
+def test_evolve_rejects_bad_time_input(perturb):
+    # in a child process under a timeout: a negative final time once made the
+    # Fourier route loop forever and the stepping route return u0
+    code = textwrap.dedent(f"""
+        import numpy as np
+        from rkdglab import DGSpace, build_mesh_1d, evolve, project, taylor_scheme
+        mesh = build_mesh_1d(8, {perturb})
+        u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, 1))
+        cases = [(-1.0, 0.01), (float("nan"), 0.01), (float("inf"), 0.01),
+                 (1.0, 0.0), (1.0, -0.01), (1.0, float("nan"))]
+        for final_time, tau in cases:
+            try:
+                evolve(taylor_scheme(2), mesh, 1, u0, final_time, tau)
+                print("returned")
+            except ValueError:
+                print("ValueError")
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rkdglab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ValueError"] * 6
+
+
 def test_evolve_detects_blowup_above_cfl_limit():
     # reduced-stage third-order scheme above its stability threshold
     mesh = build_mesh_1d(64)
@@ -195,6 +227,28 @@ def test_two_step_stability_fourth_order(variant):
     two = operator_norm(emap, "auto", m=2)
     assert two <= 1.0 + 1e-10
     assert one > 1.0  # the single step genuinely expands at this step size
+
+
+def test_auto_norm_takes_the_symbol_path_only_for_circulant_maps(monkeypatch):
+    for mesh, circulant in ((build_mesh_1d(8), True), (build_mesh_1d(8, 0.2, seed=1), False)):
+        emap = EvolutionMap(taylor_scheme(3), *_ops(mesh, 2), tau=0.1 / 8)
+        assert emap.is_circulant is circulant
+    # a perturbed map goes to the dense SVD without asking for symbols ...
+    def no_symbols(self):
+        raise AssertionError("norm_symbols called on a non-circulant map")
+
+    monkeypatch.setattr(EvolutionMap, "norm_symbols", no_symbols)
+    dense = operator_norm(emap, "auto")
+    assert dense == operator_norm(emap, "dense_svd")
+
+    # ... and an error raised on the symbol path reaches the caller
+    def broken_symbols(self):
+        raise ValueError("symbol failure")
+
+    monkeypatch.setattr(EvolutionMap, "norm_symbols", broken_symbols)
+    uniform = EvolutionMap(taylor_scheme(3), *_ops(build_mesh_1d(8), 2), tau=0.1 / 8)
+    with pytest.raises(ValueError, match="symbol failure"):
+        operator_norm(uniform, "auto")
 
 
 def test_all_builtin_tableaus_match_compact():

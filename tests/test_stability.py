@@ -108,10 +108,10 @@ def test_symbol_annihilates_constants_at_zero_angle():
         assert np.abs(s0 @ const).max() <= 1e-13
 
 
-def test_fourier_cfl_table_spot_values():
-    assert fourier_cfl("sdA", 2, 1).value == pytest.approx(0.333, abs=0.005)
-    assert fourier_cfl("standard", 4, 3).value == pytest.approx(0.145, abs=0.005)
-    assert fourier_cfl("sdA", 3, 2).value == pytest.approx(0.191, abs=0.005)
+def test_fourier_cfl_table_spot_values(cfl_family):
+    assert cfl_family[("sdA", 2)].value == pytest.approx(0.333, abs=0.005)
+    assert cfl_family[("standard", 4)].value == pytest.approx(0.145, abs=0.005)
+    assert cfl_family[("sdA", 3)].value == pytest.approx(0.191, abs=0.005)
 
 
 #: Fourier CFL numbers for r = 2..8, k = r - 1, frozen as printed by repr
@@ -124,14 +124,14 @@ FROZEN_CFL = {
 
 
 @pytest.mark.parametrize("variant", ["standard", "sdA"])
-def test_fourier_cfl_frozen_table(variant):
-    values = tuple(repr(fourier_cfl(variant, r, r - 1).value) for r in range(2, 9))
+def test_fourier_cfl_frozen_table(variant, cfl_family):
+    values = tuple(repr(cfl_family[(variant, r)].value) for r in range(2, 9))
     assert values == FROZEN_CFL[variant]
 
 
-def test_fourier_cfl_variants_agree_at_second_order():
-    a = fourier_cfl("standard", 2, 1)
-    b = fourier_cfl("sdA", 2, 1)
+def test_fourier_cfl_variants_agree_at_second_order(cfl_family):
+    a = cfl_family[("standard", 2)]
+    b = cfl_family[("sdA", 2)]
     assert a.found and b.found
     assert abs(a.value - b.value) <= 5e-4 * 2  # within bisection tolerance
 
