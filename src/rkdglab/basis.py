@@ -19,10 +19,6 @@ class Quadrature:
     nodes: np.ndarray
     weights: np.ndarray
 
-    @property
-    def n_points(self):
-        return len(self.nodes)
-
 
 @lru_cache(maxsize=64)
 def gauss_quadrature(n_points):

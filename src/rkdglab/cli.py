@@ -143,6 +143,9 @@ def parse_config(text=None, overrides=None):
             values["N"] = (20, 40, 80, 160, 320) if values["dim"] == 1 else (20, 40, 80)
     if values["cfl"] == "auto":
         values["cfl"] = DEFAULT_CFL_GRID
+    if values["perturb"] and (command == "stability" or values["dim"] == 2):
+        where = "stability meshes" if command == "stability" else "2D meshes"
+        raise ConfigError(f"{where} are uniform: perturb must be 0, got perturb = {values['perturb']}")
     return values
 
 

@@ -8,7 +8,7 @@ import numpy as np
 from .errors import BlowUpError
 from .mesh import build_mesh_1d, build_mesh_2d
 from .operators import DGSpace, eval_grid, project, quadrature_grid, quadrature_points
-from .schemes import evolve, taylor_scheme
+from .schemes import evolve
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +102,8 @@ class ProblemSpec:
 def build_problem_mesh(problem, n, perturb=0.0, seed=0):
     if problem.dim == 1:
         return build_mesh_1d(n, perturb_fraction=perturb, seed=seed, beta=problem.beta)
+    if perturb:
+        raise ValueError(f"2D meshes are uniform: perturb must be 0, got {perturb}")
     return build_mesh_2d(n, n, beta_x=problem.beta_x, beta_y=problem.beta_y)
 
 
@@ -138,8 +140,6 @@ def benchmark_tau(order, dim, n):
 def resolve_timestep(rule, order, dim, n):
     if rule == "benchmark":
         return benchmark_tau(order, dim, n)
-    if callable(rule):
-        return float(rule(order, dim, n))
     return float(rule)
 
 
@@ -224,8 +224,3 @@ def regularity_study(scheme, k, flat_mode, n_list, final_time=None,
     problem = ProblemSpec(dim=dim, ic="sinpow", flat=flat, final_time=t_end)
     return accuracy_table([(scheme, k)], problem, n_list, perturb=perturb,
                           seed=seed, n_quad=n_quad)
-
-
-def default_schemes(orders=(2, 3, 4, 5), variants=("standard", "sdA")):
-    """The r = k + 1 scheme family used in the accuracy studies."""
-    return [(taylor_scheme(r, variant), r - 1) for variant in variants for r in orders]

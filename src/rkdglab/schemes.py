@@ -184,20 +184,6 @@ def symbol_increment(alphas, tau, full, inner, eye):
     return tau * (full @ v)
 
 
-def _stepping_form(scheme, form):
-    """The form to step in: Butcher form above order 4 has no built-in
-    tableau and falls back to the compact form, with one warning."""
-    if form == "butcher" and scheme.tableau is None:
-        if scheme.order <= 4:
-            raise ValueError("scheme has no tableau for Butcher-form stepping")
-        warnings.warn(
-            "no built-in tableau above order 4; falling back to the compact form",
-            RuntimeWarning, stacklevel=3,
-        )
-        return "compact"
-    return form
-
-
 def step(scheme, full_op, reduced_op, u, tau, form="compact"):
     """One time step of size tau.
 
@@ -205,12 +191,21 @@ def step(scheme, full_op, reduced_op, u, tau, form="compact"):
     always applies the full operator.  The compact form evaluates
     u + tau L sum_i alpha_i (tau L_hat)^{i-1} u with nested (Horner)
     applications, which coincides with the Butcher form for linear
-    autonomous problems.
+    autonomous problems.  Both forms are the staged reference for evolve
+    and EvolutionMap.  Above order 4 no tableau is built in, and the
+    Butcher form falls back to the compact form with a warning.
     """
     _check_degree(scheme, u.space)
     if tau == 0.0:
         return u.copy()
-    form = _stepping_form(scheme, form)
+    if form == "butcher" and scheme.tableau is None:
+        if scheme.order <= 4:
+            raise ValueError("scheme has no tableau for Butcher-form stepping")
+        warnings.warn(
+            "no built-in tableau above order 4; falling back to the compact form",
+            RuntimeWarning, stacklevel=2,
+        )
+        form = "compact"
 
     if form == "butcher":
         tab = scheme.tableau
@@ -264,16 +259,16 @@ class EvolveResult:
 FREQ_CHUNK = 256
 
 
-def evolve(scheme, mesh, k, u0, final_time, tau, form="compact"):
+def evolve(scheme, mesh, k, u0, final_time, tau):
     """u0 advanced to final_time in steps of tau; the last step is shortened if needed.
 
-    The compact form needs a uniform stage plan.  On a uniform mesh (the
-    operator is block-circulant) its steps are taken in Fourier space: see
+    The stage plan picks the route.  A uniform plan builds one
+    EvolutionMap per step size.  On a uniform mesh (the operator is
+    block-circulant) their steps are taken in Fourier space: see
     _evolve_fourier.  Otherwise, and in any case in which stepping might
-    have blown up, it steps with the fused one-step operator: see
-    _evolve_fused.  The Butcher form steps through step(); above order 4,
-    where no tableau is built in, it warns once and takes the compact form.
-    final_time must be finite and >= 0, and tau > 0.
+    have blown up, it steps with the maps' increments: see _evolve_fused.
+    A mixed plan steps through the Butcher form of step(), which needs
+    the scheme's tableau.  final_time must be finite and >= 0, and tau > 0.
     """
     if not 0.0 <= final_time < math.inf:
         raise ValueError(f"final time must be finite and >= 0, got {final_time}")
@@ -293,26 +288,26 @@ def evolve(scheme, mesh, k, u0, final_time, tau, form="compact"):
     shortened = remainder > 1e-12 * max(final_time, 1.0)
     meta = dict(n_steps=n_whole + (1 if shortened else 0), t_final=final_time,
                 shortened_last_step=shortened)
+    sizes = [(tau, n_whole, False)] + ([(remainder, 1, True)] if shortened else [])
 
-    last = remainder if shortened else None
-    form = _stepping_form(scheme, form)
-    if form == "compact":
-        inner = _inner_operator(scheme, full_op, reduced_op)
-        if full_op.is_circulant:
-            coeffs = _evolve_fourier(scheme.alphas, full_op, inner, u0.coeffs, tau, n_whole, last)
-            if coeffs is not None and _state_ok(coeffs):
-                return EvolveResult(u=GridFunction(space, coeffs), path="fourier", **meta)
-        coeffs = _evolve_fused(scheme.alphas, full_op, inner, u0.coeffs, tau, n_whole, last)
-        return EvolveResult(u=GridFunction(space, coeffs), path="stepping", **meta)
+    if len(set(_stage_flags(scheme))) > 1:
+        if scheme.tableau is None:
+            raise ValueError("a mixed stage plan steps in Butcher form and needs a tableau")
+        u, index = u0, 0
+        for dt, n, last in sizes:
+            for _ in range(n):
+                index += 1
+                u = step(scheme, full_op, reduced_op, u, dt, form="butcher")
+                _check_step(u.coeffs, index, last)
+        return EvolveResult(u=u, path="stepping", **meta)
 
-    u = u0
-    for n in range(n_whole):
-        u = step(scheme, full_op, reduced_op, u, tau, form=form)
-        _check_step(u.coeffs, n + 1, False)
-    if shortened:
-        u = step(scheme, full_op, reduced_op, u, remainder, form=form)
-        _check_step(u.coeffs, n_whole + 1, True)
-    return EvolveResult(u=u, path="stepping", **meta)
+    steps = [(EvolutionMap(scheme, full_op, reduced_op, dt), n, last) for dt, n, last in sizes]
+    if full_op.is_circulant:
+        coeffs = _evolve_fourier(steps, u0.coeffs)
+        if coeffs is not None and _state_ok(coeffs):
+            return EvolveResult(u=GridFunction(space, coeffs), path="fourier", **meta)
+    coeffs = _evolve_fused(steps, u0.coeffs)
+    return EvolveResult(u=GridFunction(space, coeffs), path="stepping", **meta)
 
 
 def _check_step(coeffs, index, shortened):
@@ -321,37 +316,35 @@ def _check_step(coeffs, index, shortened):
         raise BlowUpError(f"solution blew up at {where}", step_index=index)
 
 
-def _evolve_fused(alphas, full_op, inner_op, coeffs, tau, n_whole, remainder):
-    """Coefficients after n_whole steps of tau (and one of remainder, unless None).
+def _evolve_fused(steps, coeffs):
+    """Coefficients after the steps [(EvolutionMap, count, shortened), ...], in order.
 
-    One compact-form step is the fixed map u -> u + E u, with E a block
-    operator (offsets 0 .. -s in 1D) built once per step size by
-    symbol_increment on the operators themselves.  A step is E's
-    BlockOperator.kernel written out: one gather of the neighbour
-    coefficients, one contraction with E's stacked blocks, and one add.
-    The identity stays out of the stacked blocks: folded in, the rounding
-    of I + E would repeat identically in every step and add up (to 1e-13
-    relative over 10^4 steps, against 1e-14 here).  The loop is written
-    inline rather than calling E.apply_array, which costs about 1 us more
-    per step.  Every step is checked as the stepping loop checks it.
+    One step is the fixed map u -> u + E u, with E the map's increment, a
+    block operator (offsets 0 .. -s in 1D) built once per step size.  A
+    step is E's BlockOperator.kernel written out: one gather of the
+    neighbour coefficients, one contraction with E's stacked blocks, and
+    one add.  The identity stays out of the stacked blocks: folded in, the
+    rounding of I + E would repeat identically in every step and add up
+    (to 1e-13 relative over 10^4 steps, against 1e-14 here).  The loop is
+    written inline rather than calling E.apply_array, which costs about
+    1 us more per step.  Every step is checked as the stepping loop checks it.
     """
-    eye = np.eye(full_op.space.n_modes)
-    u = coeffs.reshape(-1, full_op.space.n_modes)
-    steps = [(tau, n_whole, False)] + ([(remainder, 1, True)] if remainder is not None else [])
+    space = steps[0][0].space
+    u = coeffs.reshape(-1, space.n_modes)
     index = 0
-    for dt, n, shortened in steps:
-        weights, gather, spec = symbol_increment(alphas, dt, full_op, inner_op, eye).kernel
+    for emap, n, shortened in steps:
+        weights, gather, spec = emap.increment.kernel
         for _ in range(n):
             index += 1
             u = u + np.einsum(spec, weights, u.take(gather))
             _check_step(u, index, shortened)
-    return u.reshape(full_op.space.shape)
+    return u.reshape(space.shape)
 
 
-def _evolve_fourier(alphas, full_op, inner_op, coeffs, tau, n_whole, remainder):
-    """Coefficients after n_whole steps of tau (and one of remainder, unless None).
+def _evolve_fourier(steps, coeffs):
+    """Coefficients after the steps [(EvolutionMap, count, shortened), ...], in order.
 
-    A real FFT over the cell axes turns the block-circulant one-step map
+    A real FFT over the cell axes turns each block-circulant one-step map
     into one (m, m) symbol G per frequency.  G^n is applied by binary
     powering on E = G - I (squared as E <- 2E + E^2, applied as
     v <- v + E v): squaring G itself would amplify the rounding of its
@@ -363,7 +356,7 @@ def _evolve_fourier(alphas, full_op, inner_op, coeffs, tau, n_whole, remainder):
     shortened step's factor and ||u0||_2 must stay finite and below the
     limit.  The caller then steps instead and flags exactly as stepping does.
     """
-    space = full_op.space
+    space = steps[0][0].space
     u_norm = float(np.linalg.norm(coeffs))
     if not u_norm < BLOWUP_LIMIT:           # also catches nan
         return None
@@ -375,14 +368,11 @@ def _evolve_fourier(alphas, full_op, inner_op, coeffs, tau, n_whole, remainder):
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(flat), FREQ_CHUNK):
             chunk = slice(start, start + FREQ_CHUNK)
-            full = full_op.symbols(angles[chunk])
-            inner = full if inner_op is full_op else inner_op.symbols(angles[chunk])
+            full, inner = steps[0][0].stage_symbols(angles[chunk])
             v = flat[chunk]
             growth = np.full(len(v), u_norm)
-            steps = [(symbol_increment(alphas, tau, full, inner, eye), n_whole)]
-            if remainder is not None:
-                steps.append((symbol_increment(alphas, remainder, full, inner, eye), 1))
-            for e, n in steps:
+            for emap, n, _ in steps:
+                e = emap.increment_of(full, inner)
                 while n:
                     growth *= np.maximum(1.0, np.linalg.norm(eye + e, axis=(1, 2)))
                     if not growth.max() < BLOWUP_LIMIT:
@@ -402,12 +392,16 @@ def _state_ok(coeffs):
 
 
 class EvolutionMap:
-    """One-step map u -> u + tau L sum_i alpha_i (tau L_hat)^{i-1} u as a linear map."""
+    """One-step map u -> u + E u of a uniform stage plan, as a linear map.
+
+    E = tau S sum_i alpha_i (tau S_hat)^{i-1}, with S the full operator and
+    S_hat the one the plan gives the inner stages (the reduced one for sdA).
+    """
 
     def __init__(self, scheme, full_op, reduced_op, tau):
         self.scheme = scheme
         self.full_op = full_op
-        self.reduced_op = _inner_operator(scheme, full_op, reduced_op)
+        self.inner_op = _inner_operator(scheme, full_op, reduced_op)
         self.tau = tau
         self.space = full_op.space
 
@@ -419,11 +413,21 @@ class EvolutionMap:
     def is_circulant(self):
         return self.full_op.is_circulant
 
+    def stage_symbols(self, angles):
+        """(S, S_hat) as Fourier symbol stacks at angles (uniform meshes)."""
+        full = self.full_op.symbols(angles)
+        inner = full if self.inner_op is self.full_op else self.inner_op.symbols(angles)
+        return full, inner
+
+    def increment_of(self, full, inner):
+        """E with S = full and S_hat = inner: operators or symbol stacks alike."""
+        eye = np.eye(self.space.n_modes)
+        return symbol_increment(self.scheme.alphas, self.tau, full, inner, eye)
+
     @cached_property
     def increment(self):
-        """E = K - I as a BlockOperator, built on the first apply."""
-        eye = np.eye(self.space.n_modes)
-        return symbol_increment(self.scheme.alphas, self.tau, self.full_op, self.reduced_op, eye)
+        """E = K - I as a BlockOperator, built on the first use."""
+        return self.increment_of(self.full_op, self.inner_op)
 
     def apply_array(self, c):
         return c + self.increment.apply_array(c)
@@ -440,12 +444,8 @@ class EvolutionMap:
 
     def norm_symbols(self):
         """Per-frequency symbols of the one-step map (uniform meshes)."""
-        full_sym = self.full_op.norm_symbols()
-        red_sym = full_sym
-        if self.reduced_op is not self.full_op:
-            red_sym = self.reduced_op.norm_symbols()
-        eye = np.eye(full_sym.shape[-1])
-        return eye + symbol_increment(self.scheme.alphas, self.tau, full_sym, red_sym, eye)
+        angles = fft_angles(self.space)
+        return np.eye(self.space.n_modes) + self.increment_of(*self.stage_symbols(angles))
 
     def as_dense(self):
         return dense_from_matvec(self.apply_array, self.space)

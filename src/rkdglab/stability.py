@@ -14,7 +14,7 @@ import numpy as np
 from .errors import PowerIterationError
 from .mesh import build_mesh_1d, build_mesh_2d
 from .operators import assemble_upwind, fft_angles, operator_norm, reduce_operator
-from .schemes import EvolutionMap, _inner_operator, symbol_increment, taylor_scheme
+from .schemes import EvolutionMap, symbol_increment, taylor_scheme
 
 DELTA_FLOOR = 1e-16
 #: |norm^2 - 1| below this is indistinguishable from zero in double precision
@@ -109,13 +109,11 @@ def fourier_cfl(variant, r, k, n_theta=2048, bisect_tol=5e-4,
     if k < 1 or r < 2:
         raise ValueError("Fourier CFL computed for k >= 1, r >= 2")
     scheme = taylor_scheme(r, variant)
-    op = assemble_upwind(build_mesh_1d(n_theta), k)
+    # the stage symbols do not depend on the step size: form them once
+    emap = evolution_map(scheme, build_mesh_1d(n_theta), k, 0.0)
     # real operators: G(2 pi - theta) = conj G(theta) has the same spectral
     # radius, so the angles in [0, pi] decide
-    angles = fft_angles(op.space, half=True)
-    full = op.symbols(angles)
-    inner_op = _inner_operator(scheme, op, reduce_operator(op))
-    inner = full if inner_op is op else inner_op.symbols(angles)
+    full, inner = emap.stage_symbols(fft_angles(emap.space, half=True))
     eye = np.eye(k + 1)
 
     def stable(c):

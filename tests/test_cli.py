@@ -185,8 +185,15 @@ def test_sda_with_k0_is_a_config_error(capsys):
     (["accuracy", "--r", "0"], "r must be >= 1, got r = 0"),
     (["accuracy", "--dim", "3"], "dim must be >= 1 and <= 2, got dim = 3"),
     (["accuracy", "--seed", "-1"], "seed must be >= 0, got seed = -1"),
+    (["stability", "--r", "2", "--N", "8", "--cfl", "0.1,0.3", "--perturb", "0.3"],
+     "stability meshes are uniform: perturb must be 0, got perturb = 0.3"),
+    (["accuracy", "--dim", "2", "--r", "2", "--N", "8", "--perturb", "0.3"],
+     "2D meshes are uniform: perturb must be 0, got perturb = 0.3"),
+    (["regularity", "--dim", "2", "--r", "2", "--N", "8", "--T", "0.1", "--perturb", "0.3"],
+     "2D meshes are uniform: perturb must be 0, got perturb = 0.3"),
 ], ids=["N1", "N1-2d", "m0", "perturb-high", "perturb-negative", "quad0", "timestep0",
-        "timestep-negative", "T-negative", "cfl-negative", "r0", "dim3", "seed-negative"])
+        "timestep-negative", "T-negative", "cfl-negative", "r0", "dim3", "seed-negative",
+        "perturb-stability", "perturb-2d-accuracy", "perturb-2d-regularity"])
 def test_out_of_range_value_is_a_config_error(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -12,7 +12,7 @@ from rkdglab.experiments import (
 )
 from rkdglab.mesh import build_mesh_1d
 from rkdglab.operators import DGSpace, eval_grid, project, quadrature_grid
-from rkdglab.schemes import taylor_scheme
+from rkdglab.schemes import evolve, taylor_scheme
 
 # spot values measured once from this implementation and frozen as
 # regression guards (uniform meshes, projection initialization)
@@ -160,6 +160,27 @@ def test_perturbed_mesh_rows_are_seeded():
     c = accuracy_table([(taylor_scheme(2), 1)], problem, (20,), perturb=0.15, seed=8)
     assert a[0].l2_error == b[0].l2_error
     assert a[0].l2_error != c[0].l2_error
+    # 2D meshes are uniform: a perturbation would be silently dropped
+    problem_2d = ProblemSpec(dim=2, ic="sin", final_time=1.0)
+    with pytest.raises(ValueError, match="perturb must be 0"):
+        accuracy_table([(taylor_scheme(2), 1)], problem_2d, (4,), perturb=0.15)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_standard_error_sits_at_the_gauss_radau_ratio(k):
+    # Yang & Shu (SINUM 2012): the upwind DG error of smooth transport is
+    # sqrt((4k+4)/(2k+1)) times the L2-projection error of the exact
+    # solution.  k = 1 is left out: its RK2 time error dominates there.
+    problem = ProblemSpec(dim=1, ic="sin", final_time=1.0)
+    field = problem.field()
+    mesh = build_mesh_1d(80)
+    space = DGSpace(mesh, k)
+    nq = problem.error_quadrature(k)
+    u0 = project(field.value, space, n_points=nq)
+    res = evolve(taylor_scheme(k + 1), mesh, k, u0, 1.0, benchmark_tau(k + 1, 1, 80))
+    best = project(field.exact(1.0), space, n_points=nq)
+    ratio = l2_error(res.u, problem, 1.0) / l2_error(best, problem, 1.0)
+    assert ratio == pytest.approx(np.sqrt((4 * k + 4) / (2 * k + 1)), rel=0.01)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -68,18 +69,6 @@ def test_butcher_fallback_above_order_4():
         a = step(scheme, op, red, u, 1e-3, form="butcher")
     b = step(scheme, op, red, u, 1e-3, form="compact")
     assert (a - b).norm() == 0.0
-
-
-def test_butcher_evolve_above_order_4_warns_once(step_calls):
-    mesh = build_mesh_1d(11, 0.15, seed=5)
-    scheme = taylor_scheme(5)
-    u0 = DGSpace(mesh, 4).random(6)
-    tau = benchmark_tau(5, 1, 11)
-    with pytest.warns(RuntimeWarning, match="above order 4") as record:
-        res = evolve(scheme, mesh, 4, u0, 10 * tau, tau, form="butcher")
-    assert len(record) == 1 and len(step_calls) == 0 and res.n_steps == 10
-    ref = evolve(scheme, mesh, 4, u0, 10 * tau, tau).u
-    assert (res.u - ref).norm() <= 1e-12 * ref.norm()
 
 
 def test_reduced_variant_rejects_k0():
@@ -404,18 +393,37 @@ def test_perturbed_meshes_and_butcher_form_still_step(step_calls):
     ref, _ = _stepping_loop(scheme, perturbed, k, u0, 0.105, tau)
     assert (res.u - ref).norm() <= 1e-12 * ref.norm()
 
-    del step_calls[:]
-    uniform = build_mesh_1d(12)
-    u0 = DGSpace(uniform, k).random(5)
-    res = evolve(scheme, uniform, k, u0, 0.1, tau, form="butcher")
-    assert res.path == "stepping" and len(step_calls) == res.n_steps == 10
-
+    # a mixed stage plan, on either mesh, steps through the Butcher form of step()
     mixed = SchemeSpec(
         order=3, stages=3, alphas=scheme.alphas, variant="sdA",
         tableau=BUILTIN_TABLEAUS[3], stage_plan=(True, False, True),
     )
-    assert evolve(mixed, uniform, k, u0, 0.1, tau, form="butcher").path == "stepping"
+    uniform = build_mesh_1d(12)
+    for mesh in (uniform, perturbed):
+        del step_calls[:]
+        op, red = _ops(mesh, k)
+        u0 = DGSpace(mesh, k).random(5)
+        res = evolve(mixed, mesh, k, u0, 0.105, tau)
+        assert res.path == "stepping" and len(step_calls) == res.n_steps == 11
+        ref = u0
+        for dt in [tau] * 10 + [0.105 - 10 * tau]:
+            ref = step(mixed, op, red, ref, dt, form="butcher")
+        assert np.array_equal(res.u.coeffs, ref.coeffs)
+    u0 = DGSpace(uniform, k).random(5)
     assert evolve(scheme, uniform, k, u0, 0.0, tau).path == "stepping"
+
+
+@pytest.mark.parametrize("r", [3, 5])
+def test_mixed_plan_without_tableau_fails_before_stepping(r, step_calls):
+    mixed = SchemeSpec(order=r, stages=r, alphas=taylor_scheme(r).alphas,
+                       stage_plan=(True, False) + (True,) * (r - 2))
+    mesh = build_mesh_1d(8)
+    u0 = DGSpace(mesh, r - 1).random(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="needs a tableau"):
+            evolve(mixed, mesh, r - 1, u0, 0.05, 0.01)
+    assert len(step_calls) == 0
 
 
 def test_fourier_evolve_keeps_unsupported_degree_error():
