@@ -49,6 +49,19 @@ KEY_SPECS = {
     "quad_points": ("int_or_auto", "auto", ((">=", 1),)),
 }
 
+#: the keys each command reads besides command and output; giving any
+#: other key explicitly is a configuration error
+COMMAND_KEYS = {
+    "accuracy": ("r", "k", "variant", "dim", "N", "perturb", "seed", "T", "timestep",
+                 "quad_points"),
+    "regularity": ("r", "k", "variant", "dim", "N", "perturb", "seed", "T", "flat_mode",
+                   "quad_points"),
+    # stability reads perturb only to insist on 0: its meshes are uniform
+    "stability": ("r", "k", "variant", "dim", "N", "perturb", "m", "cfl"),
+    "cfl": ("r", "k", "variant"),
+    "prop-tests": (),
+}
+
 _COMPARISONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
 DEFAULT_CFL_GRID = (0.025, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45)
@@ -107,12 +120,14 @@ def _check_range(key, value):
 def parse_config(text=None, overrides=None):
     """Resolve a config from file text plus override pairs (strict schema)."""
     values = {key: default for key, (_, default, _) in KEY_SPECS.items()}
+    given = set()
 
     def absorb(key, raw, origin):
         if key not in KEY_SPECS:
             raise ConfigError(f"unknown config key {key!r} ({origin})")
         values[key] = _parse_value(key, raw)
         _check_range(key, values[key])
+        given.add(key)
 
     if text:
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -129,6 +144,10 @@ def parse_config(text=None, overrides=None):
     if values["command"] is None:
         raise ConfigError("missing command (one of: " + ", ".join(COMMANDS) + ")")
     command = values["command"]
+    unread = [key for key in KEY_SPECS if key in given
+              and key not in ("command", "output", *COMMAND_KEYS[command])]
+    if unread:
+        raise ConfigError(f"{command} does not read {', '.join(unread)}")
 
     if values["r"] == "auto":
         values["r"] = tuple(range(2, 9)) if command == "cfl" else (2, 3, 4, 5)
@@ -194,6 +213,7 @@ def run(values, out_stream=None, err_stream=None):
     command = values["command"]
     warn_rows = 0
     failed_rows = 0
+    notes = []
 
     if command == "prop-tests":
         buf = io.StringIO()
@@ -227,7 +247,10 @@ def run(values, out_stream=None, err_stream=None):
                     n_quad=n_quad,
                 ))
         for row in table:
-            warn_rows += 1 if row.flagged else 0
+            if row.flagged:
+                warn_rows += 1
+                notes.append(f"warning: {row.scheme} {row.variant} N={row.n} "
+                             f"blew up at step {row.blowup_step}")
             eoc = "" if row.eoc is None else f"{row.eoc:.2f}"
             eoc_raw = "" if row.eoc is None else _raw(row.eoc)
             rows.append(
@@ -262,6 +285,8 @@ def run(values, out_stream=None, err_stream=None):
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=err)
         return 2
+    for note in notes:
+        print(note, file=err)
     if warn_rows:
         print(f"warning: {warn_rows} flagged row(s)", file=err)
     if failed_rows:

@@ -145,7 +145,10 @@ def resolve_timestep(rule, order, dim, n):
 
 @dataclass
 class AccuracyRow:
-    """One table row: scheme at resolution N with its error and EOC."""
+    """One table row: scheme at resolution N with its error and EOC.
+
+    A flagged row blew up; blowup_step is the index of the step that did.
+    """
 
     scheme: str
     variant: str
@@ -155,6 +158,7 @@ class AccuracyRow:
     l2_error: float
     eoc: Optional[float] = None
     flagged: bool = False
+    blowup_step: Optional[int] = None
 
 
 def _run_single(scheme, k, problem, n, timestep, perturb, seed, n_quad):
@@ -166,9 +170,9 @@ def _run_single(scheme, k, problem, n, timestep, perturb, seed, n_quad):
     tau = resolve_timestep(timestep, scheme.order, problem.dim, n)
     try:
         result = evolve(scheme, mesh, k, u0, problem.final_time, tau)
-    except BlowUpError:
-        return math.nan, True
-    return l2_error(result.u, problem, problem.final_time, n_points=nq), False
+    except BlowUpError as exc:
+        return math.nan, exc
+    return l2_error(result.u, problem, problem.final_time, n_points=nq), None
 
 
 def accuracy_table(schemes, problem, n_list, timestep="benchmark",
@@ -183,7 +187,7 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
     for scheme, k in schemes:
         prev = None
         for n in n_list:
-            err, flagged = _run_single(
+            err, blowup = _run_single(
                 scheme, k, problem, n, timestep, perturb, seed, n_quad,
             )
             eoc = None
@@ -198,7 +202,8 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
                 dofs=space_dofs,
                 l2_error=err,
                 eoc=eoc,
-                flagged=flagged,
+                flagged=blowup is not None,
+                blowup_step=None if blowup is None else blowup.step_index,
             ))
             prev = (n, err)
     return rows

@@ -284,11 +284,7 @@ class BlockOperator:
         change afterwards.
         """
         m = self.space.n_modes
-        shape = self.space.shape[:-1]
-        cells = np.arange(int(np.prod(shape))).reshape(shape)
-        axes = tuple(range(self.space.dim))
-        nbrs = np.stack([np.roll(cells, np.negative(off), axis=axes).ravel()
-                         for off in self.blocks], axis=1)
+        nbrs = self._neighbour_cells()
         gather = (nbrs[:, :, None] * m + np.arange(m)).reshape(len(nbrs), -1)
         blocks = list(self.blocks.values())
         if self.shares_blocks:
@@ -297,9 +293,27 @@ class BlockOperator:
         weights = np.concatenate([np.broadcast_to(b, stack_shape) for b in blocks], axis=2)
         return weights, gather, "cnj,cj...->cn..."
 
+    def _neighbour_cells(self):
+        """(cells, J) flat index of cell c + o, for every cell c and every offset o in block order."""
+        shape = self.space.shape[:-1]
+        cells = np.arange(int(np.prod(shape))).reshape(shape)
+        axes = tuple(range(self.space.dim))
+        return np.stack([np.roll(cells, np.negative(off), axis=axes).ravel()
+                         for off in self.blocks], axis=1)
+
     def as_dense(self):
-        """Dense matrix acting on flattened coefficients (small sizes only)."""
-        return dense_from_matvec(self.apply_array, self.space)
+        """Dense matrix acting on flattened coefficients (small sizes only).
+
+        The blocks are scattered into one array: block o of cell c lands
+        in block row c, block column c + o.
+        """
+        m = self.space.n_modes
+        nbrs = self._neighbour_cells()
+        cells = np.arange(len(nbrs))
+        out = np.zeros((len(nbrs), m, len(nbrs), m))
+        for j, blk in enumerate(self.blocks.values()):
+            out[cells, :, nbrs[:, j], :] += blk
+        return out.reshape(len(nbrs) * m, -1)
 
 
 def fft_angles(space, half=False):
@@ -622,28 +636,44 @@ def compose_mixed(op, indices, w):
 # operator norms
 # ---------------------------------------------------------------------------
 
+#: largest number of unknowns for which a dense matrix is ever assembled
+DENSE_CAP = 4096
+
+
+def norm_route(op, dense_cap=DENSE_CAP):
+    """The method "auto" stands for: "symbol", "dense_svd" or "power_iteration".
+
+    Exact Fourier block-diagonalization for maps whose is_circulant is
+    true (uniform meshes, shared blocks), otherwise a dense solve under
+    the cap and power iteration above it.
+    """
+    if getattr(op, "is_circulant", False):
+        return "symbol"
+    return "dense_svd" if op.n_dofs <= dense_cap else "power_iteration"
+
+
 def _dense_power(op, m):
     a = op.as_dense()
     return np.linalg.matrix_power(a, m) if m > 1 else a
 
 
-def operator_norm(op, method="auto", m=1, seed=0, dense_cap=4096, rtol=1e-10, max_iter=10000):
+def operator_norm(op, method="auto", m=1, seed=0, dense_cap=DENSE_CAP, rtol=1e-10,
+                  max_iter=10000):
     """2-norm of op^m.
 
     Methods: "dense_svd" assembles op densely (allowed up to dense_cap
     unknowns); "power_iteration" runs matrix-free on (op^m)(op^m)^T;
-    "auto" uses exact Fourier block-diagonalization for maps whose
-    is_circulant is true (uniform meshes, shared blocks), and otherwise
-    dense_svd under the cap and power iteration above it.
+    "auto" takes the route norm_route picks, evaluating the symbols
+    itself.
     """
     if m < 1:
         raise ValueError("power m must be >= 1")
     if method == "auto":
-        if getattr(op, "is_circulant", False):
+        route = norm_route(op, dense_cap)
+        if route == "symbol":
             return _symbol_norm(op, m)
-        if op.n_dofs <= dense_cap:
-            return operator_norm(op, "dense_svd", m=m, dense_cap=dense_cap)
-        return operator_norm(op, "power_iteration", m=m, seed=seed, rtol=rtol, max_iter=max_iter)
+        return operator_norm(op, route, m=m, seed=seed, dense_cap=dense_cap, rtol=rtol,
+                             max_iter=max_iter)
 
     if method == "dense_svd":
         if op.n_dofs > dense_cap:
@@ -698,6 +728,76 @@ def _power_iteration_norm(op, m, seed, rtol, max_iter):
         last_estimate=float(est),
         last_vector=v,
     )
+
+
+def certify_below(op, bound):
+    """True when bound * I - op is positive definite: every eigenvalue of op is below bound.
+
+    op must be a symmetric 1D BlockOperator; anything else, and a band
+    too wide for the mesh (fewer than 2b + 1 cells for block bandwidth
+    b), is never certified.  The test is a block Cholesky factorization
+    of A = bound * I - op in cell order (Golub & Van Loan, Matrix
+    Computations, section 4.3): A is positive definite exactly when
+    every pivot block of the elimination is (Sylvester's law of inertia
+    applied to the Schur complements), and a pivot that is not makes
+    np.linalg.cholesky raise.
+
+    The band has a periodic wrap: the first b cells couple to the last b.
+    Those last b cells are a dense border that stays in the working
+    matrix from the start, so it collects its Schur complement, while
+    the other cells enter one at a time as the elimination reaches
+    them: the working matrix never holds more than 2b + 1 cells, and
+    time and memory are O(N).  A LinAlgError anywhere means "not
+    certified".
+    """
+    if op.space.dim != 1:
+        return False
+    n, p = op.space.shape
+    b = max(abs(off) for off in op.blocks)
+    if n < 2 * b + 1:
+        return False
+    band = np.zeros((n, 2 * b + 1, p, p))       # band[c, o + b] = A_{c, c + o}
+    for off, blk in op.blocks.items():
+        band[:, off + b] -= blk
+    band[:, b] += bound * np.eye(p)
+    if not np.isfinite(band).all():
+        return False
+
+    def coupling(rows, cols):
+        """A[rows, cols] as (len(rows), p, C p) for cell indices rows and cols (len(rows), C)."""
+        gap = (cols - rows[:, None]) % n
+        off = np.where(gap <= b, gap, gap - n)
+        inside = np.abs(off) <= b
+        blocks = band[rows[:, None], np.where(inside, off + b, 0)] * inside[..., None, None]
+        return blocks.transpose(0, 2, 1, 3).reshape(len(rows), p, cols.shape[1] * p)
+
+    # the working matrix: the window (cells next in line), then the border
+    border = np.arange(n - b, n)
+    start = np.concatenate([np.arange(b + 1), border])
+    work = coupling(start, start[None, :]).reshape(len(start) * p, -1)
+    # each later cell c joins behind the window c - b .. c - 1, before the border
+    entering = np.arange(b + 1, n - b)
+    rows_in = coupling(entering, np.concatenate(
+        [entering[:, None] + np.arange(-b, 1), np.broadcast_to(border, (len(entering), b))],
+        axis=1))
+    at = b * p
+    keep = np.r_[0:at, at + p:(2 * b + 1) * p]
+    keep = np.ix_(keep, keep)
+    try:
+        for i in range(n):
+            factor = np.linalg.cholesky(work[:p, :p])
+            x = np.linalg.solve(factor, work[:p, p:])
+            rest = work[p:, p:] - x.T @ x
+            if i < len(entering):
+                work = np.empty(((2 * b + 1) * p,) * 2)
+                work[keep] = rest
+                work[at:at + p] = rows_in[i]
+                work[:, at:at + p] = rows_in[i].T
+            else:
+                work = rest
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,20 @@ resolution of the norm computation are snapped to the floor.
 """
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import PowerIterationError
 from .mesh import build_mesh_1d, build_mesh_2d
-from .operators import assemble_upwind, fft_angles, operator_norm, reduce_operator
+from .operators import (
+    assemble_upwind,
+    certify_below,
+    fft_angles,
+    norm_route,
+    operator_norm,
+    reduce_operator,
+)
 from .schemes import EvolutionMap, symbol_increment, taylor_scheme
 
 DELTA_FLOOR = 1e-16
@@ -31,6 +39,8 @@ class StabilityPoint:
     cfl: float
     delta: float
     flagged: bool = False
+    #: how delta was computed (see growth_excess); None for a flagged point
+    route: Optional[str] = None
 
 
 def _mesh_for(dim, n):
@@ -45,29 +55,63 @@ def evolution_map(scheme, mesh, k, cfl):
     return EvolutionMap(scheme, full_op, reduced_op, tau)
 
 
+def excess_operator(emap, m=1):
+    """S_m = K_m^T K_m - I as a BlockOperator, for K_m = K^m of an evolution map.
+
+    With E_m = K_m - I, S_m = E_m + E_m^T + E_m^T E_m.  E_m is built by
+    E_{j+1} = E_j + E + E E_j from the map's increment E, so I + E is
+    never rounded.  S_m is symmetric with block offsets -m s .. m s for
+    an s-stage scheme.
+    """
+    inc = emap.increment
+    e_m = inc
+    for _ in range(m - 1):
+        e_m = e_m + inc + inc @ e_m
+    e_mt = e_m.transpose()
+    return e_m + e_mt + e_mt @ e_m
+
+
+def growth_excess(emap, m=1, method="auto"):
+    """(||K^m||_2^2 - 1, route) for an evolution map K.
+
+    method "auto" follows norm_route.  A circulant map takes its Fourier
+    symbols (route "symbol").  Any other map reads the excess as the top
+    eigenvalue of S_m (excess_operator): first a floor certificate,
+    certify_below(S_m, NORM_RESOLUTION), which proves the excess below
+    the resolution in O(N) (route "certificate", excess 0); failing
+    that, np.linalg.eigvalsh of the dense S_m under the dense cap
+    (route "dense") and power iteration above it (route
+    "power_iteration").  "dense_svd" and "power_iteration" compute the
+    norm that way; the route is the method.
+    """
+    route = norm_route(emap) if method == "auto" else method
+    if method == "auto" and route != "symbol":
+        s_m = excess_operator(emap, m)
+        if certify_below(s_m, NORM_RESOLUTION):
+            return 0.0, "certificate"
+        if route == "dense_svd":
+            return float(np.linalg.eigvalsh(s_m.as_dense())[-1]), "dense"
+    nrm = operator_norm(emap, method if route == "symbol" else route, m=m)
+    return nrm * nrm - 1.0, route
+
+
 def delta(scheme, mesh, k, cfl, m=1, method="auto"):
     """Growth metric of the m-step evolution map at the given CFL number."""
     if m < 1:
         raise ValueError("power m must be >= 1")
     dim = mesh.dim
-    n = mesh.n_cells if dim == 1 else mesh.nx
-    if cfl == 0.0:
-        value = DELTA_FLOOR
-    else:
-        emap = evolution_map(scheme, mesh, k, cfl)
-        nrm = operator_norm(emap, method=method, m=m)
-        excess = nrm * nrm - 1.0
-        if abs(excess) < NORM_RESOLUTION:
-            excess = 0.0
-        value = max(excess, DELTA_FLOOR)
+    excess, route = growth_excess(evolution_map(scheme, mesh, k, cfl), m, method)
+    if abs(excess) < NORM_RESOLUTION:
+        excess = 0.0
     return StabilityPoint(
         scheme=f"RK{scheme.order}DG{k}",
         variant=scheme.variant,
         dim=dim,
-        n=n,
+        n=mesh.n_cells if dim == 1 else mesh.nx,
         m=m,
         cfl=float(cfl),
-        delta=float(value),
+        delta=float(max(excess, DELTA_FLOOR)),
+        route=route,
     )
 
 
@@ -115,10 +159,23 @@ def fourier_cfl(variant, r, k, n_theta=2048, bisect_tol=5e-4,
     # radius, so the angles in [0, pi] decide
     full, inner = emap.stage_symbols(fft_angles(emap.space, half=True))
     eye = np.eye(k + 1)
+    # the angle of largest spectral radius at the last unstable c: tested
+    # alone first, it usually settles the next unstable c without the rest
+    worst = None
+
+    def radii(c, angles):
+        g = eye + symbol_increment(scheme.alphas, c / n_theta, full[angles], inner[angles], eye)
+        return np.abs(np.linalg.eigvals(g)).max(axis=1)
 
     def stable(c):
-        g = eye + symbol_increment(scheme.alphas, c / n_theta, full, inner, eye)
-        return float(np.abs(np.linalg.eigvals(g)).max()) <= 1.0 + growth_tol
+        nonlocal worst
+        if worst is not None and not radii(c, worst).max() <= 1.0 + growth_tol:
+            return False
+        rho = radii(c, slice(None))
+        if rho.max() <= 1.0 + growth_tol:
+            return True
+        worst = [int(np.argmax(rho))]
+        return False
 
     lo, hi = 0.0, c_max
     if stable(hi):

@@ -199,3 +199,44 @@ def test_out_of_range_value_is_a_config_error(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cfl", "--r", "2", "--dim", "2", "--N", "8", "--m", "3", "--seed", "5"],
+     "cfl does not read dim, N, seed, m"),
+    (["stability", "--r", "2", "--N", "8", "--cfl", "0.1", "--T", "3", "--quad-points", "2"],
+     "stability does not read T, quad_points"),
+    (["stability", "--r", "2", "--N", "8", "--seed", "3"], "stability does not read seed"),
+    (["accuracy", "--r", "2", "--N", "8", "--cfl", "0.1", "--m", "2"],
+     "accuracy does not read m, cfl"),
+    (["regularity", "--r", "2", "--N", "8", "--timestep", "0.01"],
+     "regularity does not read timestep"),
+    (["prop-tests", "--r", "3"], "prop-tests does not read r"),
+    (["cfl", "--set", "flat_mode=r+1"], "cfl does not read flat_mode"),
+], ids=["cfl-echoed-keys", "stability-T-quad", "stability-seed", "accuracy-m-cfl",
+        "regularity-timestep", "prop-tests-r", "cfl-set-pair"])
+def test_key_the_command_does_not_read_is_a_config_error(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_unread_key_from_a_config_file_is_an_error_and_defaults_are_not(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("command = cfl\nr = 2\nN = 8\n")
+    assert main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: cfl does not read N\n"
+    # keys left at their defaults are echoed but never rejected, and
+    # stability still takes an explicit perturb = 0
+    values = resolve(command="stability", r="2", N="8", cfl="0.1", perturb="0", output="-")
+    assert values["T"] == "auto" and values["perturb"] == 0.0
+
+
+def test_blown_up_row_names_scheme_n_and_step(capsys):
+    # tau = 0.5 is cfl 4 at N = 8: the first steps already cross the blow-up limit
+    assert main(["accuracy", "--r", "3", "--N", "8", "--timestep", "0.5", "--T", "20"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: RK3DG2 standard N=8 blew up at step 4\n"
+                            "warning: 1 flagged row(s)\n")
+    assert captured.out.splitlines()[-1] == "RK3DG2,standard,1,8,24,nan,,nan,"

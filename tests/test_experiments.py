@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rkdglab.errors import BlowUpError
 from rkdglab.experiments import (
     ProblemSpec,
     TravelingSine,
@@ -151,6 +152,20 @@ def test_regularity_study_validation_and_smoke():
     rows = regularity_study(taylor_scheme(2), 1, "r", (40, 80), final_time=1.0)
     assert len(rows) == 2
     assert rows[1].eoc is not None and 1.0 < rows[1].eoc < 2.2
+
+
+def test_blown_up_row_keeps_the_step_index():
+    problem = ProblemSpec(dim=1, ic="sin", final_time=20.0)
+    scheme = taylor_scheme(3)
+    (row,) = accuracy_table([(scheme, 2)], problem, (8,), timestep=0.5)
+    mesh = build_mesh_1d(8)
+    u0 = project(problem.field().value, DGSpace(mesh, 2))
+    with pytest.raises(BlowUpError) as info:
+        evolve(scheme, mesh, 2, u0, 20.0, 0.5)
+    assert row.flagged and np.isnan(row.l2_error)
+    assert row.blowup_step == info.value.step_index == 4
+    (fine,) = accuracy_table([(scheme, 2)], problem, (8,), timestep=0.01)
+    assert not fine.flagged and fine.blowup_step is None
 
 
 def test_perturbed_mesh_rows_are_seeded():

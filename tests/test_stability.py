@@ -4,14 +4,16 @@ import pytest
 from rkdglab import stability
 from rkdglab.errors import PowerIterationError, UnsupportedDegreeError
 from rkdglab.mesh import build_mesh_1d, build_mesh_2d
-from rkdglab.operators import assemble_upwind
+from rkdglab.operators import BlockOperator, DGSpace, assemble_upwind, certify_below
 from rkdglab.stability import (
     DELTA_FLOOR,
     cfl_sweep,
     delta,
+    evolution_map,
+    excess_operator,
     fourier_cfl,
 )
-from rkdglab.schemes import taylor_scheme
+from rkdglab.schemes import EvolutionMap, taylor_scheme
 
 
 def test_delta_identity_floor():
@@ -145,3 +147,111 @@ def test_fourier_cfl_reports_flag_when_nothing_is_stable():
     # with an unsatisfiable growth threshold the search reports 0, flagged
     res = fourier_cfl("standard", 2, 1, growth_tol=-1.0)
     assert res.value == 0.0 and not res.found
+
+
+# ---------------------------------------------------------------------------
+# growth metric routes on perturbed meshes
+# ---------------------------------------------------------------------------
+
+def _no_dense(self):
+    raise AssertionError("dense matrix assembled")
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_growth_routes_agree_with_dense_svd_on_perturbed_meshes(m):
+    # the cfl grid straddles the floor: both the certificate and the dense
+    # eigenvalue route are taken, and both match the dense SVD of K^m
+    routes = set()
+    for r, k, variant in ((3, 2, "standard"), (4, 3, "sdA")):
+        scheme = taylor_scheme(r, variant)
+        for seed in (4, 9):
+            mesh = build_mesh_1d(24, 0.15, seed=seed)
+            for cfl in (0.05, 0.1, 0.15, 0.2):
+                got = delta(scheme, mesh, k, cfl, m)
+                ref = delta(scheme, mesh, k, cfl, m, method="dense_svd").delta
+                assert abs(got.delta - ref) <= 1e-6 * ref + 1e-12, (r, seed, cfl)
+                routes.add(got.route)
+    assert routes == {"certificate", "dense"}
+
+
+def test_excess_operator_is_the_gram_excess_of_the_m_step_map():
+    emap = evolution_map(taylor_scheme(3, "sdA"), build_mesh_1d(12, 0.2, seed=3), 2, 0.2)
+    k = emap.as_dense()
+    for m in (1, 2, 3):
+        km = np.linalg.matrix_power(k, m)
+        excess = excess_operator(emap, m)
+        assert sorted(excess.blocks) == list(range(-3 * m, 3 * m + 1))
+        assert np.abs(excess.as_dense() - (km.T @ km - np.eye(len(k)))).max() <= 1e-12
+
+
+def test_certificate_brackets_the_top_eigenvalue():
+    # random symmetric periodic block operators, down to the narrowest
+    # mesh a band of width b allows (2b + 1 cells)
+    rng = np.random.Generator(np.random.PCG64(5))
+    for n, p, s in ((5, 2, 2), (7, 2, 3), (9, 3, 1), (16, 1, 3), (20, 3, 2)):
+        space = DGSpace(build_mesh_1d(n, 0.2, seed=n), p - 1)
+        e = BlockOperator(space, {-j: 0.3 * rng.standard_normal((n, p, p)) for j in range(s + 1)})
+        sym = e + e.transpose() + e.transpose() @ e
+        top = np.linalg.eigvalsh(sym.as_dense())[-1]
+        assert certify_below(sym, top + 1e-9), (n, p, s)
+        assert not certify_below(sym, top - 1e-9), (n, p, s)
+
+
+def test_certificate_sees_the_periodic_wrap():
+    # T + T^T for the cyclic shift T has top eigenvalue 2 (the constants);
+    # without the wrap it would be a path graph, 2 cos(pi / 51) < 1.999
+    space = DGSpace(build_mesh_1d(50), 0)
+    shift = BlockOperator(space, {1: np.ones((1, 1))})
+    sym = shift + shift.transpose()
+    assert not certify_below(sym, 1.999)
+    assert certify_below(sym, 2.0 + 1e-9)
+    # a band too wide for the mesh, and 2D operators, are never certified
+    narrow = BlockOperator(DGSpace(build_mesh_1d(4), 0), {1: np.ones((1, 1)), -1: np.ones((1, 1))})
+    assert not certify_below(narrow @ narrow, 100.0)
+    assert not certify_below(assemble_upwind(build_mesh_2d(4, 4), 1), 100.0)
+
+
+def test_known_failure_point_certifies_the_floor(monkeypatch):
+    # 4,200 dofs, above the dense cap: power iteration never converged here
+    monkeypatch.setattr(BlockOperator, "as_dense", _no_dense)
+    monkeypatch.setattr(EvolutionMap, "as_dense", _no_dense)
+    scheme = taylor_scheme(3)
+    for seed in range(16):
+        point = delta(scheme, build_mesh_1d(1400, 0.15, seed=seed), 2, 0.05)
+        assert point.delta == DELTA_FLOOR and point.route == "certificate", seed
+
+
+def test_growth_above_the_cap_falls_back_to_power_iteration(monkeypatch):
+    # 4,400 dofs and an expanding map: the certificate fails, no dense matrix is built
+    monkeypatch.setattr(BlockOperator, "as_dense", _no_dense)
+    monkeypatch.setattr(EvolutionMap, "as_dense", _no_dense)
+    point = delta(taylor_scheme(2), build_mesh_1d(1100, 0.15, seed=0), 3, 0.4)
+    assert point.route == "power_iteration"
+    assert point.delta == pytest.approx(1131.7880355115935, rel=1e-9)
+
+
+def test_stability_point_records_its_route():
+    scheme = taylor_scheme(2)
+    assert delta(scheme, build_mesh_1d(8), 1, 0.5).route == "symbol"
+    assert delta(scheme, build_mesh_2d(4, 4), 1, 0.0).route == "symbol"
+    perturbed = build_mesh_1d(8, 0.2, seed=1)
+    assert delta(scheme, perturbed, 1, 0.1).route == "certificate"
+    assert delta(scheme, perturbed, 1, 0.5).route == "dense"
+    for method in ("dense_svd", "power_iteration"):
+        assert delta(scheme, perturbed, 1, 0.5, method=method).route == method
+
+
+def test_linalg_error_in_the_certificate_means_not_certified(monkeypatch):
+    monkeypatch.setattr(stability, "_mesh_for", lambda dim, n: build_mesh_1d(n, 0.15, seed=4))
+    scheme = taylor_scheme(3)
+    clean = cfl_sweep(scheme, 2, 1, (24,), 1, (0.05, 0.15))
+    assert [p.route for p in clean] == ["certificate", "dense"]
+
+    def broken(a):
+        raise np.linalg.LinAlgError("factorization failed")
+
+    monkeypatch.setattr(np.linalg, "cholesky", broken)
+    patched = cfl_sweep(scheme, 2, 1, (24,), 1, (0.05, 0.15))
+    assert not any(p.flagged for p in patched)
+    assert [p.route for p in patched] == ["dense", "dense"]
+    assert [p.delta for p in patched] == [p.delta for p in clean]
