@@ -165,6 +165,9 @@ def parse_config(text=None, overrides=None):
     if values["perturb"] and (command == "stability" or values["dim"] == 2):
         where = "stability meshes" if command == "stability" else "2D meshes"
         raise ConfigError(f"{where} are uniform: perturb must be 0, got perturb = {values['perturb']}")
+    if "seed" in given and not values["perturb"]:
+        raise ConfigError(f"seed selects a perturbed 1D mesh: it needs perturb > 0, "
+                          f"got seed = {values['seed']} with perturb = 0")
     return values
 
 

@@ -75,7 +75,9 @@ class SchemeSpec:
     the canonical r-stage schemes alpha_i = 1/i!.  variant selects which
     operator the inner stages use: "standard" keeps the full operator,
     "sdA" uses the degree-reduced one.  stage_plan may override the
-    uniform plan with a per-inner-stage choice (True = reduced).
+    uniform plan with a per-stage choice (True = reduced).  The last flag is
+    inert: the final combination reads each stage value through the full
+    operator, so plans that differ only in the last flag step identically.
     """
 
     order: int
@@ -94,10 +96,6 @@ class SchemeSpec:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.stage_plan is not None and len(self.stage_plan) != self.stages:
             raise ValueError("stage plan must give one flag per stage")
-
-    @property
-    def uses_reduced_stages(self):
-        return self.variant == "sdA"
 
     def label(self, k):
         base = f"RK{self.order}DG{k}"
@@ -145,28 +143,20 @@ def energy_coefficients(alphas):
 
 
 def _stage_flags(scheme):
-    """Per-inner-stage choices, True where the stage uses the reduced operator."""
+    """Per-stage flags, True = reduced operator: the stage plan if given, else the variant's."""
     if scheme.stage_plan is not None:
         return tuple(scheme.stage_plan)
-    return (scheme.uses_reduced_stages,) * scheme.stages
+    return (scheme.variant == "sdA",) * scheme.stages
+
+
+def _is_mixed(flags):
+    """True when the inner stages use different operators (the last flag is inert)."""
+    return len(set(flags[:-1])) > 1
 
 
 def _check_degree(scheme, space):
     if space.degree == 0 and any(_stage_flags(scheme)):
         raise UnsupportedDegreeError("reduced-stage variant needs k >= 1")
-
-
-def _inner_operator(scheme, full_op, reduced_op):
-    """The one operator of the inner stages of a uniform stage plan.
-
-    The plan decides, not the variant: an all-reduced plan uses the
-    reduced operator even for variant "standard".
-    """
-    flags = set(_stage_flags(scheme))
-    if len(flags) > 1:
-        raise ValueError("compact form requires a uniform stage plan")
-    _check_degree(scheme, full_op.space)
-    return reduced_op if True in flags else full_op
 
 
 def symbol_increment(alphas, tau, full, inner, eye):
@@ -182,6 +172,29 @@ def symbol_increment(alphas, tau, full, inner, eye):
     for i in range(s - 1, 0, -1):
         v = alphas[i] * eye + tau * (inner @ v)
     return tau * (full @ v)
+
+
+def _butcher_increment(tableau, tau, full, stage_ops):
+    """One Butcher-form step minus the identity, E = K - I, on increments V_i = U_i - I.
+
+    V_i = tau sum_j a_ij A_j (I + V_j) and E = tau sum_i b_i S (I + V_i),
+    with A_j = stage_ops[j] and S = full, operators or symbol stacks.
+    I + V is never formed, V_1 = 0 adds no zero blocks, and
+    the last stage's A_s (I + V_s) is never read, so it is not formed.
+    """
+    def through(op, v):             # op (I + v); v is None for V = 0
+        return op if v is None else op + op @ v
+
+    def total(weights, terms):      # tau sum_j w_j terms_j over the nonzero weights
+        terms = [tau * w * t for w, t in zip(weights, terms) if w != 0.0]
+        return sum(terms[1:], terms[0]) if terms else None
+
+    incs, applied = [], []
+    for i in range(tableau.stages):
+        incs.append(total(tableau.a[i], applied))
+        if i < tableau.stages - 1:
+            applied.append(through(stage_ops[i], incs[i]))
+    return total(tableau.b, [through(full, v) for v in incs])
 
 
 def step(scheme, full_op, reduced_op, u, tau, form="compact"):
@@ -201,33 +214,30 @@ def step(scheme, full_op, reduced_op, u, tau, form="compact"):
     if form == "butcher" and scheme.tableau is None:
         if scheme.order <= 4:
             raise ValueError("scheme has no tableau for Butcher-form stepping")
-        warnings.warn(
-            "no built-in tableau above order 4; falling back to the compact form",
-            RuntimeWarning, stacklevel=2,
-        )
+        warnings.warn("no built-in tableau above order 4; falling back to the compact form",
+                      RuntimeWarning, stacklevel=2)
         form = "compact"
 
     if form == "butcher":
         tab = scheme.tableau
-        inner_ops = [reduced_op if f else full_op for f in _stage_flags(scheme)]
-        s = tab.stages
-        stage_vals = []
-        applied = []
-        for i in range(s):
-            ui = u.coeffs.copy()
+        flags = _stage_flags(scheme)
+        applied, out = [], u.coeffs.copy()
+        for i in range(tab.stages):
+            ui = u.coeffs
             for j in range(i):
                 if tab.a[i][j] != 0.0:
                     ui = ui + tau * tab.a[i][j] * applied[j]
-            stage_vals.append(ui)
-            applied.append(inner_ops[i].apply_array(ui))
-        out = u.coeffs.copy()
-        for i in range(s):
+            if i < tab.stages - 1:          # the last stage's apply is never read
+                applied.append((reduced_op if flags[i] else full_op).apply_array(ui))
             if tab.b[i] != 0.0:
-                out = out + tau * tab.b[i] * full_op.apply_array(stage_vals[i])
+                out = out + tau * tab.b[i] * full_op.apply_array(ui)
         return GridFunction(u.space, out)
 
     if form == "compact":
-        inner = _inner_operator(scheme, full_op, reduced_op)
+        flags = _stage_flags(scheme)
+        if _is_mixed(flags):
+            raise ValueError("compact form requires a uniform stage plan")
+        inner = reduced_op if flags[0] else full_op
         alphas = scheme.alphas
         s = scheme.stages
         v = alphas[s] * u.coeffs
@@ -262,13 +272,12 @@ FREQ_CHUNK = 256
 def evolve(scheme, mesh, k, u0, final_time, tau):
     """u0 advanced to final_time in steps of tau; the last step is shortened if needed.
 
-    The stage plan picks the route.  A uniform plan builds one
-    EvolutionMap per step size.  On a uniform mesh (the operator is
-    block-circulant) their steps are taken in Fourier space: see
-    _evolve_fourier.  Otherwise, and in any case in which stepping might
-    have blown up, it steps with the maps' increments: see _evolve_fused.
-    A mixed plan steps through the Butcher form of step(), which needs
-    the scheme's tableau.  final_time must be finite and >= 0, and tau > 0.
+    Every stage plan builds one EvolutionMap per step size that takes a
+    step (a mixed plan needs the scheme's tableau).  On a uniform mesh
+    (the operator is block-circulant) their steps are taken in Fourier
+    space: see _evolve_fourier.  Otherwise, and in any case in which
+    stepping might have blown up, it steps with the maps' increments: see
+    _evolve_fused.  final_time must be finite and >= 0, and tau > 0.
     """
     if not 0.0 <= final_time < math.inf:
         raise ValueError(f"final time must be finite and >= 0, got {final_time}")
@@ -279,41 +288,21 @@ def evolve(scheme, mesh, k, u0, final_time, tau):
         raise ValueError("initial state does not live on the requested space")
     full_op = assemble_upwind(mesh, k)
     reduced_op = reduce_operator(full_op) if (k >= 1) else full_op
-    if final_time == 0.0:
-        return EvolveResult(u=u0.copy(), n_steps=0, t_final=0.0, shortened_last_step=False,
-                            path="stepping")
-
     n_whole = int(np.floor(final_time / tau + 1e-9))
     remainder = final_time - n_whole * tau
     shortened = remainder > 1e-12 * max(final_time, 1.0)
     meta = dict(n_steps=n_whole + (1 if shortened else 0), t_final=final_time,
                 shortened_last_step=shortened)
-    sizes = [(tau, n_whole, False)] + ([(remainder, 1, True)] if shortened else [])
-
-    if len(set(_stage_flags(scheme))) > 1:
-        if scheme.tableau is None:
-            raise ValueError("a mixed stage plan steps in Butcher form and needs a tableau")
-        u, index = u0, 0
-        for dt, n, last in sizes:
-            for _ in range(n):
-                index += 1
-                u = step(scheme, full_op, reduced_op, u, dt, form="butcher")
-                _check_step(u.coeffs, index, last)
-        return EvolveResult(u=u, path="stepping", **meta)
-
-    steps = [(EvolutionMap(scheme, full_op, reduced_op, dt), n, last) for dt, n, last in sizes]
+    sizes = ((tau, n_whole, False), (remainder, int(shortened), True))
+    steps = [(EvolutionMap(scheme, full_op, reduced_op, dt), n, last) for dt, n, last in sizes if n]
+    if not steps:                           # a zero final time
+        return EvolveResult(u=u0.copy(), path="stepping", **meta)
     if full_op.is_circulant:
         coeffs = _evolve_fourier(steps, u0.coeffs)
         if coeffs is not None and _state_ok(coeffs):
             return EvolveResult(u=GridFunction(space, coeffs), path="fourier", **meta)
     coeffs = _evolve_fused(steps, u0.coeffs)
     return EvolveResult(u=GridFunction(space, coeffs), path="stepping", **meta)
-
-
-def _check_step(coeffs, index, shortened):
-    if not _state_ok(coeffs):
-        where = "the shortened final step" if shortened else f"step {index}"
-        raise BlowUpError(f"solution blew up at {where}", step_index=index)
 
 
 def _evolve_fused(steps, coeffs):
@@ -327,7 +316,7 @@ def _evolve_fused(steps, coeffs):
     rounding of I + E would repeat identically in every step and add up
     (to 1e-13 relative over 10^4 steps, against 1e-14 here).  The loop is
     written inline rather than calling E.apply_array, which costs about
-    1 us more per step.  Every step is checked as the stepping loop checks it.
+    1 us more per step.  Every step is checked for blow-up.
     """
     space = steps[0][0].space
     u = coeffs.reshape(-1, space.n_modes)
@@ -337,7 +326,9 @@ def _evolve_fused(steps, coeffs):
         for _ in range(n):
             index += 1
             u = u + np.einsum(spec, weights, u.take(gather))
-            _check_step(u, index, shortened)
+            if not _state_ok(u):
+                where = "the shortened final step" if shortened else f"step {index}"
+                raise BlowUpError(f"solution blew up at {where}", step_index=index)
     return u.reshape(space.shape)
 
 
@@ -368,11 +359,11 @@ def _evolve_fourier(steps, coeffs):
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(flat), FREQ_CHUNK):
             chunk = slice(start, start + FREQ_CHUNK)
-            full, inner = steps[0][0].stage_symbols(angles[chunk])
+            full, reduced = steps[0][0].stage_symbols(angles[chunk])
             v = flat[chunk]
             growth = np.full(len(v), u_norm)
             for emap, n, _ in steps:
-                e = emap.increment_of(full, inner)
+                e = emap.increment_of(full, reduced)
                 while n:
                     growth *= np.maximum(1.0, np.linalg.norm(eye + e, axis=(1, 2)))
                     if not growth.max() < BLOWUP_LIMIT:
@@ -392,16 +383,21 @@ def _state_ok(coeffs):
 
 
 class EvolutionMap:
-    """One-step map u -> u + E u of a uniform stage plan, as a linear map.
+    """One-step map u -> u + E u of any stage plan, as a linear map.
 
-    E = tau S sum_i alpha_i (tau S_hat)^{i-1}, with S the full operator and
-    S_hat the one the plan gives the inner stages (the reduced one for sdA).
+    A uniform plan gives E = tau S sum_i alpha_i (tau S_hat)^{i-1} in Horner
+    form (symbol_increment), S_hat the inner stages' operator; a mixed plan
+    takes the Butcher recursion of the scheme's tableau (_butcher_increment).
     """
 
     def __init__(self, scheme, full_op, reduced_op, tau):
+        self.flags = _stage_flags(scheme)
+        if _is_mixed(self.flags) and scheme.tableau is None:
+            raise ValueError("a mixed stage plan needs a tableau")
+        _check_degree(scheme, full_op.space)
         self.scheme = scheme
         self.full_op = full_op
-        self.inner_op = _inner_operator(scheme, full_op, reduced_op)
+        self.reduced_op = reduced_op
         self.tau = tau
         self.space = full_op.space
 
@@ -414,20 +410,22 @@ class EvolutionMap:
         return self.full_op.is_circulant
 
     def stage_symbols(self, angles):
-        """(S, S_hat) as Fourier symbol stacks at angles (uniform meshes)."""
+        """(S, S_hat) as Fourier symbol stacks at angles (uniform meshes); S_hat = S if unread."""
         full = self.full_op.symbols(angles)
-        inner = full if self.inner_op is self.full_op else self.inner_op.symbols(angles)
-        return full, inner
+        return full, self.reduced_op.symbols(angles) if any(self.flags) else full
 
-    def increment_of(self, full, inner):
-        """E with S = full and S_hat = inner: operators or symbol stacks alike."""
+    def increment_of(self, full, reduced):
+        """E from the full and the reduced operator: operators or symbol stacks alike."""
+        ops = [reduced if flag else full for flag in self.flags]
+        if _is_mixed(self.flags):
+            return _butcher_increment(self.scheme.tableau, self.tau, full, ops)
         eye = np.eye(self.space.n_modes)
-        return symbol_increment(self.scheme.alphas, self.tau, full, inner, eye)
+        return symbol_increment(self.scheme.alphas, self.tau, full, ops[0], eye)
 
     @cached_property
     def increment(self):
         """E = K - I as a BlockOperator, built on the first use."""
-        return self.increment_of(self.full_op, self.inner_op)
+        return self.increment_of(self.full_op, self.reduced_op)
 
     def apply_array(self, c):
         return c + self.increment.apply_array(c)

@@ -22,7 +22,7 @@ from .operators import (
     operator_norm,
     reduce_operator,
 )
-from .schemes import EvolutionMap, symbol_increment, taylor_scheme
+from .schemes import EvolutionMap, taylor_scheme
 
 DELTA_FLOOR = 1e-16
 #: |norm^2 - 1| below this is indistinguishable from zero in double precision
@@ -157,14 +157,14 @@ def fourier_cfl(variant, r, k, n_theta=2048, bisect_tol=5e-4,
     emap = evolution_map(scheme, build_mesh_1d(n_theta), k, 0.0)
     # real operators: G(2 pi - theta) = conj G(theta) has the same spectral
     # radius, so the angles in [0, pi] decide
-    full, inner = emap.stage_symbols(fft_angles(emap.space, half=True))
-    eye = np.eye(k + 1)
+    full, reduced = emap.stage_symbols(fft_angles(emap.space, half=True))
     # the angle of largest spectral radius at the last unstable c: tested
     # alone first, it usually settles the next unstable c without the rest
     worst = None
 
     def radii(c, angles):
-        g = eye + symbol_increment(scheme.alphas, c / n_theta, full[angles], inner[angles], eye)
+        step_map = EvolutionMap(scheme, emap.full_op, emap.reduced_op, c / n_theta)
+        g = np.eye(k + 1) + step_map.increment_of(full[angles], reduced[angles])
         return np.abs(np.linalg.eigvals(g)).max(axis=1)
 
     def stable(c):

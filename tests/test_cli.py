@@ -213,8 +213,17 @@ def test_out_of_range_value_is_a_config_error(argv, message, capsys):
      "regularity does not read timestep"),
     (["prop-tests", "--r", "3"], "prop-tests does not read r"),
     (["cfl", "--set", "flat_mode=r+1"], "cfl does not read flat_mode"),
+    (["accuracy", "--r", "2", "--N", "8", "--seed", "5", "--T", "0.1"],
+     "seed selects a perturbed 1D mesh: it needs perturb > 0, got seed = 5 with perturb = 0"),
+    (["accuracy", "--dim", "2", "--r", "2", "--N", "8", "--seed", "5"],
+     "seed selects a perturbed 1D mesh: it needs perturb > 0, got seed = 5 with perturb = 0"),
+    (["regularity", "--r", "2", "--N", "8,16", "--T", "0.1", "--seed", "0", "--perturb", "0"],
+     "seed selects a perturbed 1D mesh: it needs perturb > 0, got seed = 0 with perturb = 0"),
+    (["regularity", "--dim", "2", "--r", "2", "--N", "8", "--T", "0.1", "--seed", "5"],
+     "seed selects a perturbed 1D mesh: it needs perturb > 0, got seed = 5 with perturb = 0"),
 ], ids=["cfl-echoed-keys", "stability-T-quad", "stability-seed", "accuracy-m-cfl",
-        "regularity-timestep", "prop-tests-r", "cfl-set-pair"])
+        "regularity-timestep", "prop-tests-r", "cfl-set-pair", "accuracy-seed-unperturbed",
+        "accuracy-seed-2d", "regularity-seed-perturb-0", "regularity-seed-2d"])
 def test_key_the_command_does_not_read_is_a_config_error(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -231,6 +240,9 @@ def test_unread_key_from_a_config_file_is_an_error_and_defaults_are_not(tmp_path
     # stability still takes an explicit perturb = 0
     values = resolve(command="stability", r="2", N="8", cfl="0.1", perturb="0", output="-")
     assert values["T"] == "auto" and values["perturb"] == 0.0
+    # a seed with a perturbed 1D mesh is read
+    values = resolve(command="accuracy", r="2", N="8", perturb="0.15", seed="3", output="-")
+    assert values["seed"] == 3 and values["perturb"] == 0.15
 
 
 def test_blown_up_row_names_scheme_n_and_step(capsys):

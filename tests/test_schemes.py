@@ -15,6 +15,7 @@ from rkdglab.experiments import ProblemSpec, accuracy_table, benchmark_tau
 from rkdglab.mesh import build_mesh_1d, build_mesh_2d
 from rkdglab.operators import (
     DGSpace,
+    GridFunction,
     assemble_upwind,
     jump_inner,
     operator_norm,
@@ -31,6 +32,7 @@ from rkdglab.schemes import (
     step,
     taylor_scheme,
 )
+from rkdglab.stability import DELTA_FLOOR, NORM_RESOLUTION, delta
 
 
 def _ops(mesh, k):
@@ -306,7 +308,7 @@ def test_keykey_energy_gap_ratio():
 # Fourier-space evolution on uniform meshes vs. a plain stepping loop
 # ---------------------------------------------------------------------------
 
-def _stepping_loop(scheme, mesh, k, u0, final_time, tau):
+def _stepping_loop(scheme, mesh, k, u0, final_time, tau, form="compact"):
     """(final state, None) or (None, index of the flagged step), stepping only."""
     op, red = _ops(mesh, k)
     n = int(np.floor(final_time / tau + 1e-9))
@@ -314,7 +316,7 @@ def _stepping_loop(scheme, mesh, k, u0, final_time, tau):
     taus = [tau] * n + ([rem] if rem > 1e-12 * max(final_time, 1.0) else [])
     u = u0
     for index, dt in enumerate(taus, start=1):
-        u = step(scheme, op, red, u, dt)
+        u = step(scheme, op, red, u, dt, form=form)
         peak = np.max(np.abs(u.coeffs))
         if not (np.isfinite(peak) and peak < BLOWUP_LIMIT):
             return None, index
@@ -340,6 +342,11 @@ def step_calls(monkeypatch):
 
     monkeypatch.setattr(schemes, "step", counted)
     return calls
+
+
+def _mixed_scheme(r, plan):
+    return SchemeSpec(order=r, stages=r, alphas=taylor_scheme(r).alphas,
+                      tableau=BUILTIN_TABLEAUS[r], stage_plan=plan)
 
 
 def _uniform_mesh(dim, n):
@@ -393,22 +400,17 @@ def test_perturbed_meshes_and_butcher_form_still_step(step_calls):
     ref, _ = _stepping_loop(scheme, perturbed, k, u0, 0.105, tau)
     assert (res.u - ref).norm() <= 1e-12 * ref.norm()
 
-    # a mixed stage plan, on either mesh, steps through the Butcher form of step()
-    mixed = SchemeSpec(
-        order=3, stages=3, alphas=scheme.alphas, variant="sdA",
-        tableau=BUILTIN_TABLEAUS[3], stage_plan=(True, False, True),
-    )
+    # a mixed stage plan takes the same routes through its EvolutionMap (the
+    # Butcher recursion), with no step() call, and agrees with the
+    # Butcher-form stepping loop to rounding
+    mixed = _mixed_scheme(3, (True, False, True))
     uniform = build_mesh_1d(12)
-    for mesh in (uniform, perturbed):
-        del step_calls[:]
-        op, red = _ops(mesh, k)
+    for mesh, path in ((uniform, "fourier"), (perturbed, "stepping")):
         u0 = DGSpace(mesh, k).random(5)
         res = evolve(mixed, mesh, k, u0, 0.105, tau)
-        assert res.path == "stepping" and len(step_calls) == res.n_steps == 11
-        ref = u0
-        for dt in [tau] * 10 + [0.105 - 10 * tau]:
-            ref = step(mixed, op, red, ref, dt, form="butcher")
-        assert np.array_equal(res.u.coeffs, ref.coeffs)
+        assert res.path == path and len(step_calls) == 0 and res.n_steps == 11
+        ref, _ = _stepping_loop(mixed, mesh, k, u0, 0.105, tau, form="butcher")
+        assert (res.u - ref).norm() <= 1e-12 * ref.norm()
     u0 = DGSpace(uniform, k).random(5)
     assert evolve(scheme, uniform, k, u0, 0.0, tau).path == "stepping"
 
@@ -625,3 +627,132 @@ def test_accuracy_table_blowup_parity(monkeypatch):
             got = _evolve_outcome(scheme, mesh, k, u0, 1.0, 0.015)
             ref = _stepping_loop(scheme, mesh, k, u0, 1.0, 0.015)
             assert got[1] == ref[1]
+
+
+# ---------------------------------------------------------------------------
+# mixed stage plans: EvolutionMap's Butcher recursion vs. the staged step
+# ---------------------------------------------------------------------------
+
+#: two plans per order; at r = 2 the last flag is inert, so both are uniform
+MIXED_PLANS = [
+    (2, (True, False)), (2, (False, True)),
+    (3, (True, False, True)), (3, (False, True, False)),
+    (4, (True, False, True, True)), (4, (False, True, False, True)),
+]
+MESH_KINDS = ["uniform", "perturbed", "2d"]
+
+
+def _mesh_of(kind):
+    if kind == "2d":
+        return build_mesh_2d(3, 4)
+    return build_mesh_1d(9) if kind == "uniform" else build_mesh_1d(9, 0.15, seed=5)
+
+
+def _dense_butcher_step(scheme, op, red, tau):
+    """Dense matrix of Butcher-form step(), one unit vector at a time."""
+    space = op.space
+    cols = [step(scheme, op, red, GridFunction(space, e.reshape(space.shape)), tau,
+                 form="butcher").coeffs.ravel() for e in np.eye(space.n_dofs)]
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("r, plan", MIXED_PLANS)
+@pytest.mark.parametrize("kind", MESH_KINDS)
+def test_mixed_plan_map_is_the_dense_butcher_step(kind, r, plan):
+    mesh = _mesh_of(kind)
+    op, red = _ops(mesh, r - 1)
+    scheme = _mixed_scheme(r, plan)
+    tau = 0.2 / (mesh.dim * 9)
+    emap = EvolutionMap(scheme, op, red, tau)
+    assert np.abs(emap.as_dense() - _dense_butcher_step(scheme, op, red, tau)).max() <= 1e-13
+    # no zero blocks: in 1D the increment keeps offsets 0 .. -s
+    blocks = emap.increment.blocks
+    assert all(np.any(b) for b in blocks.values())
+    if mesh.dim == 1:
+        assert sorted(blocks) == list(range(-r, 1))
+
+
+@pytest.mark.parametrize("r, plan", MIXED_PLANS)
+@pytest.mark.parametrize("kind", MESH_KINDS)
+def test_mixed_plan_evolve_matches_the_butcher_stepping_loop(kind, r, plan, step_calls):
+    mesh = _mesh_of(kind)
+    k = r - 1
+    scheme = _mixed_scheme(r, plan)
+    u0 = DGSpace(mesh, k).random(3 * r)
+    tau = benchmark_tau(r, mesh.dim, 9)
+    res = evolve(scheme, mesh, k, u0, 30.4 * tau, tau)
+    assert res.path == ("stepping" if kind == "perturbed" else "fourier")
+    assert len(step_calls) == 0 and res.n_steps == 31
+    ref, flagged = _stepping_loop(scheme, mesh, k, u0, 30.4 * tau, tau, form="butcher")
+    assert flagged is None
+    assert (res.u - ref).norm() <= 1e-12 * ref.norm()
+
+
+@pytest.mark.parametrize("r, plan", MIXED_PLANS)
+def test_mixed_plan_delta_is_the_top_singular_value_of_the_step(r, plan):
+    # symbols on uniform meshes; on the perturbed one the floor certificate
+    # (below the cfl limit; a fourth-order step expands at every cfl) and
+    # the dense eigenvalue problem
+    scheme = _mixed_scheme(r, plan)
+    routes = set()
+    for kind in MESH_KINDS:
+        mesh = _mesh_of(kind)
+        op, red = _ops(mesh, r - 1)
+        for cfl in (0.05, 0.2, 0.3):
+            point = delta(scheme, mesh, r - 1, cfl)
+            tau = cfl / (mesh.dim * (mesh.n_cells if mesh.dim == 1 else mesh.nx))
+            top = np.linalg.svd(_dense_butcher_step(scheme, op, red, tau), compute_uv=False)[0]
+            excess = top * top - 1.0
+            ref = max(0.0 if abs(excess) < NORM_RESOLUTION else excess, DELTA_FLOOR)
+            assert abs(point.delta - ref) <= 1e-6 * abs(ref) + 1e-12, (kind, cfl)
+            routes.add(point.route)
+    assert routes == {"symbol", "dense"} | ({"certificate"} if r < 4 else set())
+
+
+@pytest.mark.parametrize("r, plan", [(3, (True, False, True)), (3, (True, True, True)),
+                                     (4, (False, True, False, True)), (4, (True,) * 4)])
+def test_plans_differing_in_the_last_flag_step_identically(r, plan):
+    # the final combination reads every stage through the full operator,
+    # so the last stage's operator is never applied
+    other = _mixed_scheme(r, plan[:-1] + (not plan[-1],))
+    scheme = _mixed_scheme(r, plan)
+    for mesh in (build_mesh_1d(9), build_mesh_1d(9, 0.15, seed=5)):
+        op, red = _ops(mesh, r - 1)
+        u = op.space.random(r)
+        forms = ("butcher", "compact") if len(set(plan[:-1])) == 1 else ("butcher",)
+        for form in forms:
+            assert np.array_equal(step(scheme, op, red, u, 0.02, form=form).coeffs,
+                                  step(other, op, red, u, 0.02, form=form).coeffs)
+        got, ref = (EvolutionMap(s, op, red, 0.02) for s in (scheme, other))
+        assert np.array_equal(got.apply_array(u.coeffs), ref.apply_array(u.coeffs))
+        if mesh.is_uniform:
+            assert np.array_equal(got.norm_symbols(), ref.norm_symbols())
+
+
+def test_a_step_size_that_takes_no_step_builds_no_map(monkeypatch):
+    calls = []
+    real = schemes.symbol_increment
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(schemes, "symbol_increment", counted)
+    for mesh in (build_mesh_1d(12), build_mesh_1d(12, 0.15, seed=3), build_mesh_2d(4, 4)):
+        del calls[:]
+        u0 = DGSpace(mesh, 2).random(1)
+        res = evolve(taylor_scheme(3), mesh, 2, u0, 0.004, 0.01)
+        assert res.n_steps == 1 and res.shortened_last_step and len(calls) == 1
+
+
+@pytest.mark.parametrize("r, plan", MIXED_PLANS[2:])
+def test_mixed_plan_recursion_is_the_taylor_polynomial_down_to_tiny_steps(r, plan):
+    # with the full operator in every stage, a mixed plan's Butcher
+    # recursion and Horner's evaluation give the same Taylor polynomial;
+    # an identity rounded into the increment would err by eps / (tau |L|)
+    mesh = build_mesh_1d(9, 0.15, seed=5)
+    op, _ = _ops(mesh, r - 1)
+    for tau in (1e-2, 1e-5, 1e-8):
+        got = EvolutionMap(_mixed_scheme(r, plan), op, op, tau).increment.as_dense()
+        ref = EvolutionMap(taylor_scheme(r), op, op, tau).increment.as_dense()
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), tau
