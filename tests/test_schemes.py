@@ -507,6 +507,110 @@ def test_fused_evolve_blowup_parity_with_stepping():
 
 
 # ---------------------------------------------------------------------------
+# fused stepping in chunks of CHUNK_STEPS steps vs. single steps
+# ---------------------------------------------------------------------------
+
+KERNEL_SPECS = ("nj,cj...->cn...", "cnj,cj...->cn...")
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the block-kernel contractions (one per single step or chunk) while patched."""
+    calls = []
+    real = np.einsum
+
+    def counted(spec, *operands, **kwargs):
+        if spec in KERNEL_SPECS:
+            calls.append(1)
+        return real(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    return calls
+
+
+#: (scheme, stepping-loop form): uniform plans against compact steps, mixed
+#: plans against Butcher steps
+CHUNK_SCHEMES = {
+    "standard-r3": (taylor_scheme(3), "compact"),
+    "sdA-r4": (taylor_scheme(4, "sdA"), "compact"),
+    "mixed-r3": (_mixed_scheme(3, (True, False, True)), "butcher"),
+    "mixed-r4": (_mixed_scheme(4, (False, True, False, True)), "butcher"),
+}
+
+
+def _check_chunked_against_stepping(scheme, form, mesh, n_x, kernel_calls):
+    k = scheme.order - 1
+    u0 = DGSpace(mesh, k).random(3)
+    tau = benchmark_tau(scheme.order, mesh.dim, n_x)
+    p = schemes.CHUNK_STEPS
+    for n in range(1, 10):
+        for shortened in (False, True):
+            final_time = (n + 0.4 if shortened else n) * tau
+            del kernel_calls[:]
+            res = evolve(scheme, mesh, k, u0, final_time, tau)
+            assert len(kernel_calls) == n // p + n % p + shortened, (n, shortened)
+            assert res.path == "stepping" and res.n_steps == n + shortened
+            ref, flagged = _stepping_loop(scheme, mesh, k, u0, final_time, tau, form=form)
+            assert flagged is None
+            assert (res.u - ref).norm() <= 1e-12 * ref.norm(), (n, shortened)
+
+
+@pytest.mark.parametrize("name", CHUNK_SCHEMES)
+def test_chunked_fused_evolve_matches_stepping_on_perturbed_meshes(name, kernel_calls):
+    scheme, form = CHUNK_SCHEMES[name]
+    _check_chunked_against_stepping(scheme, form, build_mesh_1d(11, 0.15, seed=6), 11, kernel_calls)
+
+
+@pytest.mark.parametrize("name", ["standard-r3", "mixed-r3"])
+def test_chunked_fused_evolve_matches_stepping_in_2d(name, kernel_calls, monkeypatch):
+    monkeypatch.setattr(schemes, "_evolve_fourier", lambda *args: None)
+    scheme, form = CHUNK_SCHEMES[name]
+    _check_chunked_against_stepping(scheme, form, build_mesh_2d(5, 4), 5, kernel_calls)
+
+
+@pytest.mark.parametrize("cfl, scale, residue", [
+    (0.4, 1.0, 0), (0.35, 1e6, 1), (0.3, 1.0, 2), (0.35, 1.0, 3),
+])
+def test_chunked_fused_evolve_flags_the_step_stepping_flags(cfl, scale, residue, kernel_calls):
+    # unstable steps whose first crossing of BLOWUP_LIMIT falls at each
+    # residue mod CHUNK_STEPS: chunks are taken while the bound allows, then
+    # single steps find the crossing stepping finds
+    k = 2
+    sda3 = taylor_scheme(3, "sdA")
+    mesh = build_mesh_1d(16, 0.15, seed=2)
+    u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, k)) * scale
+    tau = cfl / 16
+    got = _evolve_outcome(sda3, mesh, k, u0, 3000 * tau, tau)
+    chunked_calls = len(kernel_calls)
+    ref = _stepping_loop(sda3, mesh, k, u0, 3000 * tau, tau)
+    assert ref[1] % schemes.CHUNK_STEPS == residue
+    assert got[0] is None and got[1] == ref[1]
+    assert chunked_calls < ref[1]           # some steps were taken as chunks
+
+
+@pytest.mark.parametrize("n", [4, 7])
+@pytest.mark.parametrize("name", CHUNK_SCHEMES)
+def test_chunk_growth_bounds_every_power_within_the_chunk(name, n):
+    # ||K^j||_inf for j <= CHUNK_STEPS, from the dense one-step matrix,
+    # never exceeds the product bound of the chunk rule; at n = 4 the
+    # offsets of the chunk increment alias
+    scheme, _ = CHUNK_SCHEMES[name]
+    mesh = build_mesh_1d(n, 0.15, seed=n)
+    op, red = _ops(mesh, scheme.order - 1)
+    for cfl in (0.05, 0.4):
+        emap = EvolutionMap(scheme, op, red, cfl / n)
+        chunk, growth = schemes._chunk_increment(emap.increment)
+        dense = emap.as_dense()
+        power = np.eye(len(dense))
+        norms = []
+        for _ in range(schemes.CHUNK_STEPS):
+            power = dense @ power
+            norms.append(np.abs(power).sum(axis=1).max())
+        assert max(norms) <= growth
+        assert np.abs(chunk.as_dense() + np.eye(len(dense)) - power).max() <= 1e-13 * norms[-1]
+
+
+# ---------------------------------------------------------------------------
 # EvolutionMap (growth metric) vs. the staged compact step
 # ---------------------------------------------------------------------------
 
@@ -581,6 +685,47 @@ def test_all_reduced_stage_plan_rejects_k0():
         evolve(planned, mesh, 0, u, 0.01, 1e-3)
     with pytest.raises(UnsupportedDegreeError):
         EvolutionMap(planned, op, red, 1e-3)
+
+
+@pytest.mark.parametrize("plan, reduced_inner", [
+    ((False, False, True), False), ((True, False, False), True), ((False, True, False), True),
+])
+def test_only_a_reduced_inner_stage_needs_k1(plan, reduced_inner):
+    # the last flag is inert, so a plan reduced only there is the standard
+    # scheme and steps at k = 0
+    scheme = _mixed_scheme(3, plan)
+    mesh = build_mesh_1d(8, 0.15, seed=1)
+    op, red = _ops(mesh, 0)
+    u = op.space.random(0)
+    if reduced_inner:
+        with pytest.raises(UnsupportedDegreeError):
+            evolve(scheme, mesh, 0, u, 0.01, 1e-3)
+        with pytest.raises(UnsupportedDegreeError):
+            EvolutionMap(scheme, op, red, 1e-3)
+        return
+    standard = taylor_scheme(3)
+    for form in ("compact", "butcher"):
+        got = step(scheme, op, red, u, 1e-3, form=form)
+        assert (got - step(standard, op, red, u, 1e-3, form=form)).norm() == 0.0
+    got = evolve(scheme, mesh, 0, u, 0.0105, 1e-3)
+    assert (got.u - evolve(standard, mesh, 0, u, 0.0105, 1e-3).u).norm() == 0.0
+
+
+def test_first_order_sda_is_forward_euler_at_k0():
+    # one stage, read only through the full operator: the sdA variant has
+    # no inner stage, so at k = 0 it is forward Euler, bit for bit the
+    # standard scheme, and keeps the label it was asked for
+    sda1 = taylor_scheme(1, "sdA")
+    assert sda1.label(0) == "sdA-RK1DG0"
+    for mesh in (build_mesh_1d(8), build_mesh_1d(8, 0.15, seed=1)):
+        op, red = _ops(mesh, 0)
+        u = op.space.random(2)
+        tau = 1e-3
+        euler = u + tau * op.apply(u)
+        assert (step(sda1, op, red, u, tau) - euler).norm() == 0.0
+        got = evolve(sda1, mesh, 0, u, 0.0105, tau)
+        ref = evolve(taylor_scheme(1), mesh, 0, u, 0.0105, tau)
+        assert got.path == ref.path and (got.u - ref.u).norm() == 0.0
 
 
 def test_blowup_parity_with_stepping():
