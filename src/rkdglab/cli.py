@@ -265,7 +265,10 @@ def run(values, out_stream=None, err_stream=None):
         for scheme, k in _schemes_for(values):
             for pt in cfl_sweep(scheme, k, values["dim"], values["N"],
                                 values["m"], values["cfl"]):
-                failed_rows += 1 if pt.flagged else 0
+                if pt.flagged:
+                    failed_rows += 1
+                    notes.append(f"error: {pt.scheme} {pt.variant} N={pt.n} m={pt.m} "
+                                 f"cfl={pt.cfl:.6g}: growth is not finite")
                 rows.append(
                     f"{pt.scheme},{pt.variant},{pt.dim},{pt.n},{pt.m},"
                     f"{pt.cfl:.6g},{_sig6(pt.delta)},{_raw(pt.delta)}"
@@ -273,10 +276,10 @@ def run(values, out_stream=None, err_stream=None):
     elif command == "cfl":
         header = CFL_HEADER
         for scheme, k in _schemes_for(values):
-            res = fourier_cfl(scheme.variant, scheme.order, k)
+            res = fourier_cfl(scheme, k)
             warn_rows += 0 if res.found else 1
             rows.append(
-                f"RK{scheme.order}DG{k},{scheme.variant},{scheme.order},{k},"
+                f"{scheme.label(k)},{scheme.variant},{scheme.order},{k},"
                 f"{res.value:.6g},{_raw(res.value)}"
             )
     else:  # pragma: no cover - parse_config already validates

@@ -195,7 +195,7 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
                 eoc = math.log(prev[1] / err) / math.log(n / prev[0])
             space_dofs = (k + 1) * n if problem.dim == 1 else n * n * (k + 1) * (k + 2) // 2
             rows.append(AccuracyRow(
-                scheme=scheme.label(k).replace("sdA-", ""),
+                scheme=scheme.label(k),
                 variant=scheme.variant,
                 dim=problem.dim,
                 n=n,

@@ -194,11 +194,12 @@ class BlockOperator:
     def __matmul__(self, other):
         """Composition: (A @ B) u = A (B u), with block A_o B_p at offset o + p."""
         other = self._operand(other)
+        nbrs = None if other.shares_blocks else self._neighbour_cells()
         blocks = {}
-        for o, a in self.blocks.items():
+        for j, (o, a) in enumerate(self.blocks.items()):
             for p, b in other.blocks.items():
                 if b.ndim == 3:
-                    b = np.roll(b, -o, axis=0)      # B_p of cell c + o
+                    b = b.take(nbrs[:, j], axis=0)      # B_p of cell c + o
                 off = o + p if self.space.dim == 1 else (o[0] + p[0], o[1] + p[1])
                 blocks[off] = blocks[off] + a @ b if off in blocks else a @ b
         return BlockOperator(self.space, blocks)
@@ -228,20 +229,17 @@ class BlockOperator:
         return self.transpose().matvec(x)
 
     def transpose(self):
-        """L2 adjoint (matrix transpose in the orthonormal basis)."""
+        """L2 adjoint (the transpose in the orthonormal basis): block -o of cell c is A_o(c-o)^T."""
         if getattr(self, "_transpose", None) is not None:
             return self._transpose
-        blocks = {}
-        if self.space.dim == 1:
-            for off, blk in self.blocks.items():
-                if blk.ndim == 2:
-                    blocks[-off] = blk.T.copy()
-                else:
-                    blocks[-off] = np.roll(blk.transpose(0, 2, 1), off, axis=0)
-        else:
-            for (ox, oy), blk in self.blocks.items():
-                blocks[(-ox, -oy)] = blk.T.copy()
-        out = BlockOperator(self.space, blocks)
+        flip = (lambda o: -o) if self.space.dim == 1 else (lambda o: (-o[0], -o[1]))
+        out = BlockOperator(self.space, {flip(o): b for o, b in self.blocks.items()})
+        nbrs = None if out.shares_blocks else out._neighbour_cells()
+        for j, (off, blk) in enumerate(list(out.blocks.items())):
+            if blk.ndim == 2:
+                out.blocks[off] = blk.T.copy()
+            else:
+                out.blocks[off] = blk.take(nbrs[:, j], axis=0).transpose(0, 2, 1)
         self._transpose = out
         out._transpose = self
         return out
@@ -381,13 +379,10 @@ def assemble_upwind(mesh, k):
     raise TypeError(f"unsupported mesh type {type(mesh)!r}")
 
 
-def reduce_operator(op, k=None):
+def reduce_operator(op):
     """Drop the total-degree-k test rows: the reduced operator (I - P_perp) L."""
     space = op.space
-    k = space.degree if k is None else k
-    if k != space.degree:
-        raise UnsupportedDegreeError("reduction degree must match the operator space")
-    if k == 0:
+    if space.degree == 0:
         raise UnsupportedDegreeError("reduced test space is empty for k = 0")
     mask = space.top_mode_mask()
     blocks = {}
@@ -652,13 +647,13 @@ def norm_route(op, dense_cap=DENSE_CAP):
     return "dense_svd" if op.n_dofs <= dense_cap else "power_iteration"
 
 
-def _dense_power(op, m):
-    a = op.as_dense()
-    return np.linalg.matrix_power(a, m) if m > 1 else a
+#: power iteration: start-vector seed, relative stopping step and iteration cap
+POWER_SEED = 0
+POWER_RTOL = 1e-10
+POWER_MAX_ITER = 10000
 
 
-def operator_norm(op, method="auto", m=1, seed=0, dense_cap=DENSE_CAP, rtol=1e-10,
-                  max_iter=10000):
+def operator_norm(op, method="auto", m=1, dense_cap=DENSE_CAP):
     """2-norm of op^m.
 
     Methods: "dense_svd" assembles op densely (allowed up to dense_cap
@@ -672,17 +667,16 @@ def operator_norm(op, method="auto", m=1, seed=0, dense_cap=DENSE_CAP, rtol=1e-1
         route = norm_route(op, dense_cap)
         if route == "symbol":
             return _symbol_norm(op, m)
-        return operator_norm(op, route, m=m, seed=seed, dense_cap=dense_cap, rtol=rtol,
-                             max_iter=max_iter)
+        return operator_norm(op, route, m=m, dense_cap=dense_cap)
 
     if method == "dense_svd":
         if op.n_dofs > dense_cap:
             raise ValueError(f"dense SVD capped at {dense_cap} unknowns, got {op.n_dofs}")
-        am = _dense_power(op, m)
+        am = np.linalg.matrix_power(op.as_dense(), m)
         return float(np.linalg.svd(am, compute_uv=False)[0])
 
     if method == "power_iteration":
-        return _power_iteration_norm(op, m, seed, rtol, max_iter)
+        return _power_iteration_norm(op, m)
 
     raise ValueError(f"unknown norm method {method!r}")
 
@@ -695,9 +689,9 @@ def _symbol_norm(op, m):
     return float(np.linalg.svd(sym, compute_uv=False)[:, 0].max())
 
 
-def _power_iteration_norm(op, m, seed, rtol, max_iter):
+def _power_iteration_norm(op, m):
     n = op.n_dofs
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(POWER_SEED))
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
 
@@ -712,7 +706,7 @@ def _power_iteration_norm(op, m, seed, rtol, max_iter):
         return x
 
     est = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = bwd(v)
         new_est = np.linalg.norm(w)          # = ||A^T v||, Rayleigh quotient sqrt
         z = fwd(w)
@@ -720,11 +714,11 @@ def _power_iteration_norm(op, m, seed, rtol, max_iter):
         if nz == 0.0:
             return 0.0
         v = z / nz
-        if abs(new_est - est) <= rtol * max(new_est, 1e-300):
+        if abs(new_est - est) <= POWER_RTOL * max(new_est, 1e-300):
             return float(new_est)
         est = new_est
     raise PowerIterationError(
-        f"power iteration did not reach rtol={rtol} in {max_iter} iterations",
+        f"power iteration did not reach rtol={POWER_RTOL} in {POWER_MAX_ITER} iterations",
         last_estimate=float(est),
         last_vector=v,
     )

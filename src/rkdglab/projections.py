@@ -7,6 +7,8 @@ derivative/trace condition.  pi_star: the time-step-aware approximation
 operator built from them; it needs analytic advective derivatives of the
 projected function.
 """
+import math
+
 import numpy as np
 
 from .basis import kron_sum_2d, legendre_modes, reference_tables, tensor_index
@@ -116,7 +118,12 @@ def special_projection(f, space, n_points=None):
     return lsz(f, space, n_points)
 
 
-def pi_star(field, scheme, space, upwind_op, reduced_op, tau, q, tol=1e-12, max_iter=200):
+#: pi_star fixed point: relative update at which it stops, and its iteration cap
+PI_STAR_TOL = 1e-12
+PI_STAR_MAX_ITER = 200
+
+
+def pi_star(field, scheme, space, upwind_op, reduced_op, tau, q):
     """Time-step-aware approximation operator of the reduced-stage schemes.
 
     field must expose deriv(i) returning the i-th advective derivative as a
@@ -128,11 +135,8 @@ def pi_star(field, scheme, space, upwind_op, reduced_op, tau, q, tol=1e-12, max_
     alphas = scheme.alphas
     s = scheme.stages
     k = space.degree
-    r = scheme.order
-    if not 1 <= q <= min(r, k + 1):
+    if not 1 <= q <= min(s, k + 1):
         raise ValueError(f"truncation order q={q} outside [1, min(r, k+1)]")
-
-    import math
 
     def taylor_sum(x, *rest):
         acc = 0.0
@@ -157,12 +161,12 @@ def pi_star(field, scheme, space, upwind_op, reduced_op, tau, q, tol=1e-12, max_
     v = rhs.copy()
     scale = max(rhs.norm(), 1e-300)
     previous = np.inf
-    reason = f"still moving after {max_iter} iterations"
-    for iteration in range(1, max_iter + 1):
+    reason = f"still moving after {PI_STAR_MAX_ITER} iterations"
+    for iteration in range(1, PI_STAR_MAX_ITER + 1):
         v_next = rhs - tail_poly.apply(v)
         delta = (v_next - v).norm()
         v = v_next
-        if delta <= tol * scale:
+        if delta <= PI_STAR_TOL * scale:
             return v
         if not delta < previous:            # also nan: the iteration diverges
             reason = f"update stopped contracting at iteration {iteration}"

@@ -10,7 +10,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -69,51 +69,45 @@ BUILTIN_TABLEAUS = {
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """An explicit RK scheme plus its stage-space plan.
+    """The canonical r-stage rth-order explicit RK scheme with a stage plan.
 
-    alphas holds the compact-form coefficients (alpha_0 .. alpha_s); for
-    the canonical r-stage schemes alpha_i = 1/i!.  variant selects which
-    operator the inner stages use: "standard" keeps the full operator,
-    "sdA" uses the degree-reduced one.  stage_plan may override the
-    uniform plan with a per-stage choice (True = reduced).  The last flag is
-    inert: the final combination reads each stage value through the full
-    operator, so plans that differ only in the last flag step identically.
+    stage_plan holds one flag per stage, True = reduced operator.  The last
+    flag is inert: the final combination reads each stage value through the
+    full operator.  Derived from the two: alpha_i = 1/i! (compact form), the
+    built-in tableau (None at order 1 and above 4) and the variant, "standard"
+    or "sdA" for uniform inner flags, else their F/R (full/reduced) letters.
     """
 
     order: int
-    stages: int
-    alphas: Tuple[float, ...]
-    variant: str = "standard"
-    tableau: Optional[ButcherTableau] = None
-    stage_plan: Optional[Tuple[bool, ...]] = None
+    stage_plan: Tuple[bool, ...]
 
     def __post_init__(self):
-        if self.alphas[0] != 1.0 or self.alphas[1] != 1.0:
-            raise ValueError("compact coefficients must start 1, 1")
-        if len(self.alphas) != self.stages + 1:
-            raise ValueError("need stage count + 1 compact coefficients")
-        if self.variant not in ("standard", "sdA"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.stage_plan is not None and len(self.stage_plan) != self.stages:
+        if self.order < 1:
+            raise ValueError("order must be >= 1")
+        if len(self.stage_plan) != self.order:
             raise ValueError("stage plan must give one flag per stage")
+        object.__setattr__(self, "stage_plan", tuple(bool(f) for f in self.stage_plan))
+
+    stages = property(lambda self: self.order)
+    alphas = property(lambda self: tuple(1.0 / math.factorial(i) for i in range(self.order + 1)))
+    tableau = property(lambda self: BUILTIN_TABLEAUS.get(self.order))
+
+    @property
+    def variant(self):
+        if _is_mixed(self.stage_plan):
+            return "".join("R" if flag else "F" for flag in self.stage_plan[:-1])
+        return "sdA" if self.stage_plan[0] else "standard"     # r = 1 reads its one flag
 
     def label(self, k):
-        base = f"RK{self.order}DG{k}"
-        return f"sdA-{base}" if self.variant == "sdA" else base
+        """The CSV scheme column; the variant column names the plan."""
+        return f"RK{self.order}DG{k}"
 
 
 def taylor_scheme(r, variant="standard"):
-    """Canonical r-stage rth-order scheme in compact (Taylor) form."""
-    if r < 1:
-        raise ValueError("order must be >= 1")
-    alphas = tuple(1.0 / math.factorial(i) for i in range(r + 1))
-    return SchemeSpec(
-        order=r,
-        stages=r,
-        alphas=alphas,
-        variant=variant,
-        tableau=BUILTIN_TABLEAUS.get(r),
-    )
+    """Canonical r-stage rth-order scheme; sdA reduces every inner stage."""
+    if variant not in ("standard", "sdA"):
+        raise ValueError(f"unknown variant {variant!r}")
+    return SchemeSpec(r, (variant == "sdA",) * r)
 
 
 @dataclass(frozen=True)
@@ -142,13 +136,6 @@ def energy_coefficients(alphas):
     return EnergyCoefficients(beta=beta, gamma=gamma)
 
 
-def _stage_flags(scheme):
-    """Per-stage flags, True = reduced operator: the stage plan if given, else the variant's."""
-    if scheme.stage_plan is not None:
-        return tuple(scheme.stage_plan)
-    return (scheme.variant == "sdA",) * scheme.stages
-
-
 def _is_mixed(flags):
     """True when the inner stages use different operators (the last flag is inert)."""
     return len(set(flags[:-1])) > 1
@@ -156,7 +143,7 @@ def _is_mixed(flags):
 
 def _check_degree(scheme, space):
     """A reduced inner stage needs k >= 1; the inert last flag is not read."""
-    if space.degree == 0 and any(_stage_flags(scheme)[:-1]):
+    if space.degree == 0 and any(scheme.stage_plan[:-1]):
         raise UnsupportedDegreeError("reduced-stage variant needs k >= 1")
 
 
@@ -230,7 +217,7 @@ def step(scheme, full_op, reduced_op, u, tau, form="compact"):
 
     if form == "butcher":
         tab = scheme.tableau
-        flags = _stage_flags(scheme)
+        flags = scheme.stage_plan
         applied, out = [], u.coeffs.copy()
         for i in range(tab.stages):
             ui = u.coeffs
@@ -244,7 +231,7 @@ def step(scheme, full_op, reduced_op, u, tau, form="compact"):
         return GridFunction(u.space, out)
 
     if form == "compact":
-        flags = _stage_flags(scheme)
+        flags = scheme.stage_plan
         if _is_mixed(flags):
             raise ValueError("compact form requires a uniform stage plan")
         inner = reduced_op if flags[0] else full_op
@@ -452,7 +439,7 @@ class EvolutionMap:
     """
 
     def __init__(self, scheme, full_op, reduced_op, tau):
-        self.flags = _stage_flags(scheme)
+        self.flags = scheme.stage_plan
         if _is_mixed(self.flags) and scheme.tableau is None:
             raise ValueError("a mixed stage plan needs a tableau")
         _check_degree(scheme, full_op.space)

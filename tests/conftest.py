@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from rkdglab.basis import basis_2d_index, gauss_quadrature, legendre_modes
+from rkdglab.schemes import taylor_scheme
 from rkdglab.stability import fourier_cfl
 
 
 @pytest.fixture(scope="session")
 def cfl_family():
-    """fourier_cfl(variant, r, r - 1) for r = 2..8 and both variants, computed once."""
-    return {(variant, r): fourier_cfl(variant, r, r - 1)
+    """fourier_cfl at k = r - 1 for r = 2..8 and both variants, computed once."""
+    return {(variant, r): fourier_cfl(taylor_scheme(r, variant), r - 1)
             for variant in ("standard", "sdA") for r in range(2, 9)}
 
 

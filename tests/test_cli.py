@@ -1,6 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
+
+import rkdglab
 
 from rkdglab.cli import (
     ACCURACY_HEADER,
@@ -252,3 +257,17 @@ def test_blown_up_row_names_scheme_n_and_step(capsys):
     assert captured.err == ("warning: RK3DG2 standard N=8 blew up at step 4\n"
                             "warning: 1 flagged row(s)\n")
     assert captured.out.splitlines()[-1] == "RK3DG2,standard,1,8,24,nan,,nan,"
+
+
+def test_non_finite_growth_row_is_named_without_numpy_warnings():
+    # cfl 1e300 overflows the one-step symbols: the row is a flagged nan
+    # row, stderr names it before the count, and no RuntimeWarning leaks
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rkdglab.__file__)))
+    argv = ["stability", "--r", "3", "--k", "2", "--N", "16", "--cfl", "1e300"]
+    out = subprocess.run([sys.executable, "-m", "rkdglab.cli", *argv], capture_output=True,
+                         text=True, timeout=60, env=env)
+    assert out.returncode == 1
+    assert "RuntimeWarning" not in out.stderr
+    assert out.stderr == ("error: RK3DG2 standard N=16 m=1 cfl=1e+300: growth is not finite\n"
+                          "error: 1 failed row(s)\n")
+    assert out.stdout.splitlines()[-1] == "RK3DG2,standard,1,16,1,1e+300,nan,nan"

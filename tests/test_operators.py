@@ -410,12 +410,14 @@ def test_dense_cap_enforced():
         operator_norm(op, "dense_svd", dense_cap=10)
 
 
-def test_power_iteration_diagnostic_carries_last_iterate():
+def test_power_iteration_diagnostic_carries_last_iterate(monkeypatch):
+    from rkdglab import operators
     from rkdglab.errors import PowerIterationError
 
+    monkeypatch.setattr(operators, "POWER_MAX_ITER", 3)
     op = assemble_upwind(build_mesh_1d(32), 3)
     with pytest.raises(PowerIterationError) as info:
-        operator_norm(op, "power_iteration", max_iter=3)
+        operator_norm(op, "power_iteration")
     assert info.value.last_estimate is not None and info.value.last_estimate > 0
     assert info.value.last_vector.shape == (op.n_dofs,)
 

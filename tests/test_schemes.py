@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -261,10 +262,7 @@ def test_stage_plan_general_mixing():
     op, red = _ops(mesh, 2)
     u = op.space.random(14)
     tau = 0.05 / 8
-    mixed = SchemeSpec(
-        order=3, stages=3, alphas=taylor_scheme(3).alphas, variant="sdA",
-        tableau=BUILTIN_TABLEAUS[3], stage_plan=(True, False, True),
-    )
+    mixed = SchemeSpec(3, (True, False, True))
     out_mixed = step(mixed, op, red, u, tau, form="butcher")
     out_std = step(taylor_scheme(3), op, red, u, tau, form="butcher")
     out_sda = step(taylor_scheme(3, "sdA"), op, red, u, tau, form="butcher")
@@ -344,11 +342,6 @@ def step_calls(monkeypatch):
     return calls
 
 
-def _mixed_scheme(r, plan):
-    return SchemeSpec(order=r, stages=r, alphas=taylor_scheme(r).alphas,
-                      tableau=BUILTIN_TABLEAUS[r], stage_plan=plan)
-
-
 def _uniform_mesh(dim, n):
     return build_mesh_1d(n) if dim == 1 else build_mesh_2d(n, n)
 
@@ -403,7 +396,7 @@ def test_perturbed_meshes_and_butcher_form_still_step(step_calls):
     # a mixed stage plan takes the same routes through its EvolutionMap (the
     # Butcher recursion), with no step() call, and agrees with the
     # Butcher-form stepping loop to rounding
-    mixed = _mixed_scheme(3, (True, False, True))
+    mixed = SchemeSpec(3, (True, False, True))
     uniform = build_mesh_1d(12)
     for mesh, path in ((uniform, "fourier"), (perturbed, "stepping")):
         u0 = DGSpace(mesh, k).random(5)
@@ -415,10 +408,10 @@ def test_perturbed_meshes_and_butcher_form_still_step(step_calls):
     assert evolve(scheme, uniform, k, u0, 0.0, tau).path == "stepping"
 
 
-@pytest.mark.parametrize("r", [3, 5])
+@pytest.mark.parametrize("r", [5])
 def test_mixed_plan_without_tableau_fails_before_stepping(r, step_calls):
-    mixed = SchemeSpec(order=r, stages=r, alphas=taylor_scheme(r).alphas,
-                       stage_plan=(True, False) + (True,) * (r - 2))
+    # no tableau is built in above order 4
+    mixed = SchemeSpec(r, (True, False) + (True,) * (r - 2))
     mesh = build_mesh_1d(8)
     u0 = DGSpace(mesh, r - 1).random(2)
     with warnings.catch_warnings():
@@ -533,8 +526,8 @@ def kernel_calls(monkeypatch):
 CHUNK_SCHEMES = {
     "standard-r3": (taylor_scheme(3), "compact"),
     "sdA-r4": (taylor_scheme(4, "sdA"), "compact"),
-    "mixed-r3": (_mixed_scheme(3, (True, False, True)), "butcher"),
-    "mixed-r4": (_mixed_scheme(4, (False, True, False, True)), "butcher"),
+    "mixed-r3": (SchemeSpec(3, (True, False, True)), "butcher"),
+    "mixed-r4": (SchemeSpec(4, (False, True, False, True)), "butcher"),
 }
 
 
@@ -638,43 +631,52 @@ def test_evolution_map_matches_compact_step(dim, r, variant):
 
 
 # ---------------------------------------------------------------------------
-# a uniform stage plan, not the variant, picks the inner-stage operator
+# a scheme is its order and its stage plan
 # ---------------------------------------------------------------------------
 
-def _planned(variant, flag):
-    base = taylor_scheme(3, variant)
-    return SchemeSpec(order=3, stages=3, alphas=base.alphas, variant=variant,
-                      tableau=base.tableau, stage_plan=(flag,) * 3)
+def test_a_uniform_plan_is_its_variant():
+    # a scheme built from its plan is the scheme of that variant, and its
+    # rows say so
+    planned = SchemeSpec(3, (True,) * 3)
+    assert planned == taylor_scheme(3, "sdA") and planned.variant == "sdA"
+    assert SchemeSpec(3, [True, True, False]) == SchemeSpec(3, (True, True, False))
+    assert SchemeSpec(3, (True, True, False)).variant == "sdA"      # the last flag is inert
+    assert SchemeSpec(3, (False,) * 3) == taylor_scheme(3)
+    problem = ProblemSpec(dim=1, ic="sin", final_time=0.05)
+    (row,) = accuracy_table([(planned, 2)], problem, (8,))
+    assert (row.scheme, row.variant) == ("RK3DG2", "sdA")
+    point = delta(planned, build_mesh_1d(8), 2, 0.1)
+    assert (point.scheme, point.variant) == ("RK3DG2", "sdA")
 
 
-@pytest.mark.parametrize("flag, same_as", [(True, "sdA"), (False, "standard")])
-def test_uniform_stage_plan_overrides_the_variant(flag, same_as):
-    other = "standard" if same_as == "sdA" else "sdA"
-    planned = _planned(other, flag)
-    reference = taylor_scheme(3, same_as)
-    k = 2
-    mesh = build_mesh_1d(8)
-    op, red = _ops(mesh, k)
-    u = op.space.random(3)
-    tau = 0.05
-    for form in ("compact", "butcher"):
-        got = step(planned, op, red, u, tau, form=form)
-        assert (got - step(reference, op, red, u, tau, form=form)).norm() == 0.0
-    compact = step(planned, op, red, u, tau, form="compact")
-    butcher = step(planned, op, red, u, tau, form="butcher")
-    assert (compact - butcher).norm() <= 1e-13 * u.norm()
-    emap = EvolutionMap(planned, op, red, tau)
-    assert np.array_equal(emap.apply_array(u.coeffs),
-                          EvolutionMap(reference, op, red, tau).apply_array(u.coeffs))
-    for mesh in (build_mesh_1d(12), build_mesh_1d(12, 0.15, seed=3)):
-        u0 = DGSpace(mesh, k).random(6)
-        got = evolve(planned, mesh, k, u0, 0.105, 0.01)
-        ref = evolve(reference, mesh, k, u0, 0.105, 0.01)
-        assert got.path == ref.path and (got.u - ref.u).norm() == 0.0
+def test_scheme_values_derive_from_order_and_plan():
+    for r in range(1, 7):
+        scheme = SchemeSpec(r, (False,) * r)
+        assert scheme.stages == r
+        assert scheme.alphas == tuple(1.0 / math.factorial(i) for i in range(r + 1))
+        assert scheme.tableau is BUILTIN_TABLEAUS.get(r)
+        assert scheme.label(r - 1) == f"RK{r}DG{r - 1}"
+    assert SchemeSpec(3, (True, False, True)).variant == "RF"
+    assert SchemeSpec(4, (False, True, False, True)).variant == "FRF"
+    assert SchemeSpec(4, (True, True, False, False)).variant == "RRF"
+    assert taylor_scheme(1, "sdA").variant == "sdA"                 # r = 1 reads its one flag
+
+
+@pytest.mark.parametrize("order, plan", [(0, ()), (-1, ()), (3, (True,)), (2, (True,) * 3)])
+def test_bad_order_or_flag_count_raises(order, plan):
+    with pytest.raises(ValueError):
+        SchemeSpec(order, plan)
+
+
+def test_taylor_scheme_validates_its_variant():
+    with pytest.raises(ValueError, match="unknown variant"):
+        taylor_scheme(3, "RF")
+    with pytest.raises(ValueError, match="order"):
+        taylor_scheme(0)
 
 
 def test_all_reduced_stage_plan_rejects_k0():
-    planned = _planned("standard", True)
+    planned = SchemeSpec(3, (True,) * 3)
     mesh = build_mesh_1d(8)
     op, red = _ops(mesh, 0)
     u = op.space.random(0)
@@ -693,7 +695,7 @@ def test_all_reduced_stage_plan_rejects_k0():
 def test_only_a_reduced_inner_stage_needs_k1(plan, reduced_inner):
     # the last flag is inert, so a plan reduced only there is the standard
     # scheme and steps at k = 0
-    scheme = _mixed_scheme(3, plan)
+    scheme = SchemeSpec(3, plan)
     mesh = build_mesh_1d(8, 0.15, seed=1)
     op, red = _ops(mesh, 0)
     u = op.space.random(0)
@@ -714,9 +716,9 @@ def test_only_a_reduced_inner_stage_needs_k1(plan, reduced_inner):
 def test_first_order_sda_is_forward_euler_at_k0():
     # one stage, read only through the full operator: the sdA variant has
     # no inner stage, so at k = 0 it is forward Euler, bit for bit the
-    # standard scheme, and keeps the label it was asked for
+    # standard scheme, and keeps the variant it was asked for
     sda1 = taylor_scheme(1, "sdA")
-    assert sda1.label(0) == "sdA-RK1DG0"
+    assert sda1.label(0) == "RK1DG0" and sda1.variant == "sdA"
     for mesh in (build_mesh_1d(8), build_mesh_1d(8, 0.15, seed=1)):
         op, red = _ops(mesh, 0)
         u = op.space.random(2)
@@ -806,7 +808,7 @@ def _dense_butcher_step(scheme, op, red, tau):
 def test_mixed_plan_map_is_the_dense_butcher_step(kind, r, plan):
     mesh = _mesh_of(kind)
     op, red = _ops(mesh, r - 1)
-    scheme = _mixed_scheme(r, plan)
+    scheme = SchemeSpec(r, plan)
     tau = 0.2 / (mesh.dim * 9)
     emap = EvolutionMap(scheme, op, red, tau)
     assert np.abs(emap.as_dense() - _dense_butcher_step(scheme, op, red, tau)).max() <= 1e-13
@@ -822,7 +824,7 @@ def test_mixed_plan_map_is_the_dense_butcher_step(kind, r, plan):
 def test_mixed_plan_evolve_matches_the_butcher_stepping_loop(kind, r, plan, step_calls):
     mesh = _mesh_of(kind)
     k = r - 1
-    scheme = _mixed_scheme(r, plan)
+    scheme = SchemeSpec(r, plan)
     u0 = DGSpace(mesh, k).random(3 * r)
     tau = benchmark_tau(r, mesh.dim, 9)
     res = evolve(scheme, mesh, k, u0, 30.4 * tau, tau)
@@ -838,7 +840,7 @@ def test_mixed_plan_delta_is_the_top_singular_value_of_the_step(r, plan):
     # symbols on uniform meshes; on the perturbed one the floor certificate
     # (below the cfl limit; a fourth-order step expands at every cfl) and
     # the dense eigenvalue problem
-    scheme = _mixed_scheme(r, plan)
+    scheme = SchemeSpec(r, plan)
     routes = set()
     for kind in MESH_KINDS:
         mesh = _mesh_of(kind)
@@ -859,8 +861,8 @@ def test_mixed_plan_delta_is_the_top_singular_value_of_the_step(r, plan):
 def test_plans_differing_in_the_last_flag_step_identically(r, plan):
     # the final combination reads every stage through the full operator,
     # so the last stage's operator is never applied
-    other = _mixed_scheme(r, plan[:-1] + (not plan[-1],))
-    scheme = _mixed_scheme(r, plan)
+    other = SchemeSpec(r, plan[:-1] + (not plan[-1],))
+    scheme = SchemeSpec(r, plan)
     for mesh in (build_mesh_1d(9), build_mesh_1d(9, 0.15, seed=5)):
         op, red = _ops(mesh, r - 1)
         u = op.space.random(r)
@@ -898,6 +900,6 @@ def test_mixed_plan_recursion_is_the_taylor_polynomial_down_to_tiny_steps(r, pla
     mesh = build_mesh_1d(9, 0.15, seed=5)
     op, _ = _ops(mesh, r - 1)
     for tau in (1e-2, 1e-5, 1e-8):
-        got = EvolutionMap(_mixed_scheme(r, plan), op, op, tau).increment.as_dense()
+        got = EvolutionMap(SchemeSpec(r, plan), op, op, tau).increment.as_dense()
         ref = EvolutionMap(taylor_scheme(r), op, op, tau).increment.as_dense()
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), tau
