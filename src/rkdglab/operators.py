@@ -6,7 +6,7 @@ L2 adjoints.  Operators on periodic meshes are block-sparse: a diagonal
 block per cell plus one block per upwind neighbor.
 """
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -266,8 +266,18 @@ class BlockOperator:
         return out
 
     def norm_symbols(self):
-        """Symbols at the mesh frequencies; these diagonalize the operator."""
-        return self.symbols(fft_angles(self.space))
+        """Symbols at the mesh frequencies; these diagonalize the operator.
+
+        Formed on the first call and kept, as kernel is, so a CFL sweep
+        forms them once per mesh.  The stack is shared and read-only.
+        """
+        return self._mesh_symbols
+
+    @cached_property
+    def _mesh_symbols(self):
+        out = self.symbols(fft_angles(self.space))
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def kernel(self):
@@ -293,11 +303,7 @@ class BlockOperator:
 
     def _neighbour_cells(self):
         """(cells, J) flat index of cell c + o, for every cell c and every offset o in block order."""
-        shape = self.space.shape[:-1]
-        cells = np.arange(int(np.prod(shape))).reshape(shape)
-        axes = tuple(range(self.space.dim))
-        return np.stack([np.roll(cells, np.negative(off), axis=axes).ravel()
-                         for off in self.blocks], axis=1)
+        return _neighbour_index(self.space.shape[:-1], tuple(self.blocks))
 
     def as_dense(self):
         """Dense matrix acting on flattened coefficients (small sizes only).
@@ -312,6 +318,17 @@ class BlockOperator:
         for j, blk in enumerate(self.blocks.values()):
             out[cells, :, nbrs[:, j], :] += blk
         return out.reshape(len(nbrs) * m, -1)
+
+
+@lru_cache(maxsize=32)
+def _neighbour_index(shape, offsets):
+    """BlockOperator._neighbour_cells of a cell grid shape and offsets, shared, so read-only."""
+    cells = np.arange(int(np.prod(shape))).reshape(shape)
+    axes = tuple(range(len(shape)))
+    index = np.stack([np.roll(cells, np.negative(off), axis=axes).ravel() for off in offsets],
+                     axis=1)
+    index.flags.writeable = False
+    return index
 
 
 def fft_angles(space, half=False):
@@ -394,6 +411,12 @@ def reduce_operator(op):
             b[:, mask, :] = 0.0
         blocks[off] = b
     return BlockOperator(space, blocks)
+
+
+def stage_operators(mesh, k):
+    """(full, reduced): the upwind operator and its reduction (the operator itself at k = 0)."""
+    full_op = assemble_upwind(mesh, k)
+    return full_op, reduce_operator(full_op) if k >= 1 else full_op
 
 
 # ---------------------------------------------------------------------------
@@ -640,14 +663,16 @@ def norm_route(op, dense_cap=DENSE_CAP):
 
     Exact Fourier block-diagonalization for maps whose is_circulant is
     true (uniform meshes, shared blocks), otherwise a dense solve under
-    the cap and power iteration above it.
+    the cap and a matrix-free one above it: power iteration for
+    operator_norm, Lanczos (top_eigenvalue) for stability.growth_excess.
     """
     if getattr(op, "is_circulant", False):
         return "symbol"
     return "dense_svd" if op.n_dofs <= dense_cap else "power_iteration"
 
 
-#: power iteration: start-vector seed, relative stopping step and iteration cap
+#: power iteration: start-vector seed (Lanczos starts there too), relative
+#: stopping step and iteration cap
 POWER_SEED = 0
 POWER_RTOL = 1e-10
 POWER_MAX_ITER = 10000
@@ -792,6 +817,58 @@ def certify_below(op, bound):
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+#: Lanczos: stopping residual relative to the Ritz spread, and step cap
+LANCZOS_RTOL = 1e-10
+LANCZOS_MAX_ITER = 1024
+
+
+def top_eigenvalue(op):
+    """Largest eigenvalue of a symmetric BlockOperator, matrix-free, by Lanczos.
+
+    The Krylov basis of op from a POWER_SEED start vector is kept
+    orthonormal by full reorthogonalization (two classical Gram-Schmidt
+    passes per step), and the Ritz values are the eigenvalues of the
+    tridiagonal T_j (Parlett, The Symmetric Eigenvalue Problem, ch. 13;
+    Golub & Van Loan section 10.1).  The top Ritz value is returned once
+    its residual |beta_j y_j| is at most LANCZOS_RTOL times the spread of
+    the Ritz values, or when the basis spans the space.  T_j is
+    diagonalized only at geometrically spaced j (16, 20, 25, ...): its
+    O(j^3) cost would otherwise dominate long runs.  The basis storage
+    doubles as it fills.  PowerIterationError after LANCZOS_MAX_ITER
+    steps, carrying the top Ritz pair.
+    """
+    n = op.n_dofs
+    w = np.random.Generator(np.random.PCG64(POWER_SEED)).standard_normal(n)
+    b = float(np.linalg.norm(w))
+    basis = np.empty((min(16, n), n))
+    alpha, beta = [], []
+    check = 16
+    for j in range(min(LANCZOS_MAX_ITER, n)):
+        if j == len(basis):
+            basis.resize((2 * j, n))    # in place: no view of basis is alive here
+        basis[j] = w / b
+        if j:
+            beta.append(b)
+        w = op.matvec(basis[j])
+        h = basis[:j + 1] @ w
+        w -= h @ basis[:j + 1]
+        c = basis[:j + 1] @ w
+        w -= c @ basis[:j + 1]
+        alpha.append(h[j] + c[j])
+        b = float(np.linalg.norm(w))
+        if j + 1 in (check, n, LANCZOS_MAX_ITER) or b == 0.0:
+            theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            if abs(b * y[-1, -1]) <= LANCZOS_RTOL * (theta[-1] - theta[0]) or j + 1 == n:
+                return float(theta[-1])
+            check = max(check + 1, check * 5 // 4)
+    raise PowerIterationError(
+        f"Lanczos did not reach a residual of {LANCZOS_RTOL} x the Ritz spread in "
+        f"{LANCZOS_MAX_ITER} steps",
+        last_estimate=float(theta[-1]),
+        last_vector=y[:, -1] @ basis[:len(alpha)],
+    )
 
 
 # ---------------------------------------------------------------------------

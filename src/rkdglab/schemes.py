@@ -18,10 +18,9 @@ from .errors import BlowUpError, UnsupportedDegreeError
 from .operators import (
     DGSpace,
     GridFunction,
-    assemble_upwind,
     dense_from_matvec,
     fft_angles,
-    reduce_operator,
+    stage_operators,
 )
 
 BLOWUP_LIMIT = 1e12
@@ -48,8 +47,9 @@ class ButcherTableau:
 
 
 # r-stage rth-order tableaus equivalent to the Taylor polynomial on linear
-# autonomous problems: explicit midpoint, SSP3, classical RK4
+# autonomous problems: forward Euler, explicit midpoint, SSP3, classical RK4
 BUILTIN_TABLEAUS = {
+    1: ButcherTableau(a=((0.0,),), b=(1.0,)),
     2: ButcherTableau(a=((0.0, 0.0), (0.5, 0.0)), b=(0.0, 1.0)),
     3: ButcherTableau(
         a=((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.25, 0.25, 0.0)),
@@ -74,7 +74,7 @@ class SchemeSpec:
     stage_plan holds one flag per stage, True = reduced operator.  The last
     flag is inert: the final combination reads each stage value through the
     full operator.  Derived from the two: alpha_i = 1/i! (compact form), the
-    built-in tableau (None at order 1 and above 4) and the variant, "standard"
+    built-in tableau (None above order 4) and the variant, "standard"
     or "sdA" for uniform inner flags, else their F/R (full/reduced) letters.
     """
 
@@ -209,8 +209,6 @@ def step(scheme, full_op, reduced_op, u, tau, form="compact"):
     if tau == 0.0:
         return u.copy()
     if form == "butcher" and scheme.tableau is None:
-        if scheme.order <= 4:
-            raise ValueError("scheme has no tableau for Butcher-form stepping")
         warnings.warn("no built-in tableau above order 4; falling back to the compact form",
                       RuntimeWarning, stacklevel=2)
         form = "compact"
@@ -283,8 +281,7 @@ def evolve(scheme, mesh, k, u0, final_time, tau):
     space = DGSpace(mesh, k)
     if u0.space != space:
         raise ValueError("initial state does not live on the requested space")
-    full_op = assemble_upwind(mesh, k)
-    reduced_op = reduce_operator(full_op) if (k >= 1) else full_op
+    full_op, reduced_op = stage_operators(mesh, k)
     n_whole = int(np.floor(final_time / tau + 1e-9))
     remainder = final_time - n_whole * tau
     shortened = remainder > 1e-12 * max(final_time, 1.0)
@@ -457,10 +454,18 @@ class EvolutionMap:
     def is_circulant(self):
         return self.full_op.is_circulant
 
-    def stage_symbols(self, angles):
-        """(S, S_hat) as Fourier symbol stacks at angles (uniform meshes); S_hat = S if unread."""
-        full = self.full_op.symbols(angles)
-        return full, self.reduced_op.symbols(angles) if any(self.flags) else full
+    def stage_symbols(self, angles=None):
+        """(S, S_hat) as Fourier symbol stacks at angles (uniform meshes); S_hat = S if unread.
+
+        Without angles, the operators' own symbols at the mesh frequencies,
+        which they keep (BlockOperator.norm_symbols).  Only the inner
+        stages read S_hat: the last flag is inert.
+        """
+        def symbols(op):
+            return op.norm_symbols() if angles is None else op.symbols(angles)
+
+        full = symbols(self.full_op)
+        return full, symbols(self.reduced_op) if any(self.flags[:-1]) else full
 
     def increment_of(self, full, reduced):
         """E from the full and the reduced operator: operators or symbol stacks alike."""
@@ -490,8 +495,7 @@ class EvolutionMap:
 
     def norm_symbols(self):
         """Per-frequency symbols of the one-step map (uniform meshes)."""
-        angles = fft_angles(self.space)
-        return np.eye(self.space.n_modes) + self.increment_of(*self.stage_symbols(angles))
+        return np.eye(self.space.n_modes) + self.increment_of(*self.stage_symbols())
 
     def as_dense(self):
         return dense_from_matvec(self.apply_array, self.space)

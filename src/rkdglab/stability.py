@@ -14,12 +14,12 @@ import numpy as np
 
 from .mesh import build_mesh_1d, build_mesh_2d
 from .operators import (
-    assemble_upwind,
     certify_below,
     fft_angles,
     norm_route,
     operator_norm,
-    reduce_operator,
+    stage_operators,
+    top_eigenvalue,
 )
 from .schemes import EvolutionMap
 
@@ -38,7 +38,9 @@ class StabilityPoint:
     cfl: float
     delta: float
     flagged: bool = False
-    #: how delta was computed (see growth_excess); None for a flagged point
+    #: how delta was computed (see growth_excess): "symbol", "certificate",
+    #: "dense" or "lanczos", or the method asked for ("dense_svd",
+    #: "power_iteration"); None for a flagged point
     route: Optional[str] = None
 
 
@@ -46,12 +48,18 @@ def _mesh_for(dim, n):
     return build_mesh_1d(n) if dim == 1 else build_mesh_2d(n, n)
 
 
+def _cells_per_side(mesh):
+    return mesh.n_cells if mesh.dim == 1 else mesh.nx
+
+
+def _step_map(scheme, operators, cfl):
+    """The EvolutionMap at tau = cfl / (dim N) on the operators' mesh."""
+    mesh = operators[0].space.mesh
+    return EvolutionMap(scheme, *operators, cfl / (mesh.dim * _cells_per_side(mesh)))
+
+
 def evolution_map(scheme, mesh, k, cfl):
-    full_op = assemble_upwind(mesh, k)
-    reduced_op = reduce_operator(full_op) if k >= 1 else full_op
-    n = mesh.n_cells if mesh.dim == 1 else mesh.nx
-    tau = cfl / (mesh.dim * n)
-    return EvolutionMap(scheme, full_op, reduced_op, tau)
+    return _step_map(scheme, stage_operators(mesh, k), cfl)
 
 
 def excess_operator(emap, m=1):
@@ -79,9 +87,10 @@ def growth_excess(emap, m=1, method="auto"):
     certify_below(S_m, NORM_RESOLUTION), which proves the excess below
     the resolution in O(N) (route "certificate", excess 0); failing
     that, np.linalg.eigvalsh of the dense S_m under the dense cap
-    (route "dense") and power iteration above it (route
-    "power_iteration").  "dense_svd" and "power_iteration" compute the
-    norm that way; the route is the method.
+    (route "dense") and Lanczos on S_m above it (top_eigenvalue, route
+    "lanczos"; PowerIterationError if it does not converge).
+    "dense_svd" and "power_iteration" compute the norm of K^m that way;
+    the route is the method.
     """
     route = norm_route(emap) if method == "auto" else method
     if method == "auto" and route != "symbol":
@@ -90,23 +99,23 @@ def growth_excess(emap, m=1, method="auto"):
             return 0.0, "certificate"
         if route == "dense_svd":
             return float(np.linalg.eigvalsh(s_m.as_dense())[-1]), "dense"
+        return top_eigenvalue(s_m), "lanczos"
     nrm = operator_norm(emap, method if route == "symbol" else route, m=m)
     return nrm * nrm - 1.0, route
 
 
-def delta(scheme, mesh, k, cfl, m=1, method="auto"):
-    """Growth metric of the m-step evolution map at the given CFL number."""
+def _growth_point(emap, cfl, m, method="auto"):
+    """The StabilityPoint of an evolution map at the given CFL number."""
     if m < 1:
         raise ValueError("power m must be >= 1")
-    dim = mesh.dim
-    excess, route = growth_excess(evolution_map(scheme, mesh, k, cfl), m, method)
+    excess, route = growth_excess(emap, m, method)
     if abs(excess) < NORM_RESOLUTION:
         excess = 0.0
     return StabilityPoint(
-        scheme=scheme.label(k),
-        variant=scheme.variant,
-        dim=dim,
-        n=mesh.n_cells if dim == 1 else mesh.nx,
+        scheme=emap.scheme.label(emap.space.degree),
+        variant=emap.scheme.variant,
+        dim=emap.space.dim,
+        n=_cells_per_side(emap.space.mesh),
         m=m,
         cfl=float(cfl),
         delta=float(max(excess, DELTA_FLOOR)),
@@ -114,19 +123,29 @@ def delta(scheme, mesh, k, cfl, m=1, method="auto"):
     )
 
 
+def delta(scheme, mesh, k, cfl, m=1, method="auto"):
+    """Growth metric of the m-step evolution map at the given CFL number."""
+    return _growth_point(evolution_map(scheme, mesh, k, cfl), cfl, m, method)
+
+
 def cfl_sweep(scheme, k, dim, n_list, m, cfl_grid):
     """Cartesian (N, cfl) sweep; rows ordered by (N, cfl), failures flagged.
 
-    On these uniform meshes overflow makes the symbols' SVD raise: a flagged nan row.
+    Each N builds its mesh and operators once, and the operators keep
+    their Fourier symbols, so a CFL value forms only its increment and
+    the growth metric: the rows are those of delta at each point.  On
+    these uniform meshes overflow makes the symbols' SVD raise: a
+    flagged nan row.
     """
     if len(n_list) == 0 or len(cfl_grid) == 0:
         raise ValueError("sweep grids must be non-empty")
     points = []
     for n in n_list:
+        operators = stage_operators(_mesh_for(dim, n), k)
         for cfl in cfl_grid:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    points.append(delta(scheme, _mesh_for(dim, n), k, cfl, m))
+                    points.append(_growth_point(_step_map(scheme, operators, cfl), cfl, m))
             except np.linalg.LinAlgError:
                 points.append(StabilityPoint(
                     scheme=scheme.label(k), variant=scheme.variant,

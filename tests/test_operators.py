@@ -158,6 +158,22 @@ def test_apply_with_wrapping_offsets(perturb):
     assert_matches_blocks(op @ op @ op, c)
 
 
+def test_neighbour_index_is_shared_and_read_only():
+    # one index per cell grid and offset list, whatever the mesh spacing or
+    # degree; the roll of the cell numbers is its definition
+    for mesh_a, mesh_b in ((build_mesh_1d(7), build_mesh_1d(7, 0.2, seed=3)),
+                           (build_mesh_2d(3, 4), build_mesh_2d(3, 4))):
+        a = assemble_upwind(mesh_a, 1)
+        b = assemble_upwind(mesh_b, 2)
+        index = a._neighbour_cells()
+        assert index is b._neighbour_cells() and not index.flags.writeable
+        shape = a.space.shape[:-1]
+        cells = np.arange(int(np.prod(shape))).reshape(shape)
+        for j, off in enumerate(a.blocks):
+            rolled = np.roll(cells, np.negative(off), axis=tuple(range(len(shape))))
+            assert np.array_equal(index[:, j], rolled.ravel())
+
+
 def test_operator_algebra_rejects_other_spaces():
     op = assemble_upwind(build_mesh_1d(6), 1)
     other = assemble_upwind(build_mesh_1d(7), 1)

@@ -730,6 +730,42 @@ def test_first_order_sda_is_forward_euler_at_k0():
         assert got.path == ref.path and (got.u - ref.u).norm() == 0.0
 
 
+def test_forward_euler_has_a_butcher_tableau():
+    # the one-stage tableau is forward Euler: the Butcher form equals the
+    # compact form, for both variants, instead of raising
+    assert BUILTIN_TABLEAUS[1] == schemes.ButcherTableau(a=((0.0,),), b=(1.0,))
+    for mesh, k in ((build_mesh_1d(8), 1), (build_mesh_1d(8, 0.15, seed=1), 2)):
+        op, red = _ops(mesh, k)
+        u = op.space.random(3)
+        for variant in ("standard", "sdA"):
+            scheme = taylor_scheme(1, variant)
+            got = step(scheme, op, red, u, 1e-3, form="butcher")
+            assert np.array_equal(got.coeffs, step(scheme, op, red, u, 1e-3).coeffs)
+
+
+def test_inert_last_flag_forms_no_reduced_symbols(monkeypatch):
+    # the plan (F, F, R) steps as the standard scheme: its reduced
+    # operator's symbols are never read, so they are never formed
+    mesh = build_mesh_1d(8)
+    op, red = _ops(mesh, 2)
+    calls = []
+    real = type(red).symbols
+
+    def counted(self, angles):
+        calls.append(self is red)
+        return real(self, angles)
+
+    monkeypatch.setattr(type(red), "symbols", counted)
+    planned = EvolutionMap(SchemeSpec(3, (False, False, True)), op, red, 0.01)
+    ref = EvolutionMap(taylor_scheme(3), op, red, 0.01)
+    assert np.array_equal(planned.norm_symbols(), ref.norm_symbols())
+    full, reduced = planned.stage_symbols(np.zeros((3, 1)))
+    assert reduced is full
+    assert calls.count(True) == 0 and calls.count(False) > 0
+    EvolutionMap(taylor_scheme(3, "sdA"), op, red, 0.01).norm_symbols()
+    assert calls.count(True) == 1
+
+
 def test_blowup_parity_with_stepping():
     k = 2
     sda3 = taylor_scheme(3, "sdA")

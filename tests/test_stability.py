@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from rkdglab import stability
-from rkdglab.errors import UnsupportedDegreeError
+from rkdglab import operators, stability
+from rkdglab.errors import PowerIterationError, UnsupportedDegreeError
 from rkdglab.mesh import build_mesh_1d, build_mesh_2d
-from rkdglab.operators import BlockOperator, DGSpace, assemble_upwind, certify_below
+from rkdglab.operators import (
+    BlockOperator,
+    DGSpace,
+    assemble_upwind,
+    certify_below,
+    top_eigenvalue,
+)
 from rkdglab.stability import (
     DELTA_FLOOR,
     cfl_sweep,
@@ -67,9 +73,35 @@ def test_cfl_sweep_flags_numerical_failures_only(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(stability, "delta", fail)
+    monkeypatch.setattr(stability, "growth_excess", fail)
     (point,) = cfl_sweep(taylor_scheme(2), 1, 1, (8,), 1, (0.1,))
     assert point.flagged and np.isnan(point.delta)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cfl_sweep_builds_each_mesh_once(dim, monkeypatch):
+    # one mesh, one pair of operators and one set of their symbols per N,
+    # and every row is the one delta computes on its own
+    counts = {"mesh": 0, "assemble": 0, "symbols": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(stability, "_mesh_for", counted("mesh", stability._mesh_for))
+    monkeypatch.setattr(operators, "assemble_upwind", counted("assemble", operators.assemble_upwind))
+    monkeypatch.setattr(BlockOperator, "symbols", counted("symbols", BlockOperator.symbols))
+    n_list, grid = (8, 12), (0.05, 0.2, 0.35)
+    for scheme in (taylor_scheme(3), taylor_scheme(3, "sdA")):
+        counts.update(mesh=0, assemble=0, symbols=0)
+        points = cfl_sweep(scheme, 2, dim, n_list, 2, grid)
+        per_mesh_symbols = 2 if scheme.variant == "sdA" else 1
+        assert counts == {"mesh": 2, "assemble": 2, "symbols": 2 * per_mesh_symbols}
+        singles = [delta(scheme, stability._mesh_for(dim, n), 2, cfl, 2)
+                   for n in n_list for cfl in grid]
+        assert [repr(p) for p in points] == [repr(p) for p in singles]
 
 
 def test_weak_stability_slopes():
@@ -222,13 +254,52 @@ def test_known_failure_point_certifies_the_floor(monkeypatch):
         assert point.delta == DELTA_FLOOR and point.route == "certificate", seed
 
 
-def test_growth_above_the_cap_falls_back_to_power_iteration(monkeypatch):
-    # 4,400 dofs and an expanding map: the certificate fails, no dense matrix is built
+def test_growth_above_the_cap_falls_back_to_lanczos(monkeypatch):
+    # 4,400 dofs and an expanding map: the certificate fails, no dense
+    # matrix is built; the pin is np.linalg.eigvalsh of the dense S_1
+    # (test_lanczos_matches_dense_eigenvalues_above_the_cap regenerates it)
     monkeypatch.setattr(BlockOperator, "as_dense", _no_dense)
     monkeypatch.setattr(EvolutionMap, "as_dense", _no_dense)
     point = delta(taylor_scheme(2), build_mesh_1d(1100, 0.15, seed=0), 3, 0.4)
-    assert point.route == "power_iteration"
-    assert point.delta == pytest.approx(1131.7880355115935, rel=1e-9)
+    assert point.route == "lanczos"
+    assert point.delta == pytest.approx(1131.7880461780637, rel=1e-12)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(4))
+def test_lanczos_matches_dense_eigenvalues_above_the_cap(seed):
+    # about 14 s per seed: a dense eigvalsh of 4,400 unknowns
+    emap = evolution_map(taylor_scheme(2), build_mesh_1d(1100, 0.15, seed=seed), 3, 0.4)
+    s_1 = excess_operator(emap)
+    dense = np.linalg.eigvalsh(s_1.as_dense())[-1]
+    print(f"N=1100 k=3 r=2 cfl=0.4 mesh seed {seed}: dense top eigenvalue {float(dense)!r}")
+    assert top_eigenvalue(s_1) == pytest.approx(dense, rel=1e-12)
+
+
+def test_lanczos_matches_eigvalsh_on_random_symmetric_operators():
+    # the operators of test_certificate_brackets_the_top_eigenvalue, whose
+    # Krylov spaces fill the space, and a perturbed-mesh S_1 of 1,200
+    # unknowns, where the residual test stops Lanczos long before that
+    rng = np.random.Generator(np.random.PCG64(5))
+    for n, p, s in ((5, 2, 2), (7, 2, 3), (9, 3, 1), (16, 1, 3), (20, 3, 2)):
+        space = DGSpace(build_mesh_1d(n, 0.2, seed=n), p - 1)
+        e = BlockOperator(space, {-j: 0.3 * rng.standard_normal((n, p, p)) for j in range(s + 1)})
+        sym = e + e.transpose() + e.transpose() @ e
+        top = np.linalg.eigvalsh(sym.as_dense())[-1]
+        assert top_eigenvalue(sym) == pytest.approx(top, rel=1e-12, abs=1e-14), (n, p, s)
+    emap = evolution_map(taylor_scheme(3), build_mesh_1d(400, 0.15, seed=2), 2, 0.3)
+    s_1 = excess_operator(emap)
+    assert top_eigenvalue(s_1) == pytest.approx(np.linalg.eigvalsh(s_1.as_dense())[-1], rel=1e-12)
+
+
+def test_lanczos_failure_names_lanczos_and_keeps_the_ritz_pair(monkeypatch):
+    monkeypatch.setattr(operators, "LANCZOS_MAX_ITER", 3)
+    emap = evolution_map(taylor_scheme(3), build_mesh_1d(400, 0.15, seed=2), 2, 0.3)
+    with pytest.raises(PowerIterationError, match="Lanczos") as info:
+        top_eigenvalue(excess_operator(emap))
+    assert np.isfinite(info.value.last_estimate)
+    assert info.value.last_vector.shape == (emap.n_dofs,)
+    assert np.linalg.norm(info.value.last_vector) == pytest.approx(1.0)
 
 
 def test_stability_point_records_its_route():
