@@ -57,6 +57,33 @@ def legendre_modes(k, x_ref):
 
 
 @lru_cache(maxsize=64)
+def gauss_mode_table(k, n_points):
+    """(quad, vals, ders): the n_points Gauss rule and the modes at its nodes.
+
+    vals and ders are the cached, read-only legendre_modes(k, quad.nodes),
+    each of shape (k+1, n_points): the one 1D table every quadrature
+    contraction reads, in each direction of a 2D cell.
+    """
+    quad = gauss_quadrature(n_points)
+    vals, ders = legendre_modes(k, quad.nodes)
+    vals.setflags(write=False)
+    ders.setflags(write=False)
+    return quad, vals, ders
+
+
+def sum_factorized(t, a, b):
+    """a t b^T over the last two axes of t: sum_{q,r} a[i, q] t[..., q, r] b[j, r].
+
+    The tensor-product contraction taken one direction at a time: one
+    matrix product over every row of t along the last axis, then a batch of
+    small ones along the other.  Returns shape t.shape[:-2] + (len(a), len(b)).
+    """
+    lead, (q, r) = t.shape[:-2], t.shape[-2:]
+    tb = (t.reshape(-1, r) @ b.T).reshape(-1, q, len(b))
+    return (a @ tb).reshape(lead + (len(a), len(b)))
+
+
+@lru_cache(maxsize=64)
 def basis_2d_index(k):
     """Graded-lexicographic ordering of the 2D modes {(a, b): a+b <= k}."""
     if k < 0:

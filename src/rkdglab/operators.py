@@ -12,10 +12,10 @@ import numpy as np
 
 from .basis import (
     basis_2d_index,
-    gauss_quadrature,
+    gauss_mode_table,
     kron_sum_2d,
-    legendre_modes,
     reference_tables,
+    sum_factorized,
     tensor_index,
     to_tensor,
 )
@@ -435,7 +435,7 @@ def cell_quadrature(space, n_points=None):
     y (ny, q) in 2D; weights include the cell Jacobians and have shape
     (n_cells, q) or (nx, ny, q, q).  quad is the reference rule on [-1, 1].
     """
-    quad = gauss_quadrature(quadrature_points(space.degree, n_points))
+    quad, _, _ = gauss_mode_table(space.degree, quadrature_points(space.degree, n_points))
     mesh = space.mesh
     if space.dim == 1:
         h = mesh.cell_sizes
@@ -482,7 +482,7 @@ def project(f, space=None, target="full", n_points=None):
 def _project_callable(f, space, n_points=None):
     quad, points, _ = cell_quadrature(space, n_points)
     k = space.degree
-    vals, _ = legendre_modes(k, quad.nodes)
+    _, vals, _ = gauss_mode_table(k, len(quad.nodes))
     mesh = space.mesh
     if space.dim == 1:
         h = mesh.cell_sizes
@@ -491,8 +491,9 @@ def _project_callable(f, space, n_points=None):
         return GridFunction(space, coeffs)
     xq, yq = points
     fxy = f(xq[:, None, :, None], yq[None, :, None, :])
-    tensor = np.einsum("q,r,aq,br,xyqr->xyab", quad.weights, quad.weights, vals, vals, fxy)
-    tensor *= np.sqrt(mesh.hx * mesh.hy) / 2.0
+    # P_x f P_y^T with the 1D projection table P = sqrt(h/2) w_q vals per direction
+    weighted = vals * quad.weights
+    tensor = sum_factorized(fxy, np.sqrt(mesh.hx / 2.0) * weighted, np.sqrt(mesh.hy / 2.0) * weighted)
     coeffs = tensor.reshape(mesh.nx, mesh.ny, -1)[..., tensor_index(k)]
     return GridFunction(space, coeffs)
 
@@ -528,14 +529,14 @@ def eval_grid(u, n_points=None):
     """Values of a grid function at the quadrature_grid points."""
     space = u.space
     k = space.degree
-    nodes = gauss_quadrature(quadrature_points(k, n_points)).nodes
-    vals, _ = legendre_modes(k, nodes)
+    _, vals, _ = gauss_mode_table(k, quadrature_points(k, n_points))
     mesh = space.mesh
     if space.dim == 1:
         scale = np.sqrt(2.0 / mesh.cell_sizes)
         return scale[:, None] * np.einsum("im,mq->iq", u.coeffs, vals)
-    scale = 2.0 / np.sqrt(mesh.hx * mesh.hy)
-    return scale * np.einsum("xyab,aq,br->xyqr", to_tensor(u.coeffs, k), vals, vals)
+    # E_x s E_y^T with the 1D evaluation table E = sqrt(2/h) vals^T per direction
+    return sum_factorized(to_tensor(u.coeffs, k), np.sqrt(2.0 / mesh.hx) * vals.T,
+                          np.sqrt(2.0 / mesh.hy) * vals.T)
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +848,9 @@ def top_eigenvalue(op):
     check = 16
     for j in range(min(LANCZOS_MAX_ITER, n)):
         if j == len(basis):
-            basis.resize((2 * j, n))    # in place: no view of basis is alive here
+            # in place: no view of basis is alive here.  refcheck would also
+            # count a profiler's reference to the bound method basis.resize
+            basis.resize((2 * j, n), refcheck=False)
         basis[j] = w / b
         if j:
             beta.append(b)

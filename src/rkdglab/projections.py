@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .basis import kron_sum_2d, legendre_modes, reference_tables, tensor_index
+from .basis import gauss_mode_table, kron_sum_2d, reference_tables, sum_factorized, tensor_index
 from .errors import (
     CflTooLargeError,
     PowerIterationError,
@@ -75,7 +75,7 @@ def lsz(f, space, n_points=None):
     k = space.degree
     mesh = space.mesh
     quad, (xq, yq), _ = cell_quadrature(space, n_points)
-    vals, ders = legendre_modes(k, quad.nodes)
+    _, vals, ders = gauss_mode_table(k, len(quad.nodes))
     right, left, _ = reference_tables(k)
     jump = right - left
     g = _lsz_system(space)
@@ -91,19 +91,23 @@ def lsz(f, space, n_points=None):
 
     # every test mode (p, q) at once, in the (k+1, k+1) tensor layout: the
     # volume term against beta . grad of the test mode, minus the top and
-    # right edge terms
+    # right edge terms.  One sum-factorized product with the stacked
+    # [modes; derivatives] table per direction gives every volume integral:
+    # blocks (D, V) and (V, D) are the two gradient terms, (V, V) the moments
     wqx = quad.weights * hx / 2.0
     wqy = quad.weights * hy / 2.0
     sxy = 2.0 / np.sqrt(hx * hy)
-    volume = "q,r,xyqr,pq,sr->xyps"
-    grad_test = bx * np.einsum(volume, wqx, wqy, fvol, ders * 2.0 / hx, vals)
-    grad_test += by * np.einsum(volume, wqx, wqy, fvol, vals, ders * 2.0 / hy)
+    m1 = k + 1
+    tx = np.vstack([vals, ders * 2.0 / hx]) * wqx
+    ty = np.vstack([vals, ders * 2.0 / hy]) * wqy
+    vol = sum_factorized(fvol, tx, ty)
+    grad_test = bx * vol[..., m1:, :m1] + by * vol[..., :m1, m1:]
     edge = np.sqrt(2.0 / hx) * np.sqrt(2.0 / hy)
-    top = by * edge * np.einsum("q,xyq,pq->xyp", wqx, ftop, vals)[..., :, None] * jump
-    rgt = bx * edge * np.einsum("r,xyr,sr->xys", wqy, frgt, vals)[..., None, :] * jump[:, None]
+    top = by * edge * (ftop @ (vals * wqx).T)[..., :, None] * jump
+    rgt = bx * edge * (frgt @ (vals * wqy).T)[..., None, :] * jump[:, None]
     rhs = (sxy * grad_test - top - rgt).reshape(nx, ny, -1)[..., tensor_index(k)]
     # cell average, expressed as the L2 coefficient of the constant mode
-    rhs[..., 0] = np.einsum("q,r,xyqr->xy", wqx, wqy, fvol) * vals[0, 0] ** 2 * sxy
+    rhs[..., 0] = vol[..., 0, 0] * sxy
     try:
         coeffs = np.linalg.solve(g, rhs.reshape(-1, m).T).T
     except np.linalg.LinAlgError as exc:

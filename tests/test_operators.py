@@ -3,7 +3,7 @@ import pytest
 
 from conftest import weak_form_1d, weak_form_2d
 
-from rkdglab.basis import gauss_quadrature, legendre_modes
+from rkdglab.basis import gauss_quadrature, legendre_modes, tensor_index, to_tensor
 from rkdglab.errors import IncompatibleSpacesError, UnsupportedDegreeError
 from rkdglab.mesh import build_mesh_1d, build_mesh_2d
 from rkdglab.operators import (
@@ -20,6 +20,7 @@ from rkdglab.operators import (
     operator_norm,
     project,
     quadrature_grid,
+    quadrature_points,
     reduce_operator,
     save_dense_binary,
     save_dense_text,
@@ -281,6 +282,47 @@ def test_projection_error_order():
         errs.append(np.sqrt(np.sum(w * (vals - np.sin(2 * np.pi * x)) ** 2)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(ns) - 1)]
     assert abs(orders[-1] - (k + 1)) <= 0.05
+
+
+def _xy_data(x, y):
+    # differs in x and y, so a transposed x/y contraction shows
+    return np.sin(2 * np.pi * x) * np.cos(4 * np.pi * y) + x**2 * y
+
+
+def _gauss_rule_and_modes(k, n_points):
+    quad = gauss_quadrature(quadrature_points(k, n_points))
+    vals, _ = legendre_modes(k, quad.nodes)
+    return quad, vals
+
+
+@pytest.mark.parametrize("n_points", [None, 7])
+@pytest.mark.parametrize("k", range(5))
+def test_sum_factorized_projection_matches_the_einsum_formula(k, n_points):
+    # reference: the full quadrature contraction over every (x, y, a, b, q, r)
+    mesh = build_mesh_2d(5, 3, 1.0, 2.0)
+    space = DGSpace(mesh, k)
+    quad, vals = _gauss_rule_and_modes(k, n_points)
+    x, y, _ = quadrature_grid(space, n_points)
+    fxy = _xy_data(x[:, None, :, None], y[None, :, None, :])
+    tensor = np.einsum("q,r,aq,br,xyqr->xyab", quad.weights, quad.weights, vals, vals, fxy)
+    tensor *= np.sqrt(mesh.hx * mesh.hy) / 2.0
+    expected = tensor.reshape(mesh.nx, mesh.ny, -1)[..., tensor_index(k)]
+    got = project(_xy_data, space, n_points=n_points).coeffs
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n_points", [None, 7])
+@pytest.mark.parametrize("k", range(5))
+def test_sum_factorized_evaluation_matches_the_einsum_formula(k, n_points):
+    mesh = build_mesh_2d(5, 3, 1.0, 2.0)
+    space = DGSpace(mesh, k)
+    _, vals = _gauss_rule_and_modes(k, n_points)
+    for u in (space.random(k + 1), project(_xy_data, space)):
+        tensor = to_tensor(u.coeffs, k)
+        expected = 2.0 / np.sqrt(mesh.hx * mesh.hy) * np.einsum("xyab,aq,br->xyqr", tensor, vals, vals)
+        got = eval_grid(u, n_points)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rkdglab.basis import basis_2d_index, gauss_quadrature, legendre_modes
+from rkdglab.basis import basis_2d_index, gauss_quadrature, legendre_modes, reference_tables, tensor_index
 from rkdglab.errors import CflTooLargeError, UnsupportedMeshError
 from rkdglab.experiments import TravelingSine
 from rkdglab.mesh import build_mesh_1d, build_mesh_2d
@@ -13,7 +13,7 @@ from rkdglab.operators import (
     quadrature_grid,
     reduce_operator,
 )
-from rkdglab.projections import gauss_radau, lsz, pi_star, special_projection
+from rkdglab.projections import _lsz_system, gauss_radau, lsz, pi_star, special_projection
 from rkdglab.schemes import taylor_scheme
 
 
@@ -186,6 +186,47 @@ def test_lsz_defining_conditions_by_quadrature():
         )
         worst = max(worst, np.abs(grad - t_top - t_rgt).max())
     assert worst <= 1e-10
+
+
+def _lsz_by_einsum(f, space, n_points):
+    """lsz by full multi-operand quadrature contractions (the reference)."""
+    k, mesh = space.degree, space.mesh
+    quad = gauss_quadrature(n_points)
+    vals, ders = legendre_modes(k, quad.nodes)
+    right, left, _ = reference_tables(k)
+    jump = right - left
+    nx, ny, hx, hy = mesh.nx, mesh.ny, mesh.hx, mesh.hy
+    bx, by = mesh.beta_x, mesh.beta_y
+    xq, yq, _ = quadrature_grid(space, n_points)
+    fvol = f(xq[:, None, :, None], yq[None, :, None, :])
+    ytop = (np.arange(ny)[None, :, None] + 1.0) * hy
+    ftop = f(xq[:, None, :], np.broadcast_to(ytop, (nx, ny, 1)))
+    xright = (np.arange(nx)[:, None, None] + 1.0) * hx
+    frgt = f(np.broadcast_to(xright, (nx, ny, 1)), yq[None, :, :])
+    wqx = quad.weights * hx / 2.0
+    wqy = quad.weights * hy / 2.0
+    sxy = 2.0 / np.sqrt(hx * hy)
+    volume = "q,r,xyqr,pq,sr->xyps"
+    grad_test = bx * np.einsum(volume, wqx, wqy, fvol, ders * 2.0 / hx, vals)
+    grad_test += by * np.einsum(volume, wqx, wqy, fvol, vals, ders * 2.0 / hy)
+    edge = np.sqrt(2.0 / hx) * np.sqrt(2.0 / hy)
+    top = by * edge * np.einsum("q,xyq,pq->xyp", wqx, ftop, vals)[..., :, None] * jump
+    rgt = bx * edge * np.einsum("r,xyr,sr->xys", wqy, frgt, vals)[..., None, :] * jump[:, None]
+    rhs = (sxy * grad_test - top - rgt).reshape(nx, ny, -1)[..., tensor_index(k)]
+    rhs[..., 0] = np.einsum("q,r,xyqr->xy", wqx, wqy, fvol) * vals[0, 0] ** 2 * sxy
+    coeffs = np.linalg.solve(_lsz_system(space), rhs.reshape(-1, space.n_modes).T).T
+    return coeffs.reshape(space.shape)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_sum_factorized_lsz_matches_the_einsum_formula(k):
+    # non-square cells, beta_x != beta_y and data that differs in x and y
+    space = DGSpace(build_mesh_2d(5, 3, 1.0, 2.0), k)
+    f = lambda x, y: np.sin(2 * np.pi * x) * np.cos(4 * np.pi * y) + x**2 * y
+    for n_points in (None, 7):
+        expected = _lsz_by_einsum(f, space, n_points or max(10, k + 4))
+        got = lsz(f, space, n_points=n_points).coeffs
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), n_points
 
 
 def test_lsz_error_order():

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,21 @@ def test_lanczos_matches_eigvalsh_on_random_symmetric_operators():
     emap = evolution_map(taylor_scheme(3), build_mesh_1d(400, 0.15, seed=2), 2, 0.3)
     s_1 = excess_operator(emap)
     assert top_eigenvalue(s_1) == pytest.approx(np.linalg.eigvalsh(s_1.as_dense())[-1], rel=1e-12)
+
+
+def test_lanczos_runs_under_a_profiler():
+    # the Krylov basis grows in place past 16 vectors; a profiler's reference
+    # to the bound method must not stop it, nor change a bit of the result
+    emap = evolution_map(taylor_scheme(3), build_mesh_1d(400, 0.15, seed=2), 2, 0.3)
+    s_1 = excess_operator(emap)
+    plain = top_eigenvalue(s_1)
+    previous = sys.getprofile()
+    sys.setprofile(lambda *args: None)
+    try:
+        profiled = top_eigenvalue(s_1)
+    finally:
+        sys.setprofile(previous)
+    assert profiled == plain
 
 
 def test_lanczos_failure_names_lanczos_and_keeps_the_ritz_pair(monkeypatch):
