@@ -7,14 +7,19 @@ printed with 3 significant digits, growth metrics and CFL numbers with 6,
 and every rounded column has a full-precision twin with suffix _raw.
 """
 import argparse
-import io
 import math
 import operator
 import sys
 
 from . import __version__
 from .errors import ConfigError
-from .experiments import ProblemSpec, accuracy_table, regularity_study
+from .experiments import (
+    ProblemSpec,
+    accuracy_table,
+    regularity_default_time,
+    regularity_study,
+    resolve_timestep,
+)
 from .props import run_all as run_property_checks
 from .schemes import taylor_scheme
 from .stability import cfl_sweep, fourier_cfl
@@ -181,16 +186,9 @@ def _echo(values):
     return " ".join(parts)
 
 
-def _sig3(x):
-    return "nan" if not math.isfinite(x) else f"{x:.2e}"
-
-
-def _sig6(x):
-    return "nan" if not math.isfinite(x) else f"{x:.5e}"
-
-
-def _raw(x):
-    return "nan" if not math.isfinite(x) else f"{x:.17g}"
+def _fmt(x, spec):
+    """x in the given format spec, or nan when it is not finite."""
+    return format(x, spec) if math.isfinite(x) else "nan"
 
 
 def _schemes_for(values):
@@ -204,10 +202,23 @@ def _schemes_for(values):
                 raise ConfigError(f"cfl needs r >= 2 and k >= 1, got r = {r}, k = {k}")
             if command == "regularity" and k != r - 1:
                 raise ConfigError(f"regularity needs k = r - 1, got r = {r}, k = {k}")
+            if command == "regularity" and values["flat_mode"] == "r" and r < 2:
+                raise ConfigError(f"regularity with flat_mode r needs flat = r >= 2, got r = {r}")
             if variant == "sdA" and k == 0:
                 raise ConfigError("variant sdA needs polynomial degree k >= 1, got k = 0")
             pairs.append((taylor_scheme(r, variant), k))
     return pairs
+
+
+def _check_step_counts(values, pairs, t_end):
+    """Reject, before any row runs, a final time (None: regularity_default_time)
+    that no finite number of the row's time steps reaches."""
+    for scheme, _ in pairs:
+        t = regularity_default_time(scheme.order) if t_end is None else t_end
+        for n in values["N"]:
+            tau = resolve_timestep(values["timestep"], scheme.order, values["dim"], n)
+            if not math.isfinite(t / tau):
+                raise ConfigError(f"T = {t} is not a finite number of time steps of {tau}")
 
 
 def run(values, out_stream=None, err_stream=None):
@@ -216,34 +227,29 @@ def run(values, out_stream=None, err_stream=None):
     command = values["command"]
     warn_rows = 0
     failed_rows = 0
+    failed_checks = 0
     notes = []
 
-    if command == "prop-tests":
-        buf = io.StringIO()
-        failures = run_property_checks(out=lambda s: buf.write(s + "\n"))
-        try:
-            _write_output(values, buf.getvalue(), out_stream, err, plain=True)
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=err)
-            return 2
-        return 0 if failures == 0 else 1
-
     n_quad = None if values["quad_points"] == "auto" else values["quad_points"]
-    rows = []
-    if command in ("accuracy", "regularity"):
-        header = ACCURACY_HEADER
+    if command == "prop-tests":
+        rows = []
+        failed_checks = run_property_checks(out=rows.append)
+    elif command in ("accuracy", "regularity"):
+        rows = [ACCURACY_HEADER]
+        pairs = _schemes_for(values)
+        default_t = 1.0 if command == "accuracy" else None
+        t_end = default_t if values["T"] == "auto" else values["T"]
+        _check_step_counts(values, pairs, t_end)
         if command == "accuracy":
-            t_end = 1.0 if values["T"] == "auto" else values["T"]
             problem = ProblemSpec(dim=values["dim"], ic="sin", final_time=t_end)
             table = accuracy_table(
-                _schemes_for(values), problem, values["N"],
+                pairs, problem, values["N"],
                 timestep=values["timestep"], perturb=values["perturb"],
                 seed=values["seed"], n_quad=n_quad,
             )
         else:
             table = []
-            t_end = None if values["T"] == "auto" else values["T"]
-            for scheme, k in _schemes_for(values):
+            for scheme, k in pairs:
                 table.extend(regularity_study(
                     scheme, k, values["flat_mode"], values["N"], final_time=t_end,
                     dim=values["dim"], perturb=values["perturb"], seed=values["seed"],
@@ -255,13 +261,13 @@ def run(values, out_stream=None, err_stream=None):
                 notes.append(f"warning: {row.scheme} {row.variant} N={row.n} "
                              f"blew up at step {row.blowup_step}")
             eoc = "" if row.eoc is None else f"{row.eoc:.2f}"
-            eoc_raw = "" if row.eoc is None else _raw(row.eoc)
+            eoc_raw = "" if row.eoc is None else _fmt(row.eoc, ".17g")
             rows.append(
                 f"{row.scheme},{row.variant},{row.dim},{row.n},{row.dofs},"
-                f"{_sig3(row.l2_error)},{eoc},{_raw(row.l2_error)},{eoc_raw}"
+                f"{_fmt(row.l2_error, '.2e')},{eoc},{_fmt(row.l2_error, '.17g')},{eoc_raw}"
             )
     elif command == "stability":
-        header = STABILITY_HEADER
+        rows = [STABILITY_HEADER]
         for scheme, k in _schemes_for(values):
             for pt in cfl_sweep(scheme, k, values["dim"], values["N"],
                                 values["m"], values["cfl"]):
@@ -271,23 +277,23 @@ def run(values, out_stream=None, err_stream=None):
                                  f"cfl={pt.cfl:.6g}: growth is not finite")
                 rows.append(
                     f"{pt.scheme},{pt.variant},{pt.dim},{pt.n},{pt.m},"
-                    f"{pt.cfl:.6g},{_sig6(pt.delta)},{_raw(pt.delta)}"
+                    f"{pt.cfl:.6g},{_fmt(pt.delta, '.5e')},{_fmt(pt.delta, '.17g')}"
                 )
     elif command == "cfl":
-        header = CFL_HEADER
+        rows = [CFL_HEADER]
         for scheme, k in _schemes_for(values):
             res = fourier_cfl(scheme, k)
             warn_rows += 0 if res.found else 1
             rows.append(
                 f"{scheme.label(k)},{scheme.variant},{scheme.order},{k},"
-                f"{res.value:.6g},{_raw(res.value)}"
+                f"{res.value:.6g},{_fmt(res.value, '.17g')}"
             )
     else:  # pragma: no cover - parse_config already validates
         raise ConfigError(f"unknown command {command!r}")
 
-    body = header + "\n" + "".join(line + "\n" for line in rows)
+    body = "".join(line + "\n" for line in rows)
     try:
-        _write_output(values, body, out_stream, err)
+        _write_output(values, body, out_stream, err, plain=command == "prop-tests")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=err)
         return 2
@@ -297,8 +303,7 @@ def run(values, out_stream=None, err_stream=None):
         print(f"warning: {warn_rows} flagged row(s)", file=err)
     if failed_rows:
         print(f"error: {failed_rows} failed row(s)", file=err)
-        return 1
-    return 0
+    return 1 if failed_rows or failed_checks else 0
 
 
 def _write_output(values, body, out_stream, err, plain=False):

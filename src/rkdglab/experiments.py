@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import BlowUpError
 from .mesh import build_mesh_1d, build_mesh_2d
-from .operators import DGSpace, eval_grid, project, quadrature_grid, quadrature_points
+from .operators import DGSpace, eval_grid, grid_values, project, quadrature_grid, quadrature_points
 from .schemes import evolve
 
 
@@ -16,54 +16,42 @@ from .schemes import evolve
 # ---------------------------------------------------------------------------
 
 class TravelingSine:
-    """sin(2 pi x) or sin(2 pi (x+y)) advected at constant speed."""
+    """sin(2 pi x) or sin(2 pi (x+y)) advected at constant speed.
 
-    def __init__(self, dim, beta=1.0, beta_x=1.0, beta_y=1.0):
-        self.dim = dim
-        self.speed = beta if dim == 1 else beta_x + beta_y
-
-    def value(self, *xy):
-        return np.sin(2.0 * np.pi * sum(xy))
-
-    def exact(self, t):
-        shift = self.speed * t
-        return lambda *xy: np.sin(2.0 * np.pi * (sum(xy) - shift))
-
-    def deriv(self, i):
-        """i-th advective derivative (-beta . grad)^i of the initial data."""
-        amp = (-self.speed * 2.0 * np.pi) ** i
-        phase = i * np.pi / 2.0
-        return lambda *xy: amp * np.sin(2.0 * np.pi * sum(xy) + phase)
-
-
-class TravelingSinePower:
-    """sin(...)^(flat - 1/3) data of limited smoothness, advected.
-
-    The fractional power is read through the real cube root of an integer
-    power: sin^{flat - 1/3} = cbrt(sin^{3 flat - 1}), which is odd or
-    nonnegative depending on the parity of 3*flat - 1.
+    With a regularity parameter flat, the data of limited smoothness
+    sin(...)^(flat - 1/3) instead.  The fractional power is read through
+    the real cube root of an integer power: sin^{flat - 1/3} =
+    cbrt(sin^{3 flat - 1}), which is odd or nonnegative depending on the
+    parity of 3*flat - 1.
     """
 
-    def __init__(self, dim, flat, beta=1.0, beta_x=1.0, beta_y=1.0):
-        if flat < 2:
+    def __init__(self, dim, beta=1.0, beta_x=1.0, beta_y=1.0, flat=None):
+        if flat is not None and flat < 2:
             raise ValueError("regularity parameter must be >= 2")
         self.dim = dim
         self.flat = flat
         self.speed = beta if dim == 1 else beta_x + beta_y
 
-    def value(self, *xy):
-        p = 3 * self.flat - 1
-        return np.cbrt(np.sin(2.0 * np.pi * sum(xy)) ** p)
+    @property
+    def value(self):
+        return self.exact(0.0)
 
     def exact(self, t):
-        p = 3 * self.flat - 1
         shift = self.speed * t
+        if self.flat is None:
+            return lambda *xy: np.sin(2.0 * np.pi * (sum(xy) - shift))
+        p = 3 * self.flat - 1
         return lambda *xy: np.cbrt(np.sin(2.0 * np.pi * (sum(xy) - shift)) ** p)
 
     def deriv(self, i):
+        """i-th advective derivative (-beta . grad)^i of the initial data."""
         if i == 0:
             return self.value
-        raise NotImplementedError("analytic derivatives only kept for smooth data")
+        if self.flat is not None:
+            raise NotImplementedError("analytic derivatives only kept for smooth data")
+        amp = (-self.speed * 2.0 * np.pi) ** i
+        phase = i * np.pi / 2.0
+        return lambda *xy: amp * np.sin(2.0 * np.pi * sum(xy) + phase)
 
 
 @dataclass(frozen=True)
@@ -85,18 +73,13 @@ class ProblemSpec:
             raise ValueError("sinpow data needs a regularity parameter >= 2")
 
     def field(self):
-        if self.ic == "sin":
-            return TravelingSine(self.dim, self.beta, self.beta_x, self.beta_y)
-        return TravelingSinePower(self.dim, self.flat, self.beta, self.beta_x, self.beta_y)
+        return TravelingSine(self.dim, self.beta, self.beta_x, self.beta_y,
+                             self.flat if self.ic == "sinpow" else None)
 
     def error_quadrature(self, k):
         # singular sinpow derivatives need denser error quadrature
         nq = quadrature_points(k)
         return max(16, nq) if self.ic == "sinpow" else nq
-
-    def label(self):
-        name = self.ic if self.flat is None else f"{self.ic}({self.flat})"
-        return f"{name}_{self.dim}d"
 
 
 def build_problem_mesh(problem, n, perturb=0.0, seed=0):
@@ -115,15 +98,9 @@ def l2_error(u, problem, t, n_points=None):
     """L2 distance between a grid function and the exact solution at time t."""
     space = u.space
     nq = n_points if n_points is not None else problem.error_quadrature(space.degree)
-    exact = problem.field().exact(t)
-    if space.dim == 1:
-        x, w = quadrature_grid(space, nq)
-        vals = eval_grid(u, nq)
-        return float(np.sqrt(np.sum(w * (vals - exact(x)) ** 2)))
-    x, y, w = quadrature_grid(space, nq)
-    vals = eval_grid(u, nq)
-    fx = exact(x[:, None, :, None], y[None, :, None, :])
-    return float(np.sqrt(np.sum(w * (vals - fx) ** 2)))
+    *points, w = quadrature_grid(space, nq)
+    exact = grid_values(problem.field().exact(t), points)
+    return float(np.sqrt(np.sum(w * (eval_grid(u, nq) - exact) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +141,14 @@ class AccuracyRow:
 def _run_single(scheme, k, problem, n, timestep, perturb, seed, n_quad):
     mesh = build_problem_mesh(problem, n, perturb=perturb, seed=seed)
     space = DGSpace(mesh, k)
-    field = problem.field()
     nq = n_quad if n_quad is not None else problem.error_quadrature(k)
-    u0 = project(field.value, space, n_points=nq)
+    u0 = project(problem.field().value, space, n_points=nq)
     tau = resolve_timestep(timestep, scheme.order, problem.dim, n)
     try:
         result = evolve(scheme, mesh, k, u0, problem.final_time, tau)
     except BlowUpError as exc:
-        return math.nan, exc
-    return l2_error(result.u, problem, problem.final_time, n_points=nq), None
+        return space.n_dofs, math.nan, exc
+    return space.n_dofs, l2_error(result.u, problem, problem.final_time, n_points=nq), None
 
 
 def accuracy_table(schemes, problem, n_list, timestep="benchmark",
@@ -187,19 +163,18 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
     for scheme, k in schemes:
         prev = None
         for n in n_list:
-            err, blowup = _run_single(
+            dofs, err, blowup = _run_single(
                 scheme, k, problem, n, timestep, perturb, seed, n_quad,
             )
             eoc = None
             if prev is not None and np.isfinite(err) and np.isfinite(prev[1]) and err > 0:
                 eoc = math.log(prev[1] / err) / math.log(n / prev[0])
-            space_dofs = (k + 1) * n if problem.dim == 1 else n * n * (k + 1) * (k + 2) // 2
             rows.append(AccuracyRow(
                 scheme=scheme.label(k),
                 variant=scheme.variant,
                 dim=problem.dim,
                 n=n,
-                dofs=space_dofs,
+                dofs=dofs,
                 l2_error=err,
                 eoc=eoc,
                 flagged=blowup is not None,

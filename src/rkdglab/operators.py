@@ -405,10 +405,7 @@ def reduce_operator(op):
     blocks = {}
     for off, blk in op.blocks.items():
         b = blk.copy()
-        if b.ndim == 2:
-            b[mask, :] = 0.0
-        else:
-            b[:, mask, :] = 0.0
+        b[..., mask, :] = 0.0
         blocks[off] = b
     return BlockOperator(space, blocks)
 
@@ -484,16 +481,14 @@ def _project_callable(f, space, n_points=None):
     k = space.degree
     _, vals, _ = gauss_mode_table(k, len(quad.nodes))
     mesh = space.mesh
+    fx = grid_values(f, points)
     if space.dim == 1:
         h = mesh.cell_sizes
-        fx = f(*points)
         coeffs = np.sqrt(h / 2.0)[:, None] * np.einsum("q,mq,iq->im", quad.weights, vals, fx)
         return GridFunction(space, coeffs)
-    xq, yq = points
-    fxy = f(xq[:, None, :, None], yq[None, :, None, :])
     # P_x f P_y^T with the 1D projection table P = sqrt(h/2) w_q vals per direction
     weighted = vals * quad.weights
-    tensor = sum_factorized(fxy, np.sqrt(mesh.hx / 2.0) * weighted, np.sqrt(mesh.hy / 2.0) * weighted)
+    tensor = sum_factorized(fx, np.sqrt(mesh.hx / 2.0) * weighted, np.sqrt(mesh.hy / 2.0) * weighted)
     coeffs = tensor.reshape(mesh.nx, mesh.ny, -1)[..., tensor_index(k)]
     return GridFunction(space, coeffs)
 
@@ -506,6 +501,15 @@ def quadrature_grid(space, n_points=None):
     """
     _, points, w = cell_quadrature(space, n_points)
     return (*points, w)
+
+
+def grid_values(f, points):
+    """f at the points of cell_quadrature, laid out as eval_grid's values:
+    (n_cells, q) in 1D and the (nx, ny, q, q) tensor grid in 2D."""
+    if len(points) == 1:
+        return f(*points)
+    x, y = points
+    return f(x[:, None, :, None], y[None, :, None, :])
 
 
 def strong_derivative(u):
@@ -552,33 +556,28 @@ def _traces_1d(u):
     return s * (u.coeffs @ right), s * (u.coeffs @ left)
 
 
-def _jump_values_1d(u):
-    """Jumps u^+ - u^- at every interface x_{i+1/2}, i = 0..N-1 (periodic)."""
-    r, l = _traces_1d(u)
-    return np.roll(l, -1) - r
+def _face_traces(u):
+    """[(beta, outflow, inflow), ...]: u's traces on the cell faces, per cell axis.
 
-
-def _edge_traces_2d(u):
-    """Modal x/y-line traces on the four cell edges, scaled to physical size.
-
-    Returns (top, bottom, right, left): top/bottom have shape (nx, ny, k+1)
-    of x-mode coefficients; right/left of y-mode coefficients.  The trace
-    polynomial on a horizontal edge is sum_a coef[a] * sqrt(2/hx) P~_a(xi),
-    which is orthonormal in L2 of the edge, so edge integrals of products
-    reduce to dot products of these coefficient vectors.
+    Along axis d, outflow is the trace on each cell's downwind face and
+    inflow the trace on its upwind face, so the jump u^+ - u^- on the
+    downwind faces is np.roll(inflow, -1, axis=d) - outflow.  In 1D the
+    traces are values (_traces_1d).  In 2D they are modal coefficients of
+    shape (nx, ny, k+1), scaled to physical size: the trace polynomial
+    sum_a coef[a] sqrt(2/h) P~_a on an edge of length h is orthonormal
+    in L2 of the edge, so edge integrals of products are dot products.
     """
     space = u.space
-    k = space.degree
     mesh = space.mesh
+    if space.dim == 1:
+        return [(mesh.beta, *_traces_1d(u))]
+    k = space.degree
     right, left, _ = reference_tables(k)
     tensor = to_tensor(u.coeffs, k)
     sx = np.sqrt(2.0 / mesh.hx)
     sy = np.sqrt(2.0 / mesh.hy)
-    top = np.einsum("xyab,b->xya", tensor, right * sy)
-    bottom = np.einsum("xyab,b->xya", tensor, left * sy)
-    rgt = np.einsum("xyab,a->xyb", tensor, right * sx)
-    lft = np.einsum("xyab,a->xyb", tensor, left * sx)
-    return top, bottom, rgt, lft
+    return [(mesh.beta_x, *(np.einsum("xyab,a->xyb", tensor, t * sx) for t in (right, left))),
+            (mesh.beta_y, *(np.einsum("xyab,b->xya", tensor, t * sy) for t in (right, left)))]
 
 
 @dataclass(frozen=True)
@@ -593,18 +592,9 @@ class JumpForms:
 def jump_inner(w, v):
     """beta-weighted sum/integral of [w][v] over all interfaces."""
     _check_same_space(w, v)
-    space = w.space
-    if space.dim == 1:
-        beta = space.mesh.beta
-        return float(beta * np.dot(_jump_values_1d(w), _jump_values_1d(v)))
-    mesh = space.mesh
-    wt, wb, wr, wl = _edge_traces_2d(w)
-    vt, vb, vr, vl = _edge_traces_2d(v)
-    jw_h = np.roll(wb, -1, axis=1) - wt
-    jv_h = np.roll(vb, -1, axis=1) - vt
-    jw_v = np.roll(wl, -1, axis=0) - wr
-    jv_v = np.roll(vl, -1, axis=0) - vr
-    return float(mesh.beta_y * np.sum(jw_h * jv_h) + mesh.beta_x * np.sum(jw_v * jv_v))
+    traces = enumerate(zip(_face_traces(w), _face_traces(v)))
+    return float(sum(beta * np.vdot(np.roll(wi, -1, axis=d) - wo, np.roll(vi, -1, axis=d) - vo)
+                     for d, ((beta, wo, wi), (_, vo, vi)) in traces))
 
 
 def jump_seminorm(v):
@@ -613,15 +603,7 @@ def jump_seminorm(v):
 
 def trace_norm(v):
     """beta-weighted L2 norm of both one-sided traces over the mesh skeleton."""
-    space = v.space
-    if space.dim == 1:
-        r, l = _traces_1d(v)
-        beta = space.mesh.beta
-        return float(np.sqrt(beta * np.sum(r**2 + np.roll(l, -1) ** 2)))
-    mesh = space.mesh
-    vt, vb, vr, vl = _edge_traces_2d(v)
-    sq = mesh.beta_y * (np.sum(vt**2) + np.sum(vb**2))
-    sq += mesh.beta_x * (np.sum(vr**2) + np.sum(vl**2))
+    sq = sum(beta * (np.vdot(out, out) + np.vdot(inn, inn)) for beta, out, inn in _face_traces(v))
     return float(np.sqrt(sq))
 
 
@@ -659,19 +641,6 @@ def compose_mixed(op, indices, w):
 DENSE_CAP = 4096
 
 
-def norm_route(op, dense_cap=DENSE_CAP):
-    """The method "auto" stands for: "symbol", "dense_svd" or "power_iteration".
-
-    Exact Fourier block-diagonalization for maps whose is_circulant is
-    true (uniform meshes, shared blocks), otherwise a dense solve under
-    the cap and a matrix-free one above it: power iteration for
-    operator_norm, Lanczos (top_eigenvalue) for stability.growth_excess.
-    """
-    if getattr(op, "is_circulant", False):
-        return "symbol"
-    return "dense_svd" if op.n_dofs <= dense_cap else "power_iteration"
-
-
 #: power iteration: start-vector seed (Lanczos starts there too), relative
 #: stopping step and iteration cap
 POWER_SEED = 0
@@ -684,16 +653,16 @@ def operator_norm(op, method="auto", m=1, dense_cap=DENSE_CAP):
 
     Methods: "dense_svd" assembles op densely (allowed up to dense_cap
     unknowns); "power_iteration" runs matrix-free on (op^m)(op^m)^T;
-    "auto" takes the route norm_route picks, evaluating the symbols
-    itself.
+    "auto" evaluates the Fourier symbols itself when op is_circulant and
+    otherwise calls "dense_svd" up to the cap, "power_iteration" above it.
     """
     if m < 1:
         raise ValueError("power m must be >= 1")
     if method == "auto":
-        route = norm_route(op, dense_cap)
-        if route == "symbol":
+        if getattr(op, "is_circulant", False):
             return _symbol_norm(op, m)
-        return operator_norm(op, route, m=m, dense_cap=dense_cap)
+        method = "dense_svd" if op.n_dofs <= dense_cap else "power_iteration"
+        return operator_norm(op, method, m=m, dense_cap=dense_cap)
 
     if method == "dense_svd":
         if op.n_dofs > dense_cap:

@@ -18,7 +18,7 @@ from .errors import (
     ProjectionFailureError,
     UnsupportedMeshError,
 )
-from .operators import GridFunction, cell_quadrature, operator_norm, project
+from .operators import GridFunction, cell_quadrature, grid_values, operator_norm, project
 from .schemes import symbol_increment
 
 
@@ -83,7 +83,7 @@ def lsz(f, space, n_points=None):
     nx, ny, hx, hy = mesh.nx, mesh.ny, mesh.hx, mesh.hy
     bx, by = mesh.beta_x, mesh.beta_y
 
-    fvol = f(xq[:, None, :, None], yq[None, :, None, :])          # (nx, ny, q, q)
+    fvol = grid_values(f, (xq, yq))                               # (nx, ny, q, q)
     ytop = (np.arange(ny)[None, :, None] + 1.0) * hy
     ftop = f(xq[:, None, :], np.broadcast_to(ytop, (nx, ny, 1)))  # (nx, ny, q)
     xright = (np.arange(nx)[:, None, None] + 1.0) * hx

@@ -27,18 +27,11 @@ def check_orthonormality():
     from .operators import eval_grid, quadrature_grid
 
     worst = 0.0
-    mesh = build_mesh_1d(7, perturb_fraction=0.2, seed=3)
-    for k in (0, 1, 3):
-        space = DGSpace(mesh, k)
-        u = _random_state(space, k + 1)
-        x, w = quadrature_grid(space, k + 6)
-        vals = eval_grid(u, k + 6)
-        worst = max(worst, abs(np.sqrt(np.sum(w * vals**2)) - u.norm()))
-    mesh2 = build_mesh_2d(4, 5)
-    for k in (1, 2):
-        space = DGSpace(mesh2, k)
-        u = _random_state(space, k)
-        x, y, w = quadrature_grid(space, k + 6)
+    mesh_1d, mesh_2d = build_mesh_1d(7, perturb_fraction=0.2, seed=3), build_mesh_2d(4, 5)
+    cases = [(mesh_1d, k, k + 1) for k in (0, 1, 3)] + [(mesh_2d, k, k) for k in (1, 2)]
+    for mesh, k, seed in cases:
+        u = _random_state(DGSpace(mesh, k), seed)
+        *_, w = quadrature_grid(u.space, k + 6)
         vals = eval_grid(u, k + 6)
         worst = max(worst, abs(np.sqrt(np.sum(w * vals**2)) - u.norm()))
     return "orthonormal basis isometry", worst, 1e-12

@@ -272,17 +272,22 @@ def evolve(scheme, mesh, k, u0, final_time, tau):
     (the operator is block-circulant) their steps are taken in Fourier
     space: see _evolve_fourier.  Otherwise, and in any case in which
     stepping might have blown up, it steps with the maps' increments: see
-    _evolve_fused.  final_time must be finite and >= 0, and tau > 0.
+    _evolve_fused.  final_time must be finite and >= 0, tau > 0, and
+    final_time / tau finite.
     """
     if not 0.0 <= final_time < math.inf:
         raise ValueError(f"final time must be finite and >= 0, got {final_time}")
     if not tau > 0.0:
         raise ValueError(f"time step must be > 0, got {tau}")
+    with np.errstate(over="ignore"):
+        n_steps = final_time / tau
+    if not math.isfinite(n_steps):
+        raise ValueError(f"final time {final_time} is not a finite number of time steps of {tau}")
     space = DGSpace(mesh, k)
     if u0.space != space:
         raise ValueError("initial state does not live on the requested space")
     full_op, reduced_op = stage_operators(mesh, k)
-    n_whole = int(np.floor(final_time / tau + 1e-9))
+    n_whole = int(np.floor(n_steps + 1e-9))
     remainder = final_time - n_whole * tau
     shortened = remainder > 1e-12 * max(final_time, 1.0)
     meta = dict(n_steps=n_whole + (1 if shortened else 0), t_final=final_time,

@@ -14,9 +14,9 @@ import numpy as np
 
 from .mesh import build_mesh_1d, build_mesh_2d
 from .operators import (
+    DENSE_CAP,
     certify_below,
     fft_angles,
-    norm_route,
     operator_norm,
     stage_operators,
     top_eigenvalue,
@@ -39,8 +39,7 @@ class StabilityPoint:
     delta: float
     flagged: bool = False
     #: how delta was computed (see growth_excess): "symbol", "certificate",
-    #: "dense" or "lanczos", or the method asked for ("dense_svd",
-    #: "power_iteration"); None for a flagged point
+    #: "dense" or "lanczos"; None for a flagged point
     route: Optional[str] = None
 
 
@@ -78,37 +77,36 @@ def excess_operator(emap, m=1):
     return e_m + e_mt + e_mt @ e_m
 
 
-def growth_excess(emap, m=1, method="auto"):
+def growth_excess(emap, m=1):
     """(||K^m||_2^2 - 1, route) for an evolution map K.
 
-    method "auto" follows norm_route.  A circulant map takes its Fourier
-    symbols (route "symbol").  Any other map reads the excess as the top
-    eigenvalue of S_m (excess_operator): first a floor certificate,
+    A circulant map takes its Fourier symbols (route "symbol").  Any
+    other map reads the excess as the top eigenvalue of S_m
+    (excess_operator): first a floor certificate,
     certify_below(S_m, NORM_RESOLUTION), which proves the excess below
     the resolution in O(N) (route "certificate", excess 0); failing
-    that, np.linalg.eigvalsh of the dense S_m under the dense cap
+    that, np.linalg.eigvalsh of the dense S_m up to DENSE_CAP unknowns
     (route "dense") and Lanczos on S_m above it (top_eigenvalue, route
     "lanczos"; PowerIterationError if it does not converge).
-    "dense_svd" and "power_iteration" compute the norm of K^m that way;
-    the route is the method.
+    operator_norm's "dense_svd" and "power_iteration" methods are the
+    cross-checks of these routes.
     """
-    route = norm_route(emap) if method == "auto" else method
-    if method == "auto" and route != "symbol":
-        s_m = excess_operator(emap, m)
-        if certify_below(s_m, NORM_RESOLUTION):
-            return 0.0, "certificate"
-        if route == "dense_svd":
-            return float(np.linalg.eigvalsh(s_m.as_dense())[-1]), "dense"
-        return top_eigenvalue(s_m), "lanczos"
-    nrm = operator_norm(emap, method if route == "symbol" else route, m=m)
-    return nrm * nrm - 1.0, route
+    if emap.is_circulant:
+        nrm = operator_norm(emap, m=m)
+        return nrm * nrm - 1.0, "symbol"
+    s_m = excess_operator(emap, m)
+    if certify_below(s_m, NORM_RESOLUTION):
+        return 0.0, "certificate"
+    if emap.n_dofs <= DENSE_CAP:
+        return float(np.linalg.eigvalsh(s_m.as_dense())[-1]), "dense"
+    return top_eigenvalue(s_m), "lanczos"
 
 
-def _growth_point(emap, cfl, m, method="auto"):
+def _growth_point(emap, cfl, m):
     """The StabilityPoint of an evolution map at the given CFL number."""
     if m < 1:
         raise ValueError("power m must be >= 1")
-    excess, route = growth_excess(emap, m, method)
+    excess, route = growth_excess(emap, m)
     if abs(excess) < NORM_RESOLUTION:
         excess = 0.0
     return StabilityPoint(
@@ -123,9 +121,9 @@ def _growth_point(emap, cfl, m, method="auto"):
     )
 
 
-def delta(scheme, mesh, k, cfl, m=1, method="auto"):
+def delta(scheme, mesh, k, cfl, m=1):
     """Growth metric of the m-step evolution map at the given CFL number."""
-    return _growth_point(evolution_map(scheme, mesh, k, cfl), cfl, m, method)
+    return _growth_point(evolution_map(scheme, mesh, k, cfl), cfl, m)
 
 
 def cfl_sweep(scheme, k, dim, n_list, m, cfl_grid):

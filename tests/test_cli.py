@@ -150,10 +150,12 @@ def test_io_failure_exit_code():
     (["accuracy", "--k", "-1", "--r", "2", "--N", "8"], "k must be >= 0, got k = -1"),
     (["regularity", "--k", "-1", "--r", "2", "--N", "8"], "k must be >= 0, got k = -1"),
     (["regularity", "--k", "1", "--r", "3", "--N", "8"], "regularity needs k = r - 1"),
+    (["regularity", "--r", "1", "--N", "8,16"],
+     "regularity with flat_mode r needs flat = r >= 2, got r = 1"),
     (["stability", "--k", "-1", "--r", "2", "--N", "8", "--cfl", "0.1"],
      "k must be >= 0, got k = -1"),
 ], ids=["cfl-k0", "cfl-r1", "accuracy-negative-k", "regularity-negative-k",
-        "regularity-k-not-r-1", "stability-negative-k"])
+        "regularity-k-not-r-1", "regularity-r1-flat-r", "stability-negative-k"])
 def test_bad_degree_or_order_is_a_config_error(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -257,6 +259,21 @@ def test_blown_up_row_names_scheme_n_and_step(capsys):
     assert captured.err == ("warning: RK3DG2 standard N=8 blew up at step 4\n"
                             "warning: 1 flagged row(s)\n")
     assert captured.out.splitlines()[-1] == "RK3DG2,standard,1,8,24,nan,,nan,"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["accuracy", "--r", "2", "--N", "8", "--T", "1e300", "--timestep", "1e-300"],
+     "T = 1e+300 is not a finite number of time steps of 1e-300"),
+    (["accuracy", "--r", "2", "--N", "8", "--T", "1", "--timestep", "1e-320"],
+     "T = 1.0 is not a finite number of time steps of 1e-320"),
+    (["regularity", "--r", "3", "--N", "8", "--T", "1e308"],
+     "T = 1e+308 is not a finite number of time steps of 0.0125"),
+], ids=["T-huge", "timestep-subnormal", "regularity-T-huge"])
+def test_step_count_that_is_not_finite_exits_2_before_any_row(argv, message):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rkdglab.__file__)))
+    out = subprocess.run([sys.executable, "-m", "rkdglab.cli", *argv], capture_output=True,
+                         text=True, timeout=60, env=env)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_non_finite_growth_row_is_named_without_numpy_warnings():

@@ -5,7 +5,6 @@ from rkdglab.errors import BlowUpError
 from rkdglab.experiments import (
     ProblemSpec,
     TravelingSine,
-    TravelingSinePower,
     accuracy_table,
     l2_error,
     benchmark_tau,
@@ -36,7 +35,7 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(dim=1, ic="sinpow", flat=1)
     with pytest.raises(ValueError):
-        TravelingSinePower(1, flat=1)
+        TravelingSine(1, flat=1)
 
 
 def test_sine_derivative_registry():
@@ -49,7 +48,7 @@ def test_sine_derivative_registry():
     y = x[::-1].copy()
     assert np.allclose(g.deriv(1)(x, y), -4 * np.pi * np.cos(2 * np.pi * (x + y)))
     with pytest.raises(NotImplementedError):
-        TravelingSinePower(1, flat=2).deriv(1)
+        TravelingSine(1, flat=2).deriv(1)
 
 
 def test_l2_error_of_projected_exact_solution():

@@ -3,7 +3,13 @@ import pytest
 
 from conftest import weak_form_1d, weak_form_2d
 
-from rkdglab.basis import gauss_quadrature, legendre_modes, tensor_index, to_tensor
+from rkdglab.basis import (
+    basis_2d_index,
+    gauss_quadrature,
+    legendre_modes,
+    tensor_index,
+    to_tensor,
+)
 from rkdglab.errors import IncompatibleSpacesError, UnsupportedDegreeError
 from rkdglab.mesh import build_mesh_1d, build_mesh_2d
 from rkdglab.operators import (
@@ -350,6 +356,68 @@ def test_jump_identity_random(dim):
             rhs = -(l2_inner(op.apply(v), v) + l2_inner(op.transpose().apply(v), v))
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
             assert jump_seminorm(v) ** 2 == pytest.approx(lhs, rel=1e-12, abs=1e-14)
+
+
+def _skeleton_oracle(w, v):
+    """(<<w, v>>, trace norm of v) from point values on every cell face.
+
+    Traces are evaluated face by face from the modes at -1 and +1 and
+    integrated along 2D edges by Gauss quadrature.
+    """
+    space = w.space
+    mesh = space.mesh
+    k = space.degree
+    at = {side: legendre_modes(k, np.array([float(side)]))[0][:, 0] for side in (-1, 1)}
+    if space.dim == 1:
+        h, n = mesh.cell_sizes, mesh.n_cells
+
+        def face(u, i, side):
+            return np.sqrt(2.0 / h[i % n]) * (u.coeffs[i % n] @ at[side])
+
+        inner = sq = 0.0
+        for i in range(n):
+            jw = face(w, i + 1, -1) - face(w, i, 1)
+            jv = face(v, i + 1, -1) - face(v, i, 1)
+            inner += mesh.beta * jw * jv
+            sq += mesh.beta * (face(v, i, 1) ** 2 + face(v, i, -1) ** 2)
+        return inner, np.sqrt(sq)
+
+    quad = gauss_quadrature(k + 2)
+    vals, _ = legendre_modes(k, quad.nodes)
+    ids = basis_2d_index(k)
+    nx, ny = mesh.nx, mesh.ny
+    sxy = 2.0 / np.sqrt(mesh.hx * mesh.hy)
+
+    def face(u, i, j, axis, side):
+        # values at the edge Gauss points of the face of cell (i, j) at side along axis
+        c = u.coeffs[i % nx, j % ny]
+        if axis == 0:
+            return sxy * sum(c[p] * at[side][a] * vals[b] for p, (a, b) in enumerate(ids))
+        return sxy * sum(c[p] * vals[a] * at[side][b] for p, (a, b) in enumerate(ids))
+
+    inner = sq = 0.0
+    for axis, beta, length in ((0, mesh.beta_x, mesh.hy), (1, mesh.beta_y, mesh.hx)):
+        wq = quad.weights * length / 2.0
+        for i in range(nx):
+            for j in range(ny):
+                ni, nj = (i + 1, j) if axis == 0 else (i, j + 1)
+                jw = face(w, ni, nj, axis, -1) - face(w, i, j, axis, 1)
+                jv = face(v, ni, nj, axis, -1) - face(v, i, j, axis, 1)
+                inner += beta * wq @ (jw * jv)
+                sq += beta * wq @ (face(v, i, j, axis, 1) ** 2 + face(v, i, j, axis, -1) ** 2)
+    return inner, np.sqrt(sq)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_jump_inner_and_trace_norm_match_a_face_quadrature_oracle(dim):
+    mesh = perturbed_mesh(9, seed=3, beta=1.4) if dim == 1 else build_mesh_2d(4, 3, 1.0, 2.0)
+    for k in (0, 1, 2):
+        space = DGSpace(mesh, k)
+        w, v = space.random(2 * k), space.random(2 * k + 1)
+        inner, norm = _skeleton_oracle(w, v)
+        forms = jump_forms(w, v)
+        assert forms.inner == pytest.approx(inner, rel=1e-12, abs=1e-12)
+        assert forms.trace_norm == pytest.approx(norm, rel=1e-12)
 
 
 def test_jump_hand_value_k0():

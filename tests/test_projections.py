@@ -160,9 +160,9 @@ def test_lsz_defining_conditions_by_quadrature():
     yq = (np.arange(ny)[:, None] + (quad.nodes[None, :] + 1.0) / 2.0) * hy
     eta_vol = eval_grid(p, 14) - f(xq[:, None, :, None], yq[None, :, None, :])
 
-    from rkdglab.operators import _edge_traces_2d
+    from rkdglab.operators import _face_traces
 
-    top, _, rgt, _ = _edge_traces_2d(p)
+    (_, rgt, _), (_, top, _) = _face_traces(p)
     # trace values of p on top/right edges at the quadrature points
     p_top = np.einsum("xya,aq->xyq", top, vals) * np.sqrt(2.0 / hx)
     p_rgt = np.einsum("xyb,bq->xyq", rgt, vals) * np.sqrt(2.0 / hy)

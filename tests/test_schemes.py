@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -176,6 +177,15 @@ def test_evolve_rejects_bad_time_input(perturb):
                          timeout=60, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["ValueError"] * 6
+
+
+@pytest.mark.parametrize("final_time, tau", [(1e300, 1e-300), (1.0, 1e-320)])
+def test_evolve_rejects_a_step_count_that_is_not_finite(final_time, tau):
+    mesh = build_mesh_1d(8)
+    u0 = DGSpace(mesh, 1).zeros()
+    message = f"final time {final_time} is not a finite number of time steps of {tau}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evolve(taylor_scheme(2), mesh, 1, u0, final_time, tau)
 
 
 def test_evolve_detects_blowup_above_cfl_limit():
