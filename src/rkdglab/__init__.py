@@ -40,5 +40,6 @@ from .experiments import (
     accuracy_table,
     l2_error,
     benchmark_tau,
+    regularity_problem,
     regularity_study,
 )

@@ -7,6 +7,7 @@ printed with 3 significant digits, growth metrics and CFL numbers with 6,
 and every rounded column has a full-precision twin with suffix _raw.
 """
 import argparse
+import itertools
 import math
 import operator
 import sys
@@ -17,11 +18,11 @@ from .experiments import (
     ProblemSpec,
     accuracy_table,
     regularity_default_time,
-    regularity_study,
+    regularity_problem,
     resolve_timestep,
 )
 from .props import run_all as run_property_checks
-from .schemes import taylor_scheme
+from .schemes import MAX_STEPPED_STEPS, step_plan, taylor_scheme
 from .stability import cfl_sweep, fourier_cfl
 
 COMMANDS = ("accuracy", "regularity", "stability", "cfl", "prop-tests")
@@ -212,13 +213,32 @@ def _schemes_for(values):
 
 def _check_step_counts(values, pairs, t_end):
     """Reject, before any row runs, a final time (None: regularity_default_time)
-    that no finite number of the row's time steps reaches."""
+    that no finite number of the row's time steps reaches, or that a perturbed
+    mesh, which is stepped, reaches in more than MAX_STEPPED_STEPS steps."""
     for scheme, _ in pairs:
         t = regularity_default_time(scheme.order) if t_end is None else t_end
         for n in values["N"]:
             tau = resolve_timestep(values["timestep"], scheme.order, values["dim"], n)
             if not math.isfinite(t / tau):
                 raise ConfigError(f"T = {t} is not a finite number of time steps of {tau}")
+            whole, _, shortened = step_plan(t, tau)
+            if values["perturb"] and whole + shortened > MAX_STEPPED_STEPS:
+                raise ConfigError(f"T = {t} needs {whole + shortened} time steps of {tau}, more "
+                                  f"than the {MAX_STEPPED_STEPS} taken on a perturbed mesh")
+
+
+def _regularity_table(values, pairs, t_end, n_quad):
+    """Rows of the regularity command in the order of pairs, from one table per
+    order r: its pairs share the problem (flat and default final time depend on r)."""
+    tables = {}
+    for order in sorted({scheme.order for scheme, _ in pairs}):
+        problem = regularity_problem(order, values["flat_mode"], t_end, values["dim"])
+        tables[order] = iter(accuracy_table(
+            [pair for pair in pairs if pair[0].order == order], problem, values["N"],
+            perturb=values["perturb"], seed=values["seed"], n_quad=n_quad,
+        ))
+    n_rows = len(values["N"])
+    return [row for scheme, _ in pairs for row in itertools.islice(tables[scheme.order], n_rows)]
 
 
 def run(values, out_stream=None, err_stream=None):
@@ -248,13 +268,7 @@ def run(values, out_stream=None, err_stream=None):
                 seed=values["seed"], n_quad=n_quad,
             )
         else:
-            table = []
-            for scheme, k in pairs:
-                table.extend(regularity_study(
-                    scheme, k, values["flat_mode"], values["N"], final_time=t_end,
-                    dim=values["dim"], perturb=values["perturb"], seed=values["seed"],
-                    n_quad=n_quad,
-                ))
+            table = _regularity_table(values, pairs, t_end, n_quad)
         for row in table:
             if row.flagged:
                 warn_rows += 1

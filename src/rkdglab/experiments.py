@@ -99,7 +99,12 @@ def l2_error(u, problem, t, n_points=None):
     space = u.space
     nq = n_points if n_points is not None else problem.error_quadrature(space.degree)
     *points, w = quadrature_grid(space, nq)
-    exact = grid_values(problem.field().exact(t), points)
+    return _l2_distance(u, w, grid_values(problem.field().exact(t), points), nq)
+
+
+def _l2_distance(u, w, exact, nq):
+    """L2 distance between u and the exact values at the quadrature_grid(u.space, nq)
+    points, whose weights are w."""
     return float(np.sqrt(np.sum(w * (eval_grid(u, nq) - exact) ** 2)))
 
 
@@ -138,17 +143,9 @@ class AccuracyRow:
     blowup_step: Optional[int] = None
 
 
-def _run_single(scheme, k, problem, n, timestep, perturb, seed, n_quad):
-    mesh = build_problem_mesh(problem, n, perturb=perturb, seed=seed)
-    space = DGSpace(mesh, k)
-    nq = n_quad if n_quad is not None else problem.error_quadrature(k)
-    u0 = project(problem.field().value, space, n_points=nq)
-    tau = resolve_timestep(timestep, scheme.order, problem.dim, n)
-    try:
-        result = evolve(scheme, mesh, k, u0, problem.final_time, tau)
-    except BlowUpError as exc:
-        return space.n_dofs, math.nan, exc
-    return space.n_dofs, l2_error(result.u, problem, problem.final_time, n_points=nq), None
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def accuracy_table(schemes, problem, n_list, timestep="benchmark",
@@ -156,16 +153,40 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
     """Errors and orders over a refinement sweep, for several (scheme, k) pairs.
 
     schemes is a list of (SchemeSpec, k).  The initial state is the L2
-    projection of the initial data.  Rows are ordered by (scheme, N); a
-    blow-up is recorded as a flagged row rather than an exception.
+    projection of the initial data.  Each N's mesh is built once, and its
+    schemes share, read-only, one projected initial state per degree and
+    one set of quadrature weights and final-time exact values per error
+    rule; only one N's shared arrays are alive at a time.  Rows are ordered
+    by (scheme, N); a blow-up is recorded as a flagged row rather than an
+    exception.
     """
+    field = problem.field()
+    results = [[] for _ in schemes]     # per scheme, per N: (dofs, error, BlowUpError or None)
+    for n in n_list:
+        mesh = build_problem_mesh(problem, n, perturb=perturb, seed=seed)
+        starts, grids = {}, {}
+        for (scheme, k), out in zip(schemes, results):
+            nq = n_quad if n_quad is not None else problem.error_quadrature(k)
+            if k not in starts:
+                starts[k] = project(field.value, DGSpace(mesh, k), n_points=nq)
+                _read_only(starts[k].coeffs)
+            u0 = starts[k]
+            tau = resolve_timestep(timestep, scheme.order, problem.dim, n)
+            try:
+                result = evolve(scheme, mesh, k, u0, problem.final_time, tau)
+            except BlowUpError as exc:
+                out.append((u0.space.n_dofs, math.nan, exc))
+                continue
+            if nq not in grids:
+                *points, w = quadrature_grid(u0.space, nq)
+                exact = grid_values(field.exact(problem.final_time), points)
+                grids[nq] = _read_only(w), _read_only(exact)
+            out.append((u0.space.n_dofs, _l2_distance(result.u, *grids[nq], nq), None))
+
     rows = []
-    for scheme, k in schemes:
+    for (scheme, k), per_n in zip(schemes, results):
         prev = None
-        for n in n_list:
-            dofs, err, blowup = _run_single(
-                scheme, k, problem, n, timestep, perturb, seed, n_quad,
-            )
+        for n, (dofs, err, blowup) in zip(n_list, per_n):
             eoc = None
             if prev is not None and np.isfinite(err) and np.isfinite(prev[1]) and err > 0:
                 eoc = math.log(prev[1] / err) / math.log(n / prev[0])
@@ -189,18 +210,24 @@ def regularity_default_time(order):
     return 1.0 if order <= 3 else 500.0
 
 
+def regularity_problem(order, flat_mode, final_time, dim):
+    """The sinpow problem of a regularity study at order r: flat = r or r + 1
+    (flat_mode "r" or "r+1"), up to final_time, by default regularity_default_time(r)."""
+    if flat_mode == "r":
+        flat = order
+    elif flat_mode == "r+1":
+        flat = order + 1
+    else:
+        raise ValueError(f"flat_mode must be 'r' or 'r+1', got {flat_mode!r}")
+    t_end = final_time if final_time is not None else regularity_default_time(order)
+    return ProblemSpec(dim=dim, ic="sinpow", flat=flat, final_time=t_end)
+
+
 def regularity_study(scheme, k, flat_mode, n_list, final_time=None,
                      dim=1, perturb=0.0, seed=0, n_quad=None):
     """Accuracy sweep for data of limited smoothness, flat = r or r + 1."""
     if scheme.order != k + 1:
         raise ValueError("regularity study is set up for r = k + 1 schemes")
-    if flat_mode == "r":
-        flat = scheme.order
-    elif flat_mode == "r+1":
-        flat = scheme.order + 1
-    else:
-        raise ValueError(f"flat_mode must be 'r' or 'r+1', got {flat_mode!r}")
-    t_end = final_time if final_time is not None else regularity_default_time(scheme.order)
-    problem = ProblemSpec(dim=dim, ic="sinpow", flat=flat, final_time=t_end)
+    problem = regularity_problem(scheme.order, flat_mode, final_time, dim)
     return accuracy_table([(scheme, k)], problem, n_list, perturb=perturb,
                           seed=seed, n_quad=n_quad)

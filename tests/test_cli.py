@@ -11,12 +11,16 @@ from rkdglab.cli import (
     ACCURACY_HEADER,
     CFL_HEADER,
     STABILITY_HEADER,
+    _check_step_counts,
+    _schemes_for,
     main,
     parse_config,
     read_csv,
     run,
 )
 from rkdglab.errors import ConfigError
+from rkdglab.experiments import resolve_timestep
+from rkdglab.schemes import MAX_STEPPED_STEPS
 
 
 def resolve(text=None, **kv):
@@ -274,6 +278,30 @@ def test_step_count_that_is_not_finite_exits_2_before_any_row(argv, message):
     out = subprocess.run([sys.executable, "-m", "rkdglab.cli", *argv], capture_output=True,
                          text=True, timeout=60, env=env)
     assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["accuracy", "--r", "2", "--N", "8", "--perturb", "0.2", "--seed", "1", "--T", "1e9"],
+     "T = 1000000000.0 needs 80000000000 time steps of 0.0125, "
+     "more than the 100000000 taken on a perturbed mesh"),
+    (["regularity", "--r", "3", "--N", "16,8", "--perturb", "0.1", "--T", "2e6"],
+     "T = 2000000.0 needs 320000000 time steps of 0.00625, "
+     "more than the 100000000 taken on a perturbed mesh"),
+], ids=["accuracy", "regularity"])
+def test_more_steps_than_a_perturbed_mesh_is_stepped_exits_2_before_any_row(argv, message):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rkdglab.__file__)))
+    out = subprocess.run([sys.executable, "-m", "rkdglab.cli", *argv], capture_output=True,
+                         text=True, timeout=30, env=env)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_longest_regularity_run_is_within_the_step_bound():
+    # r = 5 at the default T = 500 on a perturbed N = 1280 mesh: 2.7e7 steps
+    values = resolve(command="regularity", r="5", N="1280", perturb="0.15")
+    pairs = _schemes_for(values)
+    _check_step_counts(values, pairs, None)
+    tau = resolve_timestep("benchmark", 5, 1, 1280)
+    assert 2.6e7 < 500.0 / tau < 2.8e7 < MAX_STEPPED_STEPS
 
 
 def test_non_finite_growth_row_is_named_without_numpy_warnings():

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from rkdglab import experiments
 from rkdglab.errors import BlowUpError
 from rkdglab.experiments import (
     ProblemSpec,
     TravelingSine,
     accuracy_table,
+    build_problem_mesh,
     l2_error,
     benchmark_tau,
+    regularity_problem,
     regularity_study,
+    resolve_timestep,
 )
 from rkdglab.mesh import build_mesh_1d
 from rkdglab.operators import DGSpace, eval_grid, project, quadrature_grid
@@ -209,3 +213,110 @@ def test_smooth_eoc_reaches_design_order_2d():
     problem = ProblemSpec(dim=2, ic="sin", final_time=1.0)
     rows = accuracy_table([(taylor_scheme(3, "sdA"), 2)], problem, (20, 40, 80))
     assert abs(rows[-1].eoc - 3) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# accuracy_table shares the mesh, u0 and exact values across schemes
+# ---------------------------------------------------------------------------
+
+def _rows_one_at_a_time(schemes, problem, n_list, timestep="benchmark", perturb=0.0, seed=0):
+    """(scheme, variant, N, dofs, error, blow-up step) per row: a fresh mesh,
+    projection, evolve and l2_error for every (scheme, N)."""
+    out = []
+    for scheme, k in schemes:
+        for n in n_list:
+            mesh = build_problem_mesh(problem, n, perturb=perturb, seed=seed)
+            space = DGSpace(mesh, k)
+            nq = problem.error_quadrature(k)
+            u0 = project(problem.field().value, space, n_points=nq)
+            tau = resolve_timestep(timestep, scheme.order, problem.dim, n)
+            try:
+                res = evolve(scheme, mesh, k, u0, problem.final_time, tau)
+                err, step = l2_error(res.u, problem, problem.final_time, n_points=nq), None
+            except BlowUpError as exc:
+                err, step = float("nan"), exc.step_index
+            out.append((scheme.label(k), scheme.variant, n, space.n_dofs, err, step))
+    return out
+
+
+@pytest.mark.parametrize("schemes, problem, n_list, options", [
+    ([(taylor_scheme(r, v), r - 1) for v in ("standard", "sdA") for r in (2, 3, 4)],
+     ProblemSpec(dim=1, ic="sin"), (8, 16), {}),
+    ([(taylor_scheme(r, v), r - 1) for v in ("standard", "sdA") for r in (2, 3)],
+     ProblemSpec(dim=1, ic="sin"), (8, 16), dict(perturb=0.15, seed=7)),
+    ([(taylor_scheme(3, v), 2) for v in ("standard", "sdA")],
+     ProblemSpec(dim=2, ic="sin"), (4, 8), {}),
+    ([(taylor_scheme(3, v), 2) for v in ("standard", "sdA")],
+     ProblemSpec(dim=1, ic="sinpow", flat=3, final_time=0.25), (16, 32), {}),
+    # the first scheme blows up at both N; the second shares its u0 and,
+    # at N = 8, does not
+    ([(taylor_scheme(3, v), 2) for v in ("standard", "sdA")],
+     ProblemSpec(dim=1, ic="sin", final_time=2.0), (8, 16), dict(timestep=0.5)),
+], ids=["1d-uniform", "1d-perturbed", "2d", "sinpow", "first-blows-up"])
+def test_accuracy_table_rows_equal_rows_run_one_at_a_time(schemes, problem, n_list, options):
+    rows = accuracy_table(schemes, problem, n_list, **options)
+    got = [(r.scheme, r.variant, r.n, r.dofs, r.l2_error, r.blowup_step) for r in rows]
+    assert repr(got) == repr(_rows_one_at_a_time(schemes, problem, n_list, **options))
+    if options.get("timestep") == 0.5:
+        assert [r.flagged for r in rows] == [True, True, False, True]
+
+
+def test_accuracy_table_sets_up_each_mesh_degree_and_error_rule_once(monkeypatch):
+    counts = {"mesh": [], "project": [], "exact": []}
+
+    def counting(key, fn, tag):
+        def wrapper(*args, **kwargs):
+            counts[key].append(tag(*args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "build_mesh_1d",
+                        counting("mesh", experiments.build_mesh_1d, lambda n, *a: n))
+    monkeypatch.setattr(experiments, "project",
+                        counting("project", experiments.project,
+                                 lambda f, space, *a: (space.mesh.n_cells, space.degree)))
+    monkeypatch.setattr(experiments, "grid_values",
+                        counting("exact", experiments.grid_values, lambda f, points: points[0].shape))
+    # degrees 1, 2 and 7 (error rules of 10, 10 and 11 points), two schemes each
+    schemes = [(taylor_scheme(r, v), k) for v in ("standard", "sdA") for r, k in ((2, 1), (3, 2), (3, 7))]
+    problem = ProblemSpec(dim=1, ic="sin", final_time=0.1)
+    rows = accuracy_table(schemes, problem, (8, 16))
+    assert not any(r.flagged for r in rows)
+    assert counts["mesh"] == [8, 16]
+    assert counts["project"] == [(8, 1), (8, 2), (8, 7), (16, 1), (16, 2), (16, 7)]
+    assert counts["exact"] == [(8, 10), (8, 11), (16, 10), (16, 11)]
+
+
+def test_accuracy_table_shares_read_only_arrays(monkeypatch):
+    seen = []
+
+    def evolve_writing(scheme, mesh, k, u0, *args):
+        with pytest.raises(ValueError, match="read-only"):
+            u0.coeffs[0, 0] = 0.0
+        seen.append("u0")
+        return evolve(scheme, mesh, k, u0, *args)
+
+    def distance_writing(u, w, exact, nq):
+        with pytest.raises(ValueError, match="read-only"):
+            exact[0] = 0.0
+        seen.append("exact")
+        return distance(u, w, exact, nq)
+
+    distance = experiments._l2_distance
+    monkeypatch.setattr(experiments, "evolve", evolve_writing)
+    monkeypatch.setattr(experiments, "_l2_distance", distance_writing)
+    schemes = [(taylor_scheme(2, v), 1) for v in ("standard", "sdA")]
+    for dim in (1, 2):
+        seen.clear()
+        accuracy_table(schemes, ProblemSpec(dim=dim, ic="sin", final_time=0.1), (4,))
+        assert seen == ["u0", "exact"] * 2
+
+
+def test_regularity_problem_sets_flat_and_default_time_from_the_order():
+    assert regularity_problem(3, "r", None, 1) == ProblemSpec(dim=1, ic="sinpow", flat=3,
+                                                               final_time=1.0)
+    assert regularity_problem(4, "r+1", None, 2) == ProblemSpec(dim=2, ic="sinpow", flat=5,
+                                                                 final_time=500.0)
+    assert regularity_problem(2, "r", 0.25, 1).final_time == 0.25
+    with pytest.raises(ValueError, match="flat_mode"):
+        regularity_problem(2, "bogus", None, 1)

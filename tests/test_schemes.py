@@ -188,6 +188,25 @@ def test_evolve_rejects_a_step_count_that_is_not_finite(final_time, tau):
         evolve(taylor_scheme(2), mesh, 1, u0, final_time, tau)
 
 
+def test_evolve_refuses_more_steps_than_it_can_step_before_the_first(monkeypatch):
+    def stepping(*args):
+        raise AssertionError("stepping started")
+
+    monkeypatch.setattr(schemes, "_evolve_fused", stepping)
+    mesh = build_mesh_1d(8, perturb_fraction=0.2, seed=1)
+    u0 = DGSpace(mesh, 1).zeros()
+    # 8e10 steps of 0.0125, and one step more than the bound
+    for final_time in (1e9, (schemes.MAX_STEPPED_STEPS + 0.5) * 0.0125):
+        with pytest.raises(ValueError, match="that stepping takes"):
+            evolve(taylor_scheme(2), mesh, 1, u0, final_time, 0.0125)
+    # at the bound, stepping starts; a uniform mesh takes Fourier steps
+    with pytest.raises(AssertionError, match="stepping started"):
+        evolve(taylor_scheme(2), mesh, 1, u0, schemes.MAX_STEPPED_STEPS * 0.0125, 0.0125)
+    uniform = build_mesh_1d(8)
+    res = evolve(taylor_scheme(2), uniform, 1, DGSpace(uniform, 1).zeros(), 1e9, 0.0125)
+    assert res.path == "fourier" and res.n_steps == 80_000_000_000
+
+
 def test_evolve_detects_blowup_above_cfl_limit():
     # reduced-stage third-order scheme above its stability threshold
     mesh = build_mesh_1d(64)
