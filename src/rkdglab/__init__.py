@@ -14,8 +14,6 @@ from .operators import (
     DGSpace,
     GridFunction,
     assemble_upwind,
-    compose_mixed,
-    jump_forms,
     jump_inner,
     jump_seminorm,
     l2_inner,

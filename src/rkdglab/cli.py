@@ -261,7 +261,7 @@ def run(values, out_stream=None, err_stream=None):
         t_end = default_t if values["T"] == "auto" else values["T"]
         _check_step_counts(values, pairs, t_end)
         if command == "accuracy":
-            problem = ProblemSpec(dim=values["dim"], ic="sin", final_time=t_end)
+            problem = ProblemSpec(dim=values["dim"], final_time=t_end)
             table = accuracy_table(
                 pairs, problem, values["N"],
                 timestep=values["timestep"], perturb=values["perturb"],

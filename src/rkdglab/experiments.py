@@ -59,27 +59,23 @@ class ProblemSpec:
     """Transport test problem: initial data, regularity, speeds, final time."""
 
     dim: int
-    ic: str                       # "sin" or "sinpow"
-    flat: Optional[int] = None    # regularity parameter for sinpow data
+    flat: Optional[int] = None    # regularity parameter of sin^(flat - 1/3) data; None: sin
     final_time: float = 1.0
     beta: float = 1.0
     beta_x: float = 1.0
     beta_y: float = 1.0
 
     def __post_init__(self):
-        if self.ic not in ("sin", "sinpow"):
-            raise ValueError(f"unknown initial condition {self.ic!r}")
-        if self.ic == "sinpow" and (self.flat is None or self.flat < 2):
+        if self.flat is not None and self.flat < 2:
             raise ValueError("sinpow data needs a regularity parameter >= 2")
 
     def field(self):
-        return TravelingSine(self.dim, self.beta, self.beta_x, self.beta_y,
-                             self.flat if self.ic == "sinpow" else None)
+        return TravelingSine(self.dim, self.beta, self.beta_x, self.beta_y, self.flat)
 
     def error_quadrature(self, k):
         # singular sinpow derivatives need denser error quadrature
         nq = quadrature_points(k)
-        return max(16, nq) if self.ic == "sinpow" else nq
+        return max(16, nq) if self.flat is not None else nq
 
 
 def build_problem_mesh(problem, n, perturb=0.0, seed=0):
@@ -220,7 +216,7 @@ def regularity_problem(order, flat_mode, final_time, dim):
     else:
         raise ValueError(f"flat_mode must be 'r' or 'r+1', got {flat_mode!r}")
     t_end = final_time if final_time is not None else regularity_default_time(order)
-    return ProblemSpec(dim=dim, ic="sinpow", flat=flat, final_time=t_end)
+    return ProblemSpec(dim=dim, flat=flat, final_time=t_end)
 
 
 def regularity_study(scheme, k, flat_mode, n_list, final_time=None,

@@ -4,7 +4,7 @@
 fraction of the uniform spacing); 2D meshes are uniform Cartesian grids.
 All meshes are immutable after construction.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ class Mesh1D:
 
     nodes: np.ndarray          # n+1 nodes, first 0.0, last 1.0
     beta: float = 1.0          # advection speed, >= 0
-    periodic: bool = field(default=True, init=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -41,14 +40,13 @@ class Mesh1D:
         return len(self.nodes) - 1
 
     @property
-    def cell_sizes(self):
-        return np.diff(self.nodes)
+    def cells(self):
+        """Cell counts per axis: (n,)."""
+        return (self.n_cells,)
 
     @property
-    def quasi_uniformity(self):
-        """max h_i / min h_i, recorded per the mesh-regularity assumption."""
-        sizes = self.cell_sizes
-        return float(sizes.max() / sizes.min())
+    def cell_sizes(self):
+        return np.diff(self.nodes)
 
     @property
     def is_uniform(self):
@@ -97,6 +95,11 @@ class Mesh2D:
     @property
     def n_cells(self):
         return self.nx * self.ny
+
+    @property
+    def cells(self):
+        """Cell counts per axis: (nx, ny)."""
+        return (self.nx, self.ny)
 
     @property
     def is_uniform(self):

@@ -5,13 +5,14 @@ Everything is expressed in the orthonormal modal basis, so coefficient
 L2 adjoints.  Operators on periodic meshes are block-sparse: a diagonal
 block per cell plus one block per upwind neighbor.
 """
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .basis import (
-    basis_2d_index,
     gauss_mode_table,
     kron_sum_2d,
     reference_tables,
@@ -24,7 +25,6 @@ from .errors import (
     PowerIterationError,
     UnsupportedDegreeError,
 )
-from .mesh import Mesh1D, Mesh2D
 
 DENSE_EXPORT_MAGIC = b"RKDGDNS1"
 
@@ -48,27 +48,24 @@ class DGSpace:
 
     @property
     def n_modes(self):
-        k = self.degree
-        return k + 1 if self.dim == 1 else (k + 1) * (k + 2) // 2
+        """Polynomials of total degree <= k in dim variables."""
+        return math.comb(self.degree + self.dim, self.dim)
 
     @property
     def shape(self):
-        if self.dim == 1:
-            return (self.mesh.n_cells, self.n_modes)
-        return (self.mesh.nx, self.mesh.ny, self.n_modes)
+        return self.mesh.cells + (self.n_modes,)
 
     @property
     def n_dofs(self):
         return int(np.prod(self.shape))
 
     def top_mode_mask(self):
-        """Boolean mask of the total-degree-k modes (the P^{k-1} complement)."""
-        k = self.degree
-        if self.dim == 1:
-            mask = np.zeros(self.n_modes, dtype=bool)
-            mask[k] = True
-            return mask
-        return np.array([a + b == k for (a, b) in basis_2d_index(k)])
+        """Boolean mask of the total-degree-k modes (the P^{k-1} complement).
+
+        Modes are in graded order, so these are the last n_modes minus
+        dim(P^{k-1}) of them.
+        """
+        return np.arange(self.n_modes) >= math.comb(self.degree - 1 + self.dim, self.dim)
 
     def zeros(self):
         return GridFunction(self, np.zeros(self.shape))
@@ -143,8 +140,9 @@ def l2_inner(u, v):
 class BlockOperator:
     """Periodic block operator: (A u)_c = sum_o blocks[o] @ u_{c+o}.
 
-    Offsets are ints in 1D and (ox, oy) pairs in 2D.  A block value may be
-    a single (m, m) matrix shared by all cells or, in 1D, an (N, m, m)
+    Offsets are tuples of ints, one per cell axis: (o,) in 1D and
+    (ox, oy) in 2D; they add and negate element-wise.  A block value may
+    be a single (m, m) matrix shared by all cells or, in 1D, an (N, m, m)
     stack of per-cell matrices.
 
     Operators on one space form an algebra: A @ B composes, c * A scales
@@ -159,6 +157,10 @@ class BlockOperator:
     def __init__(self, space, blocks):
         self.space = space
         self.blocks = dict(blocks)
+        dim = space.dim
+        for off in self.blocks:
+            if type(off) is not tuple or len(off) != dim or set(map(type, off)) != {int}:
+                raise ValueError(f"block offset {off!r} is not a {dim}-tuple of ints")
 
     @property
     def n_dofs(self):
@@ -173,8 +175,7 @@ class BlockOperator:
             if other.space != self.space:
                 raise IncompatibleSpacesError("operator spaces differ")
             return other
-        zero = 0 if self.space.dim == 1 else (0, 0)
-        return BlockOperator(self.space, {zero: np.asarray(other, dtype=float)})
+        return BlockOperator(self.space, {(0,) * self.space.dim: np.asarray(other, dtype=float)})
 
     def __add__(self, other):
         blocks = dict(self.blocks)
@@ -200,7 +201,7 @@ class BlockOperator:
             for p, b in other.blocks.items():
                 if b.ndim == 3:
                     b = b.take(nbrs[:, j], axis=0)      # B_p of cell c + o
-                off = o + p if self.space.dim == 1 else (o[0] + p[0], o[1] + p[1])
+                off = tuple(map(operator.add, o, p))
                 blocks[off] = blocks[off] + a @ b if off in blocks else a @ b
         return BlockOperator(self.space, blocks)
 
@@ -232,8 +233,7 @@ class BlockOperator:
         """L2 adjoint (the transpose in the orthonormal basis): block -o of cell c is A_o(c-o)^T."""
         if getattr(self, "_transpose", None) is not None:
             return self._transpose
-        flip = (lambda o: -o) if self.space.dim == 1 else (lambda o: (-o[0], -o[1]))
-        out = BlockOperator(self.space, {flip(o): b for o, b in self.blocks.items()})
+        out = BlockOperator(self.space, {tuple(-x for x in o): b for o, b in self.blocks.items()})
         nbrs = None if out.shares_blocks else out._neighbour_cells()
         for j, (off, blk) in enumerate(list(out.blocks.items())):
             if blk.ndim == 2:
@@ -261,7 +261,7 @@ class BlockOperator:
         m = self.space.n_modes
         out = np.zeros((len(angles), m, m), dtype=complex)
         for off, blk in self.blocks.items():
-            phase = np.prod(np.exp(1j * np.atleast_1d(off) * angles), axis=1)
+            phase = np.prod(np.exp(1j * np.array(off) * angles), axis=1)
             out += blk[None] * phase[:, None, None]
         return out
 
@@ -368,32 +368,27 @@ def assemble_upwind(mesh, k):
     right, left, stiff = reference_tables(k)
     vol_minus_out = stiff - np.outer(right, right)
     inflow = np.outer(left, right)
-
-    if isinstance(mesh, Mesh1D):
-        space = DGSpace(mesh, k)
+    space = DGSpace(mesh, k)
+    if mesh.dim == 1:
         h = mesh.cell_sizes
         beta = mesh.beta
         if mesh.is_uniform:
             scale = 2.0 * beta / h[0]
-            blocks = {0: scale * vol_minus_out, -1: scale * inflow}
+            blocks = {(0,): scale * vol_minus_out, (-1,): scale * inflow}
         else:
             diag = (2.0 * beta / h)[:, None, None] * vol_minus_out[None]
             hl = np.roll(h, 1)
             upw = (2.0 * beta / np.sqrt(h * hl))[:, None, None] * inflow[None]
-            blocks = {0: diag, -1: upw}
+            blocks = {(0,): diag, (-1,): upw}
         return BlockOperator(space, blocks)
 
-    if isinstance(mesh, Mesh2D):
-        space = DGSpace(mesh, k)
-        cx = 2.0 * mesh.beta_x / mesh.hx
-        cy = 2.0 * mesh.beta_y / mesh.hy
-        diag = kron_sum_2d(cx * vol_minus_out, cy * vol_minus_out)
-        zero = np.zeros_like(inflow)
-        left_blk = kron_sum_2d(cx * inflow, zero)
-        bottom_blk = kron_sum_2d(zero, cy * inflow)
-        return BlockOperator(space, {(0, 0): diag, (-1, 0): left_blk, (0, -1): bottom_blk})
-
-    raise TypeError(f"unsupported mesh type {type(mesh)!r}")
+    cx = 2.0 * mesh.beta_x / mesh.hx
+    cy = 2.0 * mesh.beta_y / mesh.hy
+    diag = kron_sum_2d(cx * vol_minus_out, cy * vol_minus_out)
+    zero = np.zeros_like(inflow)
+    left_blk = kron_sum_2d(cx * inflow, zero)
+    bottom_blk = kron_sum_2d(zero, cy * inflow)
+    return BlockOperator(space, {(0, 0): diag, (-1, 0): left_blk, (0, -1): bottom_blk})
 
 
 def reduce_operator(op):
@@ -423,26 +418,6 @@ def stage_operators(mesh, k):
 def quadrature_points(k, n_points=None):
     """Gauss points per cell direction: n_points, by default max(10, k + 4)."""
     return n_points if n_points is not None else max(10, k + 4)
-
-
-def cell_quadrature(space, n_points=None):
-    """(quad, points, weights): a Gauss rule mapped to every cell of the mesh.
-
-    points is (x,) with x (n_cells, q) in 1D and (x, y) with x (nx, q),
-    y (ny, q) in 2D; weights include the cell Jacobians and have shape
-    (n_cells, q) or (nx, ny, q, q).  quad is the reference rule on [-1, 1].
-    """
-    quad, _, _ = gauss_mode_table(space.degree, quadrature_points(space.degree, n_points))
-    mesh = space.mesh
-    if space.dim == 1:
-        h = mesh.cell_sizes
-        x = mesh.nodes[:-1, None] + (quad.nodes[None, :] + 1.0) * h[:, None] / 2.0
-        return quad, (x,), quad.weights * (h[:, None] / 2.0)
-    hx, hy = mesh.hx, mesh.hy
-    x = (np.arange(mesh.nx)[:, None] + (quad.nodes[None, :] + 1.0) / 2.0) * hx
-    y = (np.arange(mesh.ny)[:, None] + (quad.nodes[None, :] + 1.0) / 2.0) * hy
-    w = (hx * hy / 4.0) * np.einsum("q,r->qr", quad.weights, quad.weights)
-    return quad, (x, y), np.broadcast_to(w[None, None], (mesh.nx, mesh.ny) + w.shape)
 
 
 def project(f, space=None, target="full", n_points=None):
@@ -477,9 +452,9 @@ def project(f, space=None, target="full", n_points=None):
 
 
 def _project_callable(f, space, n_points=None):
-    quad, points, _ = cell_quadrature(space, n_points)
     k = space.degree
-    _, vals, _ = gauss_mode_table(k, len(quad.nodes))
+    quad, vals, _ = gauss_mode_table(k, quadrature_points(k, n_points))
+    *points, _ = quadrature_grid(space, n_points)
     mesh = space.mesh
     fx = grid_values(f, points)
     if space.dim == 1:
@@ -494,17 +469,27 @@ def _project_callable(f, space, n_points=None):
 
 
 def quadrature_grid(space, n_points=None):
-    """Physical quadrature points and weights tiling the whole mesh.
+    """Physical quadrature points and weights: the Gauss rule of
+    gauss_mode_table(k, quadrature_points(k, n_points)) mapped to every cell.
 
     1D: (x, w) with shape (n_cells, q).  2D: (x, y, w) with x (nx, q),
     y (ny, q) and w (nx, ny, q, q); weights include cell Jacobians.
     """
-    _, points, w = cell_quadrature(space, n_points)
-    return (*points, w)
+    quad, _, _ = gauss_mode_table(space.degree, quadrature_points(space.degree, n_points))
+    mesh = space.mesh
+    if space.dim == 1:
+        h = mesh.cell_sizes
+        x = mesh.nodes[:-1, None] + (quad.nodes[None, :] + 1.0) * h[:, None] / 2.0
+        return x, quad.weights * (h[:, None] / 2.0)
+    hx, hy = mesh.hx, mesh.hy
+    x = (np.arange(mesh.nx)[:, None] + (quad.nodes[None, :] + 1.0) / 2.0) * hx
+    y = (np.arange(mesh.ny)[:, None] + (quad.nodes[None, :] + 1.0) / 2.0) * hy
+    w = (hx * hy / 4.0) * np.einsum("q,r->qr", quad.weights, quad.weights)
+    return x, y, np.broadcast_to(w[None, None], (mesh.nx, mesh.ny) + w.shape)
 
 
 def grid_values(f, points):
-    """f at the points of cell_quadrature, laid out as eval_grid's values:
+    """f at the points of quadrature_grid, laid out as eval_grid's values:
     (n_cells, q) in 1D and the (nx, ny, q, q) tensor grid in 2D."""
     if len(points) == 1:
         return f(*points)
@@ -580,15 +565,6 @@ def _face_traces(u):
             (mesh.beta_y, *(np.einsum("xyab,b->xya", tensor, t * sy) for t in (right, left)))]
 
 
-@dataclass(frozen=True)
-class JumpForms:
-    """Interface quantities: <<w, v>>, |v|_jump and the trace norm of v."""
-
-    inner: float
-    seminorm: float
-    trace_norm: float
-
-
 def jump_inner(w, v):
     """beta-weighted sum/integral of [w][v] over all interfaces."""
     _check_same_space(w, v)
@@ -605,32 +581,6 @@ def trace_norm(v):
     """beta-weighted L2 norm of both one-sided traces over the mesh skeleton."""
     sq = sum(beta * (np.vdot(out, out) + np.vdot(inn, inn)) for beta, out, inn in _face_traces(v))
     return float(np.sqrt(sq))
-
-
-def jump_forms(w, v):
-    """All interface quantities for a pair (w, v); seminorm/trace refer to v."""
-    return JumpForms(inner=jump_inner(w, v), seminorm=jump_seminorm(v), trace_norm=trace_norm(v))
-
-
-# ---------------------------------------------------------------------------
-# mixed compositions L^{i1} P_perp L^{i2} P_perp ... P_perp L^{i_end}
-# ---------------------------------------------------------------------------
-
-def compose_mixed(op, indices, w):
-    """Apply the alternating power/top-mode-filter composition right to left."""
-    if len(indices) == 0:
-        raise ValueError("index vector must be non-empty")
-    if any(i < 1 for i in indices):
-        raise ValueError("all composition powers must be >= 1")
-    if op.space.degree < 1:
-        raise UnsupportedDegreeError("mixed compositions need k >= 1")
-    u = w
-    for pos, power in enumerate(reversed(indices)):
-        if pos > 0:
-            u = project(u, target="perp")
-        for _ in range(power):
-            u = op.apply(u)
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -742,11 +692,11 @@ def certify_below(op, bound):
     if op.space.dim != 1:
         return False
     n, p = op.space.shape
-    b = max(abs(off) for off in op.blocks)
+    b = max(abs(off) for (off,) in op.blocks)
     if n < 2 * b + 1:
         return False
     band = np.zeros((n, 2 * b + 1, p, p))       # band[c, o + b] = A_{c, c + o}
-    for off, blk in op.blocks.items():
+    for (off,), blk in op.blocks.items():
         band[:, off + b] -= blk
     band[:, b] += bound * np.eye(p)
     if not np.isfinite(band).all():

@@ -18,7 +18,14 @@ from .errors import (
     ProjectionFailureError,
     UnsupportedMeshError,
 )
-from .operators import GridFunction, cell_quadrature, grid_values, operator_norm, project
+from .operators import (
+    GridFunction,
+    grid_values,
+    operator_norm,
+    project,
+    quadrature_grid,
+    quadrature_points,
+)
 from .schemes import symbol_increment
 
 
@@ -74,8 +81,8 @@ def lsz(f, space, n_points=None):
         raise UnsupportedMeshError("lsz projection requires a uniform mesh")
     k = space.degree
     mesh = space.mesh
-    quad, (xq, yq), _ = cell_quadrature(space, n_points)
-    _, vals, ders = gauss_mode_table(k, len(quad.nodes))
+    quad, vals, ders = gauss_mode_table(k, quadrature_points(k, n_points))
+    xq, yq, _ = quadrature_grid(space, n_points)
     right, left, _ = reference_tables(k)
     jump = right - left
     g = _lsz_system(space)

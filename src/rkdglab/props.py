@@ -18,10 +18,6 @@ from .projections import gauss_radau, lsz
 from .schemes import EvolutionMap, energy_coefficients, step, taylor_scheme
 
 
-def _random_state(space, seed):
-    return space.random(seed)
-
-
 def check_orthonormality():
     """Coefficient 2-norm equals the quadrature L2 norm of the reconstruction."""
     from .operators import eval_grid, quadrature_grid
@@ -30,7 +26,7 @@ def check_orthonormality():
     mesh_1d, mesh_2d = build_mesh_1d(7, perturb_fraction=0.2, seed=3), build_mesh_2d(4, 5)
     cases = [(mesh_1d, k, k + 1) for k in (0, 1, 3)] + [(mesh_2d, k, k) for k in (1, 2)]
     for mesh, k, seed in cases:
-        u = _random_state(DGSpace(mesh, k), seed)
+        u = DGSpace(mesh, k).random(seed)
         *_, w = quadrature_grid(u.space, k + 6)
         vals = eval_grid(u, k + 6)
         worst = max(worst, abs(np.sqrt(np.sum(w * vals**2)) - u.norm()))
@@ -45,7 +41,7 @@ def check_jump_identity():
             op = assemble_upwind(mesh, k)
             space = op.space
             for seed in range(4):
-                v = _random_state(space, seed)
+                v = space.random(seed)
                 lhs = jump_inner(v, v)
                 rhs = -(l2_inner(op.apply(v), v) + l2_inner(op.transpose().apply(v), v))
                 worst = max(worst, abs(lhs - rhs) / max(v.norm() ** 2, 1.0))
@@ -59,7 +55,7 @@ def check_reduction():
         for k in (1, 3):
             op = assemble_upwind(mesh, k)
             red = reduce_operator(op)
-            v = _random_state(op.space, k)
+            v = op.space.random(k)
             direct = red.apply(v)
             filtered = project(op.apply(v), target="k_minus_1")
             worst = max(worst, (direct - filtered).norm() / max(v.norm(), 1.0))
@@ -73,8 +69,8 @@ def check_integration_by_parts():
     for k in (1, 2):
         op = assemble_upwind(mesh, k)
         space = op.space
-        w = _random_state(space, 11)
-        v = _random_state(space, 12)
+        w = space.random(11)
+        v = space.random(12)
         pw = [w]
         pv = [v]
         for _ in range(4):
@@ -99,7 +95,7 @@ def check_energy_identity():
         k = 1
         op = assemble_upwind(mesh, k)
         tau = 0.1 / 16
-        w = _random_state(op.space, r)
+        w = op.space.random(r)
         powers = [w]
         for _ in range(r):
             powers.append(op.apply(powers[-1]))
@@ -126,7 +122,7 @@ def check_butcher_compact():
             k = 2
             op = assemble_upwind(mesh, k)
             red = reduce_operator(op)
-            u = _random_state(op.space, r + 7)
+            u = op.space.random(r + 7)
             tau = 0.04
             a = step(scheme, op, red, u, tau, form="butcher")
             b = step(scheme, op, red, u, tau, form="compact")
@@ -141,7 +137,7 @@ def check_reduced_rk2_reformulation():
     op = assemble_upwind(mesh, k)
     red = reduce_operator(op)
     scheme = taylor_scheme(2, "sdA")
-    u = _random_state(op.space, 21)
+    u = op.space.random(21)
     tau = 0.004
     lhs = step(scheme, op, red, u, tau)
     base = step(taylor_scheme(2), op, op, u, tau)
@@ -189,7 +185,7 @@ def check_semi_negativity():
         op = assemble_upwind(mesh, k)
         opt = op.transpose()
         for seed in range(100):
-            v = _random_state(op.space, seed)
+            v = op.space.random(seed)
             val = (l2_inner(op.apply(v), v) + l2_inner(opt.apply(v), v)) / v.norm() ** 2
             worst = max(worst, val)
     return "negative semi-definiteness", max(worst, 0.0), 1e-11

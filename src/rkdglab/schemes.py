@@ -206,16 +206,20 @@ def step(scheme, full_op, reduced_op, u, tau, form="compact"):
     Butcher form falls back to the compact form with a warning.
     """
     _check_degree(scheme, u.space)
-    if tau == 0.0:
-        return u.copy()
+    if form not in ("butcher", "compact"):
+        raise ValueError(f"unknown stepping form {form!r}")
+    flags = scheme.stage_plan
     if form == "butcher" and scheme.tableau is None:
         warnings.warn("no built-in tableau above order 4; falling back to the compact form",
                       RuntimeWarning, stacklevel=2)
         form = "compact"
+    if form == "compact" and _is_mixed(flags):
+        raise ValueError("compact form requires a uniform stage plan")
+    if tau == 0.0:
+        return u.copy()
 
     if form == "butcher":
         tab = scheme.tableau
-        flags = scheme.stage_plan
         applied, out = [], u.coeffs.copy()
         for i in range(tab.stages):
             ui = u.coeffs
@@ -224,23 +228,18 @@ def step(scheme, full_op, reduced_op, u, tau, form="compact"):
                     ui = ui + tau * tab.a[i][j] * applied[j]
             if i < tab.stages - 1:          # the last stage's apply is never read
                 applied.append((reduced_op if flags[i] else full_op).apply_array(ui))
-            if tab.b[i] != 0.0:
-                out = out + tau * tab.b[i] * full_op.apply_array(ui)
+            if tab.b[i] != 0.0:             # a full inner stage has applied full_op already
+                full_ui = applied[i] if i < len(applied) and not flags[i] else full_op.apply_array(ui)
+                out = out + tau * tab.b[i] * full_ui
         return GridFunction(u.space, out)
 
-    if form == "compact":
-        flags = scheme.stage_plan
-        if _is_mixed(flags):
-            raise ValueError("compact form requires a uniform stage plan")
-        inner = reduced_op if flags[0] else full_op
-        alphas = scheme.alphas
-        s = scheme.stages
-        v = alphas[s] * u.coeffs
-        for i in range(s - 1, 0, -1):
-            v = alphas[i] * u.coeffs + tau * inner.apply_array(v)
-        return GridFunction(u.space, u.coeffs + tau * full_op.apply_array(v))
-
-    raise ValueError(f"unknown stepping form {form!r}")
+    inner = reduced_op if flags[0] else full_op
+    alphas = scheme.alphas
+    s = scheme.stages
+    v = alphas[s] * u.coeffs
+    for i in range(s - 1, 0, -1):
+        v = alphas[i] * u.coeffs + tau * inner.apply_array(v)
+    return GridFunction(u.space, u.coeffs + tau * full_op.apply_array(v))
 
 
 @dataclass
@@ -335,7 +334,7 @@ def _evolve_fused(steps, coeffs):
     """Coefficients after the steps [(EvolutionMap, count, shortened), ...], in order.
 
     One step is the fixed map u -> u + E u, with E the map's increment, a
-    block operator (offsets 0 .. -s in 1D) built once per step size.  A
+    block operator (offsets (0,) .. (-s,) in 1D) built once per step size.  A
     step is E's BlockOperator.kernel written out: one gather of the
     neighbour coefficients, one contraction with E's stacked blocks, and
     one add.  The identity stays out of the stacked blocks: folded in, the

@@ -47,14 +47,10 @@ def _mesh_for(dim, n):
     return build_mesh_1d(n) if dim == 1 else build_mesh_2d(n, n)
 
 
-def _cells_per_side(mesh):
-    return mesh.n_cells if mesh.dim == 1 else mesh.nx
-
-
 def _step_map(scheme, operators, cfl):
     """The EvolutionMap at tau = cfl / (dim N) on the operators' mesh."""
     mesh = operators[0].space.mesh
-    return EvolutionMap(scheme, *operators, cfl / (mesh.dim * _cells_per_side(mesh)))
+    return EvolutionMap(scheme, *operators, cfl / (mesh.dim * mesh.cells[0]))
 
 
 def evolution_map(scheme, mesh, k, cfl):
@@ -113,7 +109,7 @@ def _growth_point(emap, cfl, m):
         scheme=emap.scheme.label(emap.space.degree),
         variant=emap.scheme.variant,
         dim=emap.space.dim,
-        n=_cells_per_side(emap.space.mesh),
+        n=emap.space.mesh.cells[0],
         m=m,
         cfl=float(cfl),
         delta=float(max(excess, DELTA_FLOOR)),

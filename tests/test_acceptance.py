@@ -130,7 +130,7 @@ def test_criterion_1_cfl_table(cfl_family):
 
 def test_criterion_2_smooth_accuracy_1d():
     crit = Criterion("2 (1D smooth accuracy table)")
-    problem = ProblemSpec(dim=1, ic="sin", final_time=1.0)
+    problem = ProblemSpec(dim=1, final_time=1.0)
     for (variant, r), (ref_errs, ref_eocs) in SMOOTH_1D.items():
         rows = accuracy_table([(taylor_scheme(r, variant), r - 1)], problem, N_1D)
         tol = 0.05 if r == 5 else 0.02
@@ -151,7 +151,7 @@ def test_criterion_2_smooth_accuracy_1d():
 
 def test_criterion_3_perturbed_mesh_orders():
     crit = Criterion("3 (1D perturbed-mesh orders)")
-    problem = ProblemSpec(dim=1, ic="sin", final_time=1.0)
+    problem = ProblemSpec(dim=1, final_time=1.0)
     for variant in ("standard", "sdA"):
         for r in (2, 3, 4, 5):
             rows = accuracy_table(
@@ -168,7 +168,7 @@ def test_criterion_3_perturbed_mesh_orders():
 
 def test_criterion_4_smooth_accuracy_2d():
     crit = Criterion("4 (2D smooth accuracy table)")
-    problem = ProblemSpec(dim=2, ic="sin", final_time=1.0)
+    problem = ProblemSpec(dim=2, final_time=1.0)
     for (variant, r), (ref_errs, ref_eocs) in SMOOTH_2D.items():
         rows = accuracy_table([(taylor_scheme(r, variant), r - 1)], problem, N_2D)
         for row, ref in zip(rows, ref_errs):
@@ -563,7 +563,7 @@ def test_criterion_9_bounded_ratio_lemmas():
 
 @pytest.mark.slow
 def test_slow_2d_fine_meshes_and_fifth_order():
-    problem = ProblemSpec(dim=2, ic="sin", final_time=1.0)
+    problem = ProblemSpec(dim=2, final_time=1.0)
     ref = {
         ("standard", 2, 160): 4.86e-4, ("standard", 2, 320): 1.24e-4,
         ("standard", 5, 20): 3.88e-5, ("sdA", 5, 20): 4.37e-5,

@@ -35,9 +35,7 @@ FROZEN_2D = {
 
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
-        ProblemSpec(dim=1, ic="nope")
-    with pytest.raises(ValueError):
-        ProblemSpec(dim=1, ic="sinpow", flat=1)
+        ProblemSpec(dim=1, flat=1)
     with pytest.raises(ValueError):
         TravelingSine(1, flat=1)
 
@@ -56,7 +54,7 @@ def test_sine_derivative_registry():
 
 
 def test_l2_error_of_projected_exact_solution():
-    problem = ProblemSpec(dim=1, ic="sin", final_time=0.25)
+    problem = ProblemSpec(dim=1, final_time=0.25)
     mesh = build_mesh_1d(64)
     space = DGSpace(mesh, 1)
     exact = problem.field().exact(0.25)
@@ -82,7 +80,7 @@ def test_quadrature_error_for_polynomial_member():
 
 
 def test_quadrature_refinement_agreement():
-    problem = ProblemSpec(dim=1, ic="sin", final_time=1.0)
+    problem = ProblemSpec(dim=1, final_time=1.0)
     rows = accuracy_table([(taylor_scheme(2), 1)], problem, (40,))
     mesh = build_mesh_1d(40)
     space = DGSpace(mesh, 1)
@@ -103,7 +101,7 @@ def test_benchmark_tau_rule():
 
 
 def test_accuracy_table_regression_1d():
-    problem = ProblemSpec(dim=1, ic="sin", final_time=1.0)
+    problem = ProblemSpec(dim=1, final_time=1.0)
     schemes = [
         (taylor_scheme(2), 1), (taylor_scheme(2, "sdA"), 1),
         (taylor_scheme(3), 2), (taylor_scheme(3, "sdA"), 2),
@@ -117,7 +115,7 @@ def test_accuracy_table_regression_1d():
 
 
 def test_accuracy_table_regression_2d():
-    problem = ProblemSpec(dim=2, ic="sin", final_time=1.0)
+    problem = ProblemSpec(dim=2, final_time=1.0)
     schemes = [(taylor_scheme(2), 1), (taylor_scheme(2, "sdA"), 1)]
     rows = accuracy_table(schemes, problem, (10, 20))
     got = {(r.variant, 2, 1, r.n): r for r in rows}
@@ -127,7 +125,7 @@ def test_accuracy_table_regression_2d():
 
 def test_reduced_variant_error_close_to_standard():
     # reduced-stage errors stay within a modest factor of the standard ones
-    problem = ProblemSpec(dim=1, ic="sin", final_time=1.0)
+    problem = ProblemSpec(dim=1, final_time=1.0)
     schemes = [(taylor_scheme(2), 1), (taylor_scheme(2, "sdA"), 1)]
     rows = accuracy_table(schemes, problem, (20, 40))
     std = {r.n: r.l2_error for r in rows if r.variant == "standard"}
@@ -137,7 +135,7 @@ def test_reduced_variant_error_close_to_standard():
 
 
 def test_zero_speed_solution_is_stationary():
-    problem = ProblemSpec(dim=1, ic="sin", final_time=1.0, beta=0.0)
+    problem = ProblemSpec(dim=1, final_time=1.0, beta=0.0)
     for r, k in ((2, 1), (3, 2)):
         rows = accuracy_table([(taylor_scheme(r), k)], problem, (20,))
         mesh = build_mesh_1d(20, beta=0.0)
@@ -158,7 +156,7 @@ def test_regularity_study_validation_and_smoke():
 
 
 def test_blown_up_row_keeps_the_step_index():
-    problem = ProblemSpec(dim=1, ic="sin", final_time=20.0)
+    problem = ProblemSpec(dim=1, final_time=20.0)
     scheme = taylor_scheme(3)
     (row,) = accuracy_table([(scheme, 2)], problem, (8,), timestep=0.5)
     mesh = build_mesh_1d(8)
@@ -172,14 +170,14 @@ def test_blown_up_row_keeps_the_step_index():
 
 
 def test_perturbed_mesh_rows_are_seeded():
-    problem = ProblemSpec(dim=1, ic="sin", final_time=1.0)
+    problem = ProblemSpec(dim=1, final_time=1.0)
     a = accuracy_table([(taylor_scheme(2), 1)], problem, (20,), perturb=0.15, seed=7)
     b = accuracy_table([(taylor_scheme(2), 1)], problem, (20,), perturb=0.15, seed=7)
     c = accuracy_table([(taylor_scheme(2), 1)], problem, (20,), perturb=0.15, seed=8)
     assert a[0].l2_error == b[0].l2_error
     assert a[0].l2_error != c[0].l2_error
     # 2D meshes are uniform: a perturbation would be silently dropped
-    problem_2d = ProblemSpec(dim=2, ic="sin", final_time=1.0)
+    problem_2d = ProblemSpec(dim=2, final_time=1.0)
     with pytest.raises(ValueError, match="perturb must be 0"):
         accuracy_table([(taylor_scheme(2), 1)], problem_2d, (4,), perturb=0.15)
 
@@ -189,7 +187,7 @@ def test_standard_error_sits_at_the_gauss_radau_ratio(k):
     # Yang & Shu (SINUM 2012): the upwind DG error of smooth transport is
     # sqrt((4k+4)/(2k+1)) times the L2-projection error of the exact
     # solution.  k = 1 is left out: its RK2 time error dominates there.
-    problem = ProblemSpec(dim=1, ic="sin", final_time=1.0)
+    problem = ProblemSpec(dim=1, final_time=1.0)
     field = problem.field()
     mesh = build_mesh_1d(80)
     space = DGSpace(mesh, k)
@@ -203,14 +201,14 @@ def test_standard_error_sits_at_the_gauss_radau_ratio(k):
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_smooth_eoc_reaches_design_order_1d(r):
-    problem = ProblemSpec(dim=1, ic="sin", final_time=1.0)
+    problem = ProblemSpec(dim=1, final_time=1.0)
     for variant in ("standard", "sdA"):
         rows = accuracy_table([(taylor_scheme(r, variant), r - 1)], problem, (80, 160, 320))
         assert abs(rows[-1].eoc - r) <= 0.05, f"{variant} r={r}: {rows[-1].eoc}"
 
 
 def test_smooth_eoc_reaches_design_order_2d():
-    problem = ProblemSpec(dim=2, ic="sin", final_time=1.0)
+    problem = ProblemSpec(dim=2, final_time=1.0)
     rows = accuracy_table([(taylor_scheme(3, "sdA"), 2)], problem, (20, 40, 80))
     assert abs(rows[-1].eoc - 3) <= 0.05
 
@@ -241,17 +239,17 @@ def _rows_one_at_a_time(schemes, problem, n_list, timestep="benchmark", perturb=
 
 @pytest.mark.parametrize("schemes, problem, n_list, options", [
     ([(taylor_scheme(r, v), r - 1) for v in ("standard", "sdA") for r in (2, 3, 4)],
-     ProblemSpec(dim=1, ic="sin"), (8, 16), {}),
+     ProblemSpec(dim=1), (8, 16), {}),
     ([(taylor_scheme(r, v), r - 1) for v in ("standard", "sdA") for r in (2, 3)],
-     ProblemSpec(dim=1, ic="sin"), (8, 16), dict(perturb=0.15, seed=7)),
+     ProblemSpec(dim=1), (8, 16), dict(perturb=0.15, seed=7)),
     ([(taylor_scheme(3, v), 2) for v in ("standard", "sdA")],
-     ProblemSpec(dim=2, ic="sin"), (4, 8), {}),
+     ProblemSpec(dim=2), (4, 8), {}),
     ([(taylor_scheme(3, v), 2) for v in ("standard", "sdA")],
-     ProblemSpec(dim=1, ic="sinpow", flat=3, final_time=0.25), (16, 32), {}),
+     ProblemSpec(dim=1, flat=3, final_time=0.25), (16, 32), {}),
     # the first scheme blows up at both N; the second shares its u0 and,
     # at N = 8, does not
     ([(taylor_scheme(3, v), 2) for v in ("standard", "sdA")],
-     ProblemSpec(dim=1, ic="sin", final_time=2.0), (8, 16), dict(timestep=0.5)),
+     ProblemSpec(dim=1, final_time=2.0), (8, 16), dict(timestep=0.5)),
 ], ids=["1d-uniform", "1d-perturbed", "2d", "sinpow", "first-blows-up"])
 def test_accuracy_table_rows_equal_rows_run_one_at_a_time(schemes, problem, n_list, options):
     rows = accuracy_table(schemes, problem, n_list, **options)
@@ -279,7 +277,7 @@ def test_accuracy_table_sets_up_each_mesh_degree_and_error_rule_once(monkeypatch
                         counting("exact", experiments.grid_values, lambda f, points: points[0].shape))
     # degrees 1, 2 and 7 (error rules of 10, 10 and 11 points), two schemes each
     schemes = [(taylor_scheme(r, v), k) for v in ("standard", "sdA") for r, k in ((2, 1), (3, 2), (3, 7))]
-    problem = ProblemSpec(dim=1, ic="sin", final_time=0.1)
+    problem = ProblemSpec(dim=1, final_time=0.1)
     rows = accuracy_table(schemes, problem, (8, 16))
     assert not any(r.flagged for r in rows)
     assert counts["mesh"] == [8, 16]
@@ -308,14 +306,14 @@ def test_accuracy_table_shares_read_only_arrays(monkeypatch):
     schemes = [(taylor_scheme(2, v), 1) for v in ("standard", "sdA")]
     for dim in (1, 2):
         seen.clear()
-        accuracy_table(schemes, ProblemSpec(dim=dim, ic="sin", final_time=0.1), (4,))
+        accuracy_table(schemes, ProblemSpec(dim=dim, final_time=0.1), (4,))
         assert seen == ["u0", "exact"] * 2
 
 
 def test_regularity_problem_sets_flat_and_default_time_from_the_order():
-    assert regularity_problem(3, "r", None, 1) == ProblemSpec(dim=1, ic="sinpow", flat=3,
+    assert regularity_problem(3, "r", None, 1) == ProblemSpec(dim=1, flat=3,
                                                                final_time=1.0)
-    assert regularity_problem(4, "r+1", None, 2) == ProblemSpec(dim=2, ic="sinpow", flat=5,
+    assert regularity_problem(4, "r+1", None, 2) == ProblemSpec(dim=2, flat=5,
                                                                  final_time=500.0)
     assert regularity_problem(2, "r", 0.25, 1).final_time == 0.25
     with pytest.raises(ValueError, match="flat_mode"):

@@ -8,9 +8,8 @@ from rkdglab.mesh import build_mesh_1d, build_mesh_2d
 def test_uniform_nodes():
     mesh = build_mesh_1d(4)
     assert np.allclose(mesh.nodes, [0.0, 0.25, 0.5, 0.75, 1.0], atol=0.0)
-    assert mesh.periodic
     assert mesh.is_uniform
-    assert mesh.quasi_uniformity == pytest.approx(1.0)
+    assert mesh.cells == (4,)
 
 
 def test_perturbed_nodes_stay_close_to_uniform():
@@ -49,6 +48,7 @@ def test_mesh_1d_rejects_degenerate():
 def test_mesh_2d_basic():
     mesh = build_mesh_2d(2, 2)
     assert mesh.hx == 0.5 and mesh.hy == 0.5
+    assert build_mesh_2d(3, 5).cells == (3, 5)
     assert build_mesh_2d(20, 20).n_cells == 400
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,11 @@ from rkdglab.basis import (
 from rkdglab.errors import IncompatibleSpacesError, UnsupportedDegreeError
 from rkdglab.mesh import build_mesh_1d, build_mesh_2d
 from rkdglab.operators import (
+    BlockOperator,
     DGSpace,
     GridFunction,
     assemble_upwind,
-    compose_mixed,
     eval_grid,
-    jump_forms,
     jump_inner,
     jump_seminorm,
     l2_inner,
@@ -31,6 +32,7 @@ from rkdglab.operators import (
     save_dense_binary,
     save_dense_text,
     strong_derivative,
+    trace_norm,
 )
 from rkdglab.schemes import EvolutionMap, taylor_scheme
 
@@ -87,7 +89,7 @@ def test_weak_form_oracle_2d(k):
 
 def test_sparsity_pattern():
     op1 = assemble_upwind(perturbed_mesh(), 2)
-    assert set(op1.blocks) == {0, -1}
+    assert set(op1.blocks) == {(0,), (-1,)}
     op2 = assemble_upwind(build_mesh_2d(4, 4), 2)
     assert set(op2.blocks) == {(0, 0), (-1, 0), (0, -1)}
 
@@ -153,7 +155,7 @@ def test_operator_algebra_matches_repeated_applies(mesh):
         assert_matches_blocks(combined, c)
     assert_matches_blocks(op, c)
     assert set((op @ op @ op).blocks) == (
-        {0, -1, -2, -3} if mesh.dim == 1
+        {(0,), (-1,), (-2,), (-3,)} if mesh.dim == 1
         else {(-a, -b) for a in range(4) for b in range(4) if a + b <= 3})
 
 
@@ -179,6 +181,18 @@ def test_neighbour_index_is_shared_and_read_only():
         for j, off in enumerate(a.blocks):
             rolled = np.roll(cells, np.negative(off), axis=tuple(range(len(shape))))
             assert np.array_equal(index[:, j], rolled.ravel())
+
+
+@pytest.mark.parametrize("mesh, offset", [
+    (build_mesh_1d(6), -1), (build_mesh_1d(6), (0, -1)), (build_mesh_1d(6), (-1.0,)),
+    (build_mesh_2d(3, 3), (-1,)), (build_mesh_2d(3, 3), -1),
+], ids=["1d-int", "1d-pair", "1d-float", "2d-one-int", "2d-int"])
+def test_block_operator_rejects_malformed_offsets(mesh, offset):
+    space = DGSpace(mesh, 1)
+    zero = (0,) * mesh.dim
+    blk = np.eye(space.n_modes)
+    with pytest.raises(ValueError, match=re.escape(repr(offset))):
+        BlockOperator(space, {zero: blk, offset: blk})
 
 
 def test_operator_algebra_rejects_other_spaces():
@@ -339,10 +353,9 @@ def test_jump_quantities_vanish_for_continuous():
     mesh = build_mesh_2d(4, 4)
     space = DGSpace(mesh, 1)
     const = project(lambda x, y: np.full(np.broadcast(x, y).shape, 2.5), space)
-    forms = jump_forms(const, const)
-    assert forms.inner <= 1e-13
-    assert forms.seminorm <= 1e-13
-    assert forms.trace_norm > 0.0
+    assert jump_inner(const, const) <= 1e-13
+    assert jump_seminorm(const) <= 1e-13
+    assert trace_norm(const) > 0.0
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -415,9 +428,8 @@ def test_jump_inner_and_trace_norm_match_a_face_quadrature_oracle(dim):
         space = DGSpace(mesh, k)
         w, v = space.random(2 * k), space.random(2 * k + 1)
         inner, norm = _skeleton_oracle(w, v)
-        forms = jump_forms(w, v)
-        assert forms.inner == pytest.approx(inner, rel=1e-12, abs=1e-12)
-        assert forms.trace_norm == pytest.approx(norm, rel=1e-12)
+        assert jump_inner(w, v) == pytest.approx(inner, rel=1e-12, abs=1e-12)
+        assert trace_norm(v) == pytest.approx(norm, rel=1e-12)
 
 
 def test_jump_hand_value_k0():
@@ -432,11 +444,11 @@ def test_jump_forms_incompatible_inputs():
     a = DGSpace(build_mesh_1d(4), 1).random(0)
     b = DGSpace(build_mesh_1d(5), 1).random(0)
     with pytest.raises(IncompatibleSpacesError):
-        jump_forms(a, b)
+        jump_inner(a, b)
 
 
 # ---------------------------------------------------------------------------
-# strong derivative, mixed compositions
+# strong derivative
 # ---------------------------------------------------------------------------
 
 def test_strong_derivative_perp_vanishes():
@@ -456,27 +468,6 @@ def test_strong_derivative_perp_vanishes():
         by_quadrature = GridFunction(space, coeffs)
         assert project(by_quadrature, target="perp").norm() <= 1e-12 * max(w.norm(), 1.0)
         assert (strong_derivative(w) - by_quadrature).norm() <= 1e-11 * max(w.norm(), 1.0)
-
-
-def test_compose_mixed_definitions():
-    mesh = build_mesh_1d(10)
-    op = assemble_upwind(mesh, 2)
-    w = op.space.random(3)
-    direct = compose_mixed(op, (1, 1), w)
-    stepwise = op.apply(project(op.apply(w), target="perp"))
-    assert (direct - stepwise).norm() <= 1e-13 * max(1.0, w.norm())
-    with pytest.raises(ValueError):
-        compose_mixed(op, (), w)
-    with pytest.raises(ValueError):
-        compose_mixed(op, (0, 1), w)
-
-
-def test_compose_mixed_continuous_input_vanishes():
-    mesh = build_mesh_1d(8)
-    space = DGSpace(mesh, 1)
-    const = project(lambda x: np.full(np.shape(x), 3.0), space)
-    op = assemble_upwind(mesh, 1)
-    assert compose_mixed(op, (1, 1), const).norm() <= 1e-11
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,50 @@ def test_butcher_matches_compact(r, variant):
     assert (a - b).norm() <= 1e-13 * u.norm()
 
 
+def test_step_checks_its_arguments_before_a_zero_step():
+    # a zero step returns a copy only for arguments a nonzero step takes
+    mesh = build_mesh_1d(8)
+    op, red = _ops(mesh, 1)
+    u = op.space.random(1)
+    mixed = SchemeSpec(3, (True, False, True))
+    for tau in (0.0, 0.1):
+        with pytest.raises(ValueError, match="unknown stepping form"):
+            step(taylor_scheme(2), op, red, u, tau, form="bogus")
+        with pytest.raises(ValueError, match="uniform stage plan"):
+            step(mixed, op, red, u, tau, form="compact")
+    assert (step(mixed, op, red, u, 0.0, form="butcher") - u).norm() == 0.0
+
+
+class _CountingOperator:
+    """An operator that counts its apply_array calls."""
+
+    def __init__(self, op):
+        self.op, self.calls = op, 0
+
+    def apply_array(self, c):
+        self.calls += 1
+        return self.op.apply_array(c)
+
+
+@pytest.mark.parametrize("r, variant, applies", [
+    (2, "standard", 2), (2, "sdA", 2),
+    (3, "standard", 3), (3, "sdA", 5),
+    (4, "standard", 4), (4, "sdA", 7),
+])
+def test_butcher_step_applies_the_full_operator_once_per_stage_value(r, variant, applies):
+    # a full inner stage with b_i != 0 reuses its product in the final sum:
+    # SSP3 and RK4 (every b_i != 0) take r applies standard and 2r - 1 sdA,
+    # midpoint (b_1 = 0) takes 2
+    op, red = _ops(build_mesh_1d(9, 0.15, seed=3), 2)
+    full, reduced = _CountingOperator(op), _CountingOperator(red)
+    u = op.space.random(r)
+    got = step(taylor_scheme(r, variant), full, reduced, u, 0.01, form="butcher")
+    assert full.calls + reduced.calls == applies
+    assert reduced.calls == (r - 1 if variant == "sdA" else 0)
+    ref = step(taylor_scheme(r, variant), op, red, u, 0.01, form="compact")
+    assert (got - ref).norm() <= 1e-13 * u.norm()
+
+
 def test_butcher_fallback_above_order_4():
     mesh = build_mesh_1d(8)
     op, red = _ops(mesh, 1)
@@ -671,7 +715,7 @@ def test_a_uniform_plan_is_its_variant():
     assert SchemeSpec(3, [True, True, False]) == SchemeSpec(3, (True, True, False))
     assert SchemeSpec(3, (True, True, False)).variant == "sdA"      # the last flag is inert
     assert SchemeSpec(3, (False,) * 3) == taylor_scheme(3)
-    problem = ProblemSpec(dim=1, ic="sin", final_time=0.05)
+    problem = ProblemSpec(dim=1, final_time=0.05)
     (row,) = accuracy_table([(planned, 2)], problem, (8,))
     assert (row.scheme, row.variant) == ("RK3DG2", "sdA")
     point = delta(planned, build_mesh_1d(8), 2, 0.1)
@@ -823,7 +867,7 @@ def test_blowup_parity_with_stepping():
 
 def test_accuracy_table_blowup_parity(monkeypatch):
     # fixed tau = 0.015 is cfl 0.3 at N=20 and 0.6 at N=40, above the r=3 limits
-    problem = ProblemSpec(dim=1, ic="sin", final_time=1.0)
+    problem = ProblemSpec(dim=1, final_time=1.0)
     pairs = [(taylor_scheme(3, v), 2) for v in ("standard", "sdA")]
     fourier = accuracy_table(pairs, problem, (20, 40), timestep=0.015)
     monkeypatch.setattr(schemes, "_evolve_fourier", lambda *args: None)
@@ -881,7 +925,7 @@ def test_mixed_plan_map_is_the_dense_butcher_step(kind, r, plan):
     blocks = emap.increment.blocks
     assert all(np.any(b) for b in blocks.values())
     if mesh.dim == 1:
-        assert sorted(blocks) == list(range(-r, 1))
+        assert sorted(blocks) == [(o,) for o in range(-r, 1)]
 
 
 @pytest.mark.parametrize("r, plan", MIXED_PLANS)

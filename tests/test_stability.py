@@ -224,7 +224,7 @@ def test_excess_operator_is_the_gram_excess_of_the_m_step_map():
     for m in (1, 2, 3):
         km = np.linalg.matrix_power(k, m)
         excess = excess_operator(emap, m)
-        assert sorted(excess.blocks) == list(range(-3 * m, 3 * m + 1))
+        assert sorted(excess.blocks) == [(o,) for o in range(-3 * m, 3 * m + 1)]
         assert np.abs(excess.as_dense() - (km.T @ km - np.eye(len(k)))).max() <= 1e-12
 
 
@@ -234,7 +234,7 @@ def test_certificate_brackets_the_top_eigenvalue():
     rng = np.random.Generator(np.random.PCG64(5))
     for n, p, s in ((5, 2, 2), (7, 2, 3), (9, 3, 1), (16, 1, 3), (20, 3, 2)):
         space = DGSpace(build_mesh_1d(n, 0.2, seed=n), p - 1)
-        e = BlockOperator(space, {-j: 0.3 * rng.standard_normal((n, p, p)) for j in range(s + 1)})
+        e = BlockOperator(space, {(-j,): 0.3 * rng.standard_normal((n, p, p)) for j in range(s + 1)})
         sym = e + e.transpose() + e.transpose() @ e
         top = np.linalg.eigvalsh(sym.as_dense())[-1]
         assert certify_below(sym, top + 1e-9), (n, p, s)
@@ -245,12 +245,12 @@ def test_certificate_sees_the_periodic_wrap():
     # T + T^T for the cyclic shift T has top eigenvalue 2 (the constants);
     # without the wrap it would be a path graph, 2 cos(pi / 51) < 1.999
     space = DGSpace(build_mesh_1d(50), 0)
-    shift = BlockOperator(space, {1: np.ones((1, 1))})
+    shift = BlockOperator(space, {(1,): np.ones((1, 1))})
     sym = shift + shift.transpose()
     assert not certify_below(sym, 1.999)
     assert certify_below(sym, 2.0 + 1e-9)
     # a band too wide for the mesh, and 2D operators, are never certified
-    narrow = BlockOperator(DGSpace(build_mesh_1d(4), 0), {1: np.ones((1, 1)), -1: np.ones((1, 1))})
+    narrow = BlockOperator(DGSpace(build_mesh_1d(4), 0), {(1,): np.ones((1, 1)), (-1,): np.ones((1, 1))})
     assert not certify_below(narrow @ narrow, 100.0)
     assert not certify_below(assemble_upwind(build_mesh_2d(4, 4), 1), 100.0)
 
@@ -294,7 +294,7 @@ def test_lanczos_matches_eigvalsh_on_random_symmetric_operators():
     rng = np.random.Generator(np.random.PCG64(5))
     for n, p, s in ((5, 2, 2), (7, 2, 3), (9, 3, 1), (16, 1, 3), (20, 3, 2)):
         space = DGSpace(build_mesh_1d(n, 0.2, seed=n), p - 1)
-        e = BlockOperator(space, {-j: 0.3 * rng.standard_normal((n, p, p)) for j in range(s + 1)})
+        e = BlockOperator(space, {(-j,): 0.3 * rng.standard_normal((n, p, p)) for j in range(s + 1)})
         sym = e + e.transpose() + e.transpose() @ e
         top = np.linalg.eigvalsh(sym.as_dense())[-1]
         assert top_eigenvalue(sym) == pytest.approx(top, rel=1e-12, abs=1e-14), (n, p, s)
