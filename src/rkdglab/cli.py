@@ -31,28 +31,46 @@ ACCURACY_HEADER = "scheme,variant,dim,N,dofs,l2_error,eoc,l2_error_raw,eoc_raw"
 STABILITY_HEADER = "scheme,variant,dim,N,m,cfl,delta,delta_raw"
 CFL_HEADER = "scheme,variant,r,k,cfl,cfl_raw"
 
-_INT_LIST = "int_list"
-_FLOAT_LIST = "float_list"
 
-#: key -> (kind, default, range); "auto" defaults are resolved per command.
-#: A range lists (comparison, bound) pairs that every number given for the
-#: key must satisfy.
+def _choice(options, message):
+    """Parser of one of options; any other value raises message, formatted with it."""
+    def parse(raw):
+        if raw not in options:
+            raise ConfigError(message.format(raw))
+        return raw
+    return parse
+
+
+def _keyword_or(keyword, number):
+    """Parser of the keyword itself or a number of the given type."""
+    return lambda raw: raw if raw == keyword else number(raw)
+
+
+def _list_of(number):
+    """Parser of a comma list of numbers of the given type."""
+    return lambda raw: tuple(number(tok) for tok in raw.split(","))
+
+
+#: key -> (parser, default, range); "auto" defaults are resolved per command.
+#: A parser raises ValueError on a malformed value.  A range lists
+#: (comparison, bound) pairs that every number given for the key must satisfy.
 KEY_SPECS = {
-    "command": ("command", None, ()),
-    "r": (_INT_LIST, "auto", ((">=", 1),)),
-    "k": ("int_or_auto", "auto", ((">=", 0),)),
-    "variant": ("variant", "standard", ()),
-    "dim": ("int", 1, ((">=", 1), ("<=", 2))),
-    "N": (_INT_LIST, "auto", ((">=", 2),)),
-    "perturb": ("float", 0.0, ((">=", 0), ("<", 0.5))),
-    "seed": ("int", 0, ((">=", 0),)),
-    "m": ("int", 1, ((">=", 1),)),
-    "cfl": (_FLOAT_LIST, "auto", ((">=", 0),)),
-    "T": ("float_or_auto", "auto", ((">=", 0), ("<", math.inf))),
-    "timestep": ("timestep", "benchmark", ((">", 0),)),
-    "flat_mode": ("flat_mode", "r", ()),
-    "output": ("str", "-", ()),
-    "quad_points": ("int_or_auto", "auto", ((">=", 1),)),
+    "command": (_choice(COMMANDS, "unknown command {!r}"), None, ()),
+    "r": (_list_of(int), "auto", ((">=", 1),)),
+    "k": (_keyword_or("auto", int), "auto", ((">=", 0),)),
+    "variant": (_choice(("standard", "sdA", "both"),
+                        "variant must be standard, sdA or both, got {!r}"), "standard", ()),
+    "dim": (int, 1, ((">=", 1), ("<=", 2))),
+    "N": (_list_of(int), "auto", ((">=", 2),)),
+    "perturb": (float, 0.0, ((">=", 0), ("<", 0.5))),
+    "seed": (int, 0, ((">=", 0),)),
+    "m": (int, 1, ((">=", 1),)),
+    "cfl": (_list_of(float), "auto", ((">=", 0),)),
+    "T": (_keyword_or("auto", float), "auto", ((">=", 0), ("<", math.inf))),
+    "timestep": (_keyword_or("benchmark", float), "benchmark", ((">", 0),)),
+    "flat_mode": (_choice(("r", "r+1"), "flat_mode must be 'r' or 'r+1'"), "r", ()),
+    "output": (str, "-", ()),
+    "quad_points": (_keyword_or("auto", int), "auto", ((">=", 1),)),
 }
 
 #: the keys each command reads besides command and output; giving any
@@ -74,42 +92,13 @@ DEFAULT_CFL_GRID = (0.025, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45)
 
 
 def _parse_value(key, raw):
-    kind, _, _ = KEY_SPECS[key]
     raw = raw.strip()
     try:
-        if kind == "command":
-            if raw not in COMMANDS:
-                raise ConfigError(f"unknown command {raw!r}")
-            return raw
-        if kind == _INT_LIST:
-            return tuple(int(tok) for tok in raw.split(","))
-        if kind == _FLOAT_LIST:
-            return tuple(float(tok) for tok in raw.split(","))
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "int_or_auto":
-            return "auto" if raw == "auto" else int(raw)
-        if kind == "float_or_auto":
-            return "auto" if raw == "auto" else float(raw)
-        if kind == "timestep":
-            return raw if raw == "benchmark" else float(raw)
-        if kind == "variant":
-            if raw not in ("standard", "sdA", "both"):
-                raise ConfigError(f"variant must be standard, sdA or both, got {raw!r}")
-            return raw
-        if kind == "flat_mode":
-            if raw not in ("r", "r+1"):
-                raise ConfigError("flat_mode must be 'r' or 'r+1'")
-            return raw
-        if kind == "str":
-            return raw
+        return KEY_SPECS[key][0](raw)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"bad value for key {key!r}: {raw!r}") from exc
-    raise ConfigError(f"unhandled key kind for {key!r}")
 
 
 def _check_range(key, value):

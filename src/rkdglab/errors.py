@@ -32,7 +32,7 @@ class ProjectionFailureError(RuntimeError):
 class CflTooLargeError(RuntimeError):
     """Fixed-point resolvent solve cannot converge at this time step."""
 
-    def __init__(self, msg, contraction=None):
+    def __init__(self, msg, contraction):
         super().__init__(msg)
         self.contraction = contraction
 

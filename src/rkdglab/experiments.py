@@ -15,8 +15,10 @@ from .schemes import evolve
 # problems and initial data
 # ---------------------------------------------------------------------------
 
-class TravelingSine:
-    """sin(2 pi x) or sin(2 pi (x+y)) advected at constant speed.
+@dataclass(frozen=True)
+class ProblemSpec:
+    """Transport test problem: sin(2 pi x) or sin(2 pi (x+y)) advected at
+    constant speed up to a final time.
 
     With a regularity parameter flat, the data of limited smoothness
     sin(...)^(flat - 1/3) instead.  The fractional power is read through
@@ -25,12 +27,20 @@ class TravelingSine:
     parity of 3*flat - 1.
     """
 
-    def __init__(self, dim, beta=1.0, beta_x=1.0, beta_y=1.0, flat=None):
-        if flat is not None and flat < 2:
-            raise ValueError("regularity parameter must be >= 2")
-        self.dim = dim
-        self.flat = flat
-        self.speed = beta if dim == 1 else beta_x + beta_y
+    dim: int
+    flat: Optional[int] = None    # regularity parameter of sin^(flat - 1/3) data; None: sin
+    final_time: float = 1.0
+    beta: float = 1.0
+    beta_x: float = 1.0
+    beta_y: float = 1.0
+
+    def __post_init__(self):
+        if self.flat is not None and self.flat < 2:
+            raise ValueError("sinpow data needs a regularity parameter >= 2")
+
+    @property
+    def speed(self):
+        return self.beta if self.dim == 1 else self.beta_x + self.beta_y
 
     @property
     def value(self):
@@ -52,25 +62,6 @@ class TravelingSine:
         amp = (-self.speed * 2.0 * np.pi) ** i
         phase = i * np.pi / 2.0
         return lambda *xy: amp * np.sin(2.0 * np.pi * sum(xy) + phase)
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Transport test problem: initial data, regularity, speeds, final time."""
-
-    dim: int
-    flat: Optional[int] = None    # regularity parameter of sin^(flat - 1/3) data; None: sin
-    final_time: float = 1.0
-    beta: float = 1.0
-    beta_x: float = 1.0
-    beta_y: float = 1.0
-
-    def __post_init__(self):
-        if self.flat is not None and self.flat < 2:
-            raise ValueError("sinpow data needs a regularity parameter >= 2")
-
-    def field(self):
-        return TravelingSine(self.dim, self.beta, self.beta_x, self.beta_y, self.flat)
 
     def error_quadrature(self, k):
         # singular sinpow derivatives need denser error quadrature
@@ -95,7 +86,7 @@ def l2_error(u, problem, t, n_points=None):
     space = u.space
     nq = n_points if n_points is not None else problem.error_quadrature(space.degree)
     *points, w = quadrature_grid(space, nq)
-    return _l2_distance(u, w, grid_values(problem.field().exact(t), points), nq)
+    return _l2_distance(u, w, grid_values(problem.exact(t), points), nq)
 
 
 def _l2_distance(u, w, exact, nq):
@@ -156,7 +147,6 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
     by (scheme, N); a blow-up is recorded as a flagged row rather than an
     exception.
     """
-    field = problem.field()
     results = [[] for _ in schemes]     # per scheme, per N: (dofs, error, BlowUpError or None)
     for n in n_list:
         mesh = build_problem_mesh(problem, n, perturb=perturb, seed=seed)
@@ -164,7 +154,7 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
         for (scheme, k), out in zip(schemes, results):
             nq = n_quad if n_quad is not None else problem.error_quadrature(k)
             if k not in starts:
-                starts[k] = project(field.value, DGSpace(mesh, k), n_points=nq)
+                starts[k] = project(problem.value, DGSpace(mesh, k), n_points=nq)
                 _read_only(starts[k].coeffs)
             u0 = starts[k]
             tau = resolve_timestep(timestep, scheme.order, problem.dim, n)
@@ -175,7 +165,7 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
                 continue
             if nq not in grids:
                 *points, w = quadrature_grid(u0.space, nq)
-                exact = grid_values(field.exact(problem.final_time), points)
+                exact = grid_values(problem.exact(problem.final_time), points)
                 grids[nq] = _read_only(w), _read_only(exact)
             out.append((u0.space.n_dofs, _l2_distance(result.u, *grids[nq], nq), None))
 

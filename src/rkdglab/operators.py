@@ -598,21 +598,23 @@ POWER_RTOL = 1e-10
 POWER_MAX_ITER = 10000
 
 
-def operator_norm(op, method="auto", m=1, dense_cap=DENSE_CAP):
-    """2-norm of op^m.
+def operator_norm(op, method, m=1, dense_cap=DENSE_CAP):
+    """2-norm of op^m by the given method.
 
-    Methods: "dense_svd" assembles op densely (allowed up to dense_cap
-    unknowns); "power_iteration" runs matrix-free on (op^m)(op^m)^T;
-    "auto" evaluates the Fourier symbols itself when op is_circulant and
-    otherwise calls "dense_svd" up to the cap, "power_iteration" above it.
+    "symbol" takes the per-frequency SVD of a circulant op's Fourier
+    symbols (its norm_symbols raise ValueError on any other op);
+    "dense_svd" assembles op densely (allowed up to dense_cap unknowns);
+    "power_iteration" runs matrix-free on (op^m)(op^m)^T.  The route is
+    chosen by the caller: stability.growth_excess takes "symbol", and the
+    other two are its cross-checks.
     """
     if m < 1:
         raise ValueError("power m must be >= 1")
-    if method == "auto":
-        if getattr(op, "is_circulant", False):
-            return _symbol_norm(op, m)
-        method = "dense_svd" if op.n_dofs <= dense_cap else "power_iteration"
-        return operator_norm(op, method, m=m, dense_cap=dense_cap)
+    if method == "symbol":
+        sym = op.norm_symbols()
+        if m > 1:
+            sym = np.linalg.matrix_power(sym, m)
+        return float(np.linalg.svd(sym, compute_uv=False)[:, 0].max())
 
     if method == "dense_svd":
         if op.n_dofs > dense_cap:
@@ -624,14 +626,6 @@ def operator_norm(op, method="auto", m=1, dense_cap=DENSE_CAP):
         return _power_iteration_norm(op, m)
 
     raise ValueError(f"unknown norm method {method!r}")
-
-
-def _symbol_norm(op, m):
-    """Exact ||op^m||_2 via per-frequency SVD of the circulant symbols."""
-    sym = op.norm_symbols()
-    if m > 1:
-        sym = np.linalg.matrix_power(sym, m)
-    return float(np.linalg.svd(sym, compute_uv=False)[:, 0].max())
 
 
 def _power_iteration_norm(op, m):

@@ -7,7 +7,6 @@ variant applies the full operator only in the final combination and the
 degree-reduced operator at all inner stages.
 """
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
@@ -203,16 +202,14 @@ def step(scheme, full_op, reduced_op, u, tau, form="compact"):
     applications, which coincides with the Butcher form for linear
     autonomous problems.  Both forms are the staged reference for evolve
     and EvolutionMap.  Above order 4 no tableau is built in, and the
-    Butcher form falls back to the compact form with a warning.
+    Butcher form raises ValueError.
     """
     _check_degree(scheme, u.space)
     if form not in ("butcher", "compact"):
         raise ValueError(f"unknown stepping form {form!r}")
     flags = scheme.stage_plan
     if form == "butcher" and scheme.tableau is None:
-        warnings.warn("no built-in tableau above order 4; falling back to the compact form",
-                      RuntimeWarning, stacklevel=2)
-        form = "compact"
+        raise ValueError(f"no built-in tableau for order {scheme.order}: use the compact form")
     if form == "compact" and _is_mixed(flags):
         raise ValueError("compact form requires a uniform stage plan")
     if tau == 0.0:

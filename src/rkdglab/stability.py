@@ -88,7 +88,7 @@ def growth_excess(emap, m=1):
     cross-checks of these routes.
     """
     if emap.is_circulant:
-        nrm = operator_norm(emap, m=m)
+        nrm = operator_norm(emap, "symbol", m=m)
         return nrm * nrm - 1.0, "symbol"
     s_m = excess_operator(emap, m)
     if certify_below(s_m, NORM_RESOLUTION):

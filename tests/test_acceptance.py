@@ -23,7 +23,7 @@ from rkdglab.operators import (
 from rkdglab.projections import gauss_radau, lsz, pi_star
 from rkdglab.schemes import EvolutionMap, energy_coefficients, step, taylor_scheme
 from rkdglab.stability import DELTA_FLOOR, delta
-from rkdglab.experiments import TravelingSine
+from rkdglab.experiments import ProblemSpec
 
 
 class Criterion:
@@ -391,7 +391,7 @@ def test_criterion_7_operator_identities():
 
 def test_criterion_8_projection_suite():
     crit = Criterion("8 (projection suite)")
-    field = TravelingSine(1)
+    field = ProblemSpec(dim=1)
 
     # Gauss-Radau constraints
     mesh = build_mesh_1d(12, 0.2, seed=5)
@@ -413,7 +413,7 @@ def test_criterion_8_projection_suite():
     # 2D defining residuals via the quadrature check in the unit tests
     mesh2 = build_mesh_2d(4, 4)
     space2 = DGSpace(mesh2, 2)
-    f2 = TravelingSine(2)
+    f2 = ProblemSpec(dim=2)
     p2 = lsz(f2.value, space2, n_points=14)
     full2 = project(f2.value, space2, n_points=14)
     crit.check(np.abs(p2.coeffs[..., 0] - full2.coeffs[..., 0]).max() <= 1e-10,

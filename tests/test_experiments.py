@@ -5,7 +5,6 @@ from rkdglab import experiments
 from rkdglab.errors import BlowUpError
 from rkdglab.experiments import (
     ProblemSpec,
-    TravelingSine,
     accuracy_table,
     build_problem_mesh,
     l2_error,
@@ -36,28 +35,26 @@ FROZEN_2D = {
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(dim=1, flat=1)
-    with pytest.raises(ValueError):
-        TravelingSine(1, flat=1)
 
 
 def test_sine_derivative_registry():
-    f = TravelingSine(1, beta=1.0)
+    f = ProblemSpec(dim=1, beta=1.0)
     x = np.linspace(0.0, 1.0, 11)
     assert np.allclose(f.deriv(0)(x), np.sin(2 * np.pi * x))
     assert np.allclose(f.deriv(1)(x), -2 * np.pi * np.cos(2 * np.pi * x))
     assert np.allclose(f.deriv(2)(x), -((2 * np.pi) ** 2) * np.sin(2 * np.pi * x))
-    g = TravelingSine(2, beta_x=1.0, beta_y=1.0)
+    g = ProblemSpec(dim=2, beta_x=1.0, beta_y=1.0)
     y = x[::-1].copy()
     assert np.allclose(g.deriv(1)(x, y), -4 * np.pi * np.cos(2 * np.pi * (x + y)))
     with pytest.raises(NotImplementedError):
-        TravelingSine(1, flat=2).deriv(1)
+        ProblemSpec(dim=1, flat=2).deriv(1)
 
 
 def test_l2_error_of_projected_exact_solution():
     problem = ProblemSpec(dim=1, final_time=0.25)
     mesh = build_mesh_1d(64)
     space = DGSpace(mesh, 1)
-    exact = problem.field().exact(0.25)
+    exact = problem.exact(0.25)
     u = project(exact, space)
     err = l2_error(u, problem, 0.25)
     # matches an independent quadrature of the projection error
@@ -86,7 +83,7 @@ def test_quadrature_refinement_agreement():
     space = DGSpace(mesh, 1)
     from rkdglab.schemes import evolve
 
-    u0 = project(problem.field().value, space)
+    u0 = project(problem.value, space)
     u = evolve(taylor_scheme(2), mesh, 1, u0, 1.0, benchmark_tau(2, 1, 40)).u
     e10 = l2_error(u, problem, 1.0, n_points=10)
     e14 = l2_error(u, problem, 1.0, n_points=14)
@@ -140,7 +137,7 @@ def test_zero_speed_solution_is_stationary():
         rows = accuracy_table([(taylor_scheme(r), k)], problem, (20,))
         mesh = build_mesh_1d(20, beta=0.0)
         space = DGSpace(mesh, k)
-        u0 = project(problem.field().value, space)
+        u0 = project(problem.value, space)
         init_err = l2_error(u0, problem, 0.0)
         assert rows[0].l2_error == pytest.approx(init_err, rel=1e-12)
 
@@ -160,7 +157,7 @@ def test_blown_up_row_keeps_the_step_index():
     scheme = taylor_scheme(3)
     (row,) = accuracy_table([(scheme, 2)], problem, (8,), timestep=0.5)
     mesh = build_mesh_1d(8)
-    u0 = project(problem.field().value, DGSpace(mesh, 2))
+    u0 = project(problem.value, DGSpace(mesh, 2))
     with pytest.raises(BlowUpError) as info:
         evolve(scheme, mesh, 2, u0, 20.0, 0.5)
     assert row.flagged and np.isnan(row.l2_error)
@@ -188,13 +185,12 @@ def test_standard_error_sits_at_the_gauss_radau_ratio(k):
     # sqrt((4k+4)/(2k+1)) times the L2-projection error of the exact
     # solution.  k = 1 is left out: its RK2 time error dominates there.
     problem = ProblemSpec(dim=1, final_time=1.0)
-    field = problem.field()
     mesh = build_mesh_1d(80)
     space = DGSpace(mesh, k)
     nq = problem.error_quadrature(k)
-    u0 = project(field.value, space, n_points=nq)
+    u0 = project(problem.value, space, n_points=nq)
     res = evolve(taylor_scheme(k + 1), mesh, k, u0, 1.0, benchmark_tau(k + 1, 1, 80))
-    best = project(field.exact(1.0), space, n_points=nq)
+    best = project(problem.exact(1.0), space, n_points=nq)
     ratio = l2_error(res.u, problem, 1.0) / l2_error(best, problem, 1.0)
     assert ratio == pytest.approx(np.sqrt((4 * k + 4) / (2 * k + 1)), rel=0.01)
 
@@ -226,7 +222,7 @@ def _rows_one_at_a_time(schemes, problem, n_list, timestep="benchmark", perturb=
             mesh = build_problem_mesh(problem, n, perturb=perturb, seed=seed)
             space = DGSpace(mesh, k)
             nq = problem.error_quadrature(k)
-            u0 = project(problem.field().value, space, n_points=nq)
+            u0 = project(problem.value, space, n_points=nq)
             tau = resolve_timestep(timestep, scheme.order, problem.dim, n)
             try:
                 res = evolve(scheme, mesh, k, u0, problem.final_time, tau)

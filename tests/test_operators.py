@@ -506,7 +506,7 @@ def test_power_iteration_matches_dense_on_evolution_map():
     dense = operator_norm(emap, "dense_svd")
     power = operator_norm(emap, "power_iteration")
     assert abs(dense - power) <= 1e-8 * dense
-    symbol = operator_norm(emap, "auto")
+    symbol = operator_norm(emap, "symbol")
     assert abs(dense - symbol) <= 1e-12 * dense
 
 
@@ -516,7 +516,7 @@ def test_inverse_estimate_norm_sweep():
     vals = []
     for n in (16, 32, 64, 128, 256):
         op = assemble_upwind(build_mesh_1d(n), k)
-        vals.append(operator_norm(op, "auto") / n)
+        vals.append(operator_norm(op, "symbol") / n)
     for a, b in zip(vals, vals[1:]):
         assert abs(a - b) / max(a, b) < 0.10
 

@@ -108,15 +108,22 @@ def test_butcher_step_applies_the_full_operator_once_per_stage_value(r, variant,
     assert (got - ref).norm() <= 1e-13 * u.norm()
 
 
-def test_butcher_fallback_above_order_4():
+def test_butcher_form_above_order_4_raises():
+    # no tableau is built in above order 4: the Butcher form refuses the
+    # step instead of taking another form
     mesh = build_mesh_1d(8)
     op, red = _ops(mesh, 1)
     scheme = taylor_scheme(5)
     u = op.space.random(2)
-    with pytest.warns(RuntimeWarning):
-        a = step(scheme, op, red, u, 1e-3, form="butcher")
+    with pytest.raises(ValueError, match="no built-in tableau for order 5"):
+        step(scheme, op, red, u, 1e-3, form="butcher")
+    # the compact form at r = 5 is the degree-5 Taylor polynomial of the step
+    term, ref = u, u
+    for i in range(1, 6):
+        term = op.apply(term) * (1e-3 / i)
+        ref = ref + term
     b = step(scheme, op, red, u, 1e-3, form="compact")
-    assert (a - b).norm() == 0.0
+    assert (b - ref).norm() <= 1e-14 * ref.norm()
 
 
 def test_reduced_variant_rejects_k0():
@@ -288,32 +295,38 @@ def test_two_step_stability_fourth_order(variant):
     op, red = _ops(mesh, k)
     scheme = taylor_scheme(4, variant)
     emap = EvolutionMap(scheme, op, red, tau=0.05 / 16)
-    one = operator_norm(emap, "auto", m=1)
-    two = operator_norm(emap, "auto", m=2)
+    one = operator_norm(emap, "symbol", m=1)
+    two = operator_norm(emap, "symbol", m=2)
     assert two <= 1.0 + 1e-10
     assert one > 1.0  # the single step genuinely expands at this step size
 
 
-def test_auto_norm_takes_the_symbol_path_only_for_circulant_maps(monkeypatch):
-    for mesh, circulant in ((build_mesh_1d(8), True), (build_mesh_1d(8, 0.2, seed=1), False)):
-        emap = EvolutionMap(taylor_scheme(3), *_ops(mesh, 2), tau=0.1 / 8)
-        assert emap.is_circulant is circulant
-    # a perturbed map goes to the dense SVD without asking for symbols ...
-    def no_symbols(self):
-        raise AssertionError("norm_symbols called on a non-circulant map")
+def test_symbol_norm_refuses_a_perturbed_map_without_a_dense_matrix(monkeypatch):
+    emap = EvolutionMap(taylor_scheme(3), *_ops(build_mesh_1d(8, 0.2, seed=1), 2), tau=0.1 / 8)
+    assert not emap.is_circulant
 
-    monkeypatch.setattr(EvolutionMap, "norm_symbols", no_symbols)
-    dense = operator_norm(emap, "auto")
-    assert dense == operator_norm(emap, "dense_svd")
+    def no_dense(self):
+        raise AssertionError("dense matrix built for the symbol norm")
 
-    # ... and an error raised on the symbol path reaches the caller
+    monkeypatch.setattr(EvolutionMap, "as_dense", no_dense)
+    with pytest.raises(ValueError, match="Fourier symbols need uniform meshes"):
+        operator_norm(emap, "symbol")
+
+
+def test_auto_is_not_a_norm_method():
+    emap = EvolutionMap(taylor_scheme(3), *_ops(build_mesh_1d(8), 2), tau=0.1 / 8)
+    with pytest.raises(ValueError, match="unknown norm method 'auto'"):
+        operator_norm(emap, "auto")
+
+
+def test_symbol_norm_errors_reach_the_caller(monkeypatch):
     def broken_symbols(self):
         raise ValueError("symbol failure")
 
     monkeypatch.setattr(EvolutionMap, "norm_symbols", broken_symbols)
     uniform = EvolutionMap(taylor_scheme(3), *_ops(build_mesh_1d(8), 2), tau=0.1 / 8)
     with pytest.raises(ValueError, match="symbol failure"):
-        operator_norm(uniform, "auto")
+        operator_norm(uniform, "symbol")
 
 
 def test_all_builtin_tableaus_match_compact():
@@ -879,7 +892,7 @@ def test_accuracy_table_blowup_parity(monkeypatch):
     for scheme, k in pairs:
         for n in (20, 40):
             mesh = build_mesh_1d(n)
-            u0 = project(problem.field().value, DGSpace(mesh, k))
+            u0 = project(problem.value, DGSpace(mesh, k))
             got = _evolve_outcome(scheme, mesh, k, u0, 1.0, 0.015)
             ref = _stepping_loop(scheme, mesh, k, u0, 1.0, 0.015)
             assert got[1] == ref[1]
