@@ -155,6 +155,9 @@ def parse_config(text=None, overrides=None):
             values["N"] = (80, 160, 320, 640, 1280)
         else:
             values["N"] = (20, 40, 80, 160, 320) if values["dim"] == 1 else (20, 40, 80)
+    repeated = [n for i, n in enumerate(values["N"]) if n in values["N"][:i]]
+    if repeated:
+        raise ConfigError(f"N must not repeat a value, got N = {repeated[0]} more than once")
     if values["cfl"] == "auto":
         values["cfl"] = DEFAULT_CFL_GRID
     if values["perturb"] and (command == "stability" or values["dim"] == 2):

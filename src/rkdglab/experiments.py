@@ -145,8 +145,11 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
     one set of quadrature weights and final-time exact values per error
     rule; only one N's shared arrays are alive at a time.  Rows are ordered
     by (scheme, N); a blow-up is recorded as a flagged row rather than an
-    exception.
+    exception.  A repeated N raises ValueError: its EOC would divide by
+    log(N / N) = 0.
     """
+    if len(set(n_list)) < len(n_list):
+        raise ValueError(f"refinement N values must be distinct, got {tuple(n_list)}")
     results = [[] for _ in schemes]     # per scheme, per N: (dofs, error, BlowUpError or None)
     for n in n_list:
         mesh = build_problem_mesh(problem, n, perturb=perturb, seed=seed)

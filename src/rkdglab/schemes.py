@@ -473,15 +473,15 @@ class EvolutionMap:
     def is_circulant(self):
         return self.full_op.is_circulant
 
-    def stage_symbols(self, angles=None):
+    def stage_symbols(self, angles=None, rows=...):
         """(S, S_hat) as Fourier symbol stacks at angles (uniform meshes); S_hat = S if unread.
 
-        Without angles, the operators' own symbols at the mesh frequencies,
-        which they keep (BlockOperator.norm_symbols).  Only the inner
-        stages read S_hat: the last flag is inert.
+        Without angles, the rows of the operators' own symbols at the mesh
+        frequencies, which they keep (BlockOperator.norm_symbols).  Only
+        the inner stages read S_hat: the last flag is inert.
         """
         def symbols(op):
-            return op.norm_symbols() if angles is None else op.symbols(angles)
+            return op.norm_symbols(rows) if angles is None else op.symbols(angles)
 
         full = symbols(self.full_op)
         return full, symbols(self.reduced_op) if any(self.flags[:-1]) else full
@@ -512,9 +512,12 @@ class EvolutionMap:
         c = x.reshape(self.space.shape)
         return (c + self.increment.transpose().apply_array(c)).ravel()
 
-    def norm_symbols(self):
-        """Per-frequency symbols of the one-step map (uniform meshes)."""
-        return np.eye(self.space.n_modes) + self.increment_of(*self.stage_symbols())
+    def norm_symbols(self, rows=...):
+        """Per-frequency symbols of the one-step map (uniform meshes), cell axes first.
+
+        rows indexes the cell axes, as in BlockOperator.norm_symbols.
+        """
+        return np.eye(self.space.n_modes) + self.increment_of(*self.stage_symbols(rows=rows))
 
     def as_dense(self):
         return dense_from_matvec(self.apply_array, self.space)

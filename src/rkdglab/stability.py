@@ -133,6 +133,8 @@ def cfl_sweep(scheme, k, dim, n_list, m, cfl_grid):
     """
     if len(n_list) == 0 or len(cfl_grid) == 0:
         raise ValueError("sweep grids must be non-empty")
+    if len(set(n_list)) < len(n_list):
+        raise ValueError(f"sweep N values must be distinct, got {tuple(n_list)}")
     points = []
     for n in n_list:
         operators = stage_operators(_mesh_for(dim, n), k)
@@ -164,30 +166,51 @@ CFL_GROWTH_TOL = 1e-7
 CFL_MAX = 2.0
 
 
-def fourier_cfl(scheme, k):
-    """Maximal CFL via per-angle spectral radius of the 1D amplification symbol.
+def _cfl_radii(scheme, k):
+    """radii(c, angles): spectral radius of G(c, theta) at angles, rows of the sampled [0, pi].
 
-    Bisection on c for max_theta rho(G(c, theta)) <= 1 + CFL_GROWTH_TOL,
-    with G the one-step symbol of the scheme on the uniform CFL_ANGLES-cell
-    mesh at tau = c h, whose frequencies are the sampled angles.  The
-    growth tolerance admits the slow eigenvalue drift of the weakly
-    stable schemes while pinning the sharp blow-up threshold.
+    G is the one-step symbol on the uniform CFL_ANGLES-cell mesh at
+    tau = c h.  The stage symbols do not depend on the step size, so they
+    are formed once.  A plan whose inner stages all read the full
+    operator S has G = R(tau S) with R(z) = sum_i alpha_i z^i, whose
+    eigenvalues R(tau lambda) come from the eigenvalues lambda of S,
+    found once.  Any other plan's G is no polynomial in one symbol: it is
+    formed, and its eigenvalues found, at every c.
     """
-    if k < 1 or scheme.order < 2:
-        raise ValueError("Fourier CFL computed for k >= 1, r >= 2")
-    # the stage symbols do not depend on the step size: form them once
     emap = evolution_map(scheme, build_mesh_1d(CFL_ANGLES), k, 0.0)
     # real operators: G(2 pi - theta) = conj G(theta) has the same spectral
     # radius, so the angles in [0, pi] decide
     full, reduced = emap.stage_symbols(fft_angles(emap.space, half=True))
-    # the angle of largest spectral radius at the last unstable c: tested
-    # alone first, it usually settles the next unstable c without the rest
-    worst = None
+    if not any(scheme.stage_plan[:-1]):
+        eigs = np.linalg.eigvals(full)
+
+        def radii(c, angles):
+            g_eigs = np.polynomial.polynomial.polyval(c / CFL_ANGLES * eigs[angles], scheme.alphas)
+            return np.abs(g_eigs).max(axis=1)
+        return radii
 
     def radii(c, angles):
         step_map = EvolutionMap(scheme, emap.full_op, emap.reduced_op, c / CFL_ANGLES)
         g = np.eye(k + 1) + step_map.increment_of(full[angles], reduced[angles])
         return np.abs(np.linalg.eigvals(g)).max(axis=1)
+    return radii
+
+
+def fourier_cfl(scheme, k):
+    """Maximal CFL via per-angle spectral radius of the 1D amplification symbol.
+
+    Bisection on c for max_theta rho(G(c, theta)) <= 1 + CFL_GROWTH_TOL,
+    with G the one-step symbol of the scheme on the uniform CFL_ANGLES-cell
+    mesh at tau = c h, whose frequencies are the sampled angles (see
+    _cfl_radii).  The growth tolerance admits the slow eigenvalue drift of
+    the weakly stable schemes while pinning the sharp blow-up threshold.
+    """
+    if k < 1 or scheme.order < 2:
+        raise ValueError("Fourier CFL computed for k >= 1, r >= 2")
+    radii = _cfl_radii(scheme, k)
+    # the angle of largest spectral radius at the last unstable c: tested
+    # alone first, it usually settles the next unstable c without the rest
+    worst = None
 
     def stable(c):
         nonlocal worst

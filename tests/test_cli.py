@@ -202,9 +202,18 @@ def test_sda_with_k0_is_a_config_error(capsys):
      "2D meshes are uniform: perturb must be 0, got perturb = 0.3"),
     (["regularity", "--dim", "2", "--r", "2", "--N", "8", "--T", "0.1", "--perturb", "0.3"],
      "2D meshes are uniform: perturb must be 0, got perturb = 0.3"),
+    # a repeated N would divide its EOC by log(N / N) = 0
+    (["accuracy", "--r", "2", "--N", "4,4"], "N must not repeat a value, got N = 4 more than once"),
+    (["accuracy", "--dim", "2", "--r", "2", "--N", "4,4"],
+     "N must not repeat a value, got N = 4 more than once"),
+    (["regularity", "--r", "2", "--N", "8,8", "--T", "0.1"],
+     "N must not repeat a value, got N = 8 more than once"),
+    (["stability", "--r", "2", "--N", "8,16,8"],
+     "N must not repeat a value, got N = 8 more than once"),
 ], ids=["N1", "N1-2d", "m0", "perturb-high", "perturb-negative", "quad0", "timestep0",
         "timestep-negative", "T-negative", "cfl-negative", "r0", "dim3", "seed-negative",
-        "perturb-stability", "perturb-2d-accuracy", "perturb-2d-regularity"])
+        "perturb-stability", "perturb-2d-accuracy", "perturb-2d-regularity",
+        "N-repeated", "N-repeated-2d", "N-repeated-regularity", "N-repeated-stability"])
 def test_out_of_range_value_is_a_config_error(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -305,14 +314,17 @@ def test_longest_regularity_run_is_within_the_step_bound():
 
 
 def test_non_finite_growth_row_is_named_without_numpy_warnings():
-    # cfl 1e300 overflows the one-step symbols: the row is a flagged nan
+    # a huge cfl overflows the one-step symbols: the row is a flagged nan
     # row, stderr names it before the count, and no RuntimeWarning leaks
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rkdglab.__file__)))
-    argv = ["stability", "--r", "3", "--k", "2", "--N", "16", "--cfl", "1e300"]
-    out = subprocess.run([sys.executable, "-m", "rkdglab.cli", *argv], capture_output=True,
-                         text=True, timeout=60, env=env)
-    assert out.returncode == 1
-    assert "RuntimeWarning" not in out.stderr
-    assert out.stderr == ("error: RK3DG2 standard N=16 m=1 cfl=1e+300: growth is not finite\n"
-                          "error: 1 failed row(s)\n")
-    assert out.stdout.splitlines()[-1] == "RK3DG2,standard,1,16,1,1e+300,nan,nan"
+    for argv, row in [(["--r", "3", "--k", "2", "--N", "16", "--cfl", "1e300"],
+                       "RK3DG2,standard,1,16,1,1e+300"),
+                      (["--r", "2", "--N", "4", "--cfl", "1e308"], "RK2DG1,standard,1,4,1,1e+308")]:
+        out = subprocess.run([sys.executable, "-m", "rkdglab.cli", "stability", *argv],
+                             capture_output=True, text=True, timeout=60, env=env)
+        scheme, variant, _, n, m, cfl = row.split(",")
+        assert out.returncode == 1
+        assert "RuntimeWarning" not in out.stderr
+        assert out.stderr == (f"error: {scheme} {variant} N={n} m={m} cfl={cfl}: "
+                              "growth is not finite\nerror: 1 failed row(s)\n")
+        assert out.stdout.splitlines()[-1] == f"{row},nan,nan"

@@ -152,6 +152,16 @@ def test_regularity_study_validation_and_smoke():
     assert rows[1].eoc is not None and 1.0 < rows[1].eoc < 2.2
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_repeated_n_is_a_value_error_before_any_row(dim, monkeypatch):
+    # its EOC would divide by log(N / N) = 0
+    monkeypatch.setattr(experiments, "evolve", None)
+    with pytest.raises(ValueError, match=r"distinct, got \(4, 4\)"):
+        accuracy_table([(taylor_scheme(2), 1)], ProblemSpec(dim=dim), (4, 4))
+    with pytest.raises(ValueError, match=r"distinct, got \(8, 16, 8\)"):
+        regularity_study(taylor_scheme(2), 1, "r", (8, 16, 8), final_time=0.1, dim=dim)
+
+
 def test_blown_up_row_keeps_the_step_index():
     problem = ProblemSpec(dim=1, final_time=20.0)
     scheme = taylor_scheme(3)

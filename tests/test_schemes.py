@@ -320,7 +320,7 @@ def test_auto_is_not_a_norm_method():
 
 
 def test_symbol_norm_errors_reach_the_caller(monkeypatch):
-    def broken_symbols(self):
+    def broken_symbols(self, rows=...):
         raise ValueError("symbol failure")
 
     monkeypatch.setattr(EvolutionMap, "norm_symbols", broken_symbols)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rkdglab import operators, stability
+from rkdglab.cli import DEFAULT_CFL_GRID
 from rkdglab.errors import PowerIterationError, UnsupportedDegreeError
 from rkdglab.mesh import build_mesh_1d, build_mesh_2d
 from rkdglab.operators import (
@@ -23,7 +24,7 @@ from rkdglab.stability import (
     excess_operator,
     fourier_cfl,
 )
-from rkdglab.schemes import EvolutionMap, taylor_scheme
+from rkdglab.schemes import EvolutionMap, SchemeSpec, taylor_scheme
 
 
 def test_delta_identity_floor():
@@ -75,6 +76,8 @@ def test_cfl_sweep_single_point_and_order():
     assert [(p.n, p.cfl) for p in pts] == [(16, 0.05), (16, 0.10), (32, 0.05), (32, 0.10)]
     with pytest.raises(ValueError):
         cfl_sweep(scheme, 2, 1, (), 1, (0.1,))
+    with pytest.raises(ValueError, match="distinct"):
+        cfl_sweep(scheme, 2, 1, (16, 32, 16), 1, (0.1,))
 
 
 def test_cfl_sweep_flags_numerical_failures_only(monkeypatch):
@@ -179,6 +182,76 @@ def test_fourier_cfl_variants_agree_at_second_order(cfl_family):
     b = cfl_family[("sdA", 2)]
     assert a.found and b.found
     assert abs(a.value - b.value) <= 5e-4 * 2  # within bisection tolerance
+
+
+def _eigvals_per_round_radii(scheme, k, c):
+    """Spectral radii of the one-step symbol G at the sampled angles of [0, pi], G formed at c."""
+    op, red = operators.stage_operators(build_mesh_1d(stability.CFL_ANGLES), k)
+    full = op.symbols(operators.fft_angles(op.space, half=True))
+    emap = EvolutionMap(scheme, op, red, c / stability.CFL_ANGLES)
+    return np.abs(np.linalg.eigvals(np.eye(k + 1) + emap.increment_of(full, full))).max(axis=1)
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_eigen_once_radii_match_per_round_eigvals(r):
+    # a standard plan's radii come from the full symbol's eigenvalues, found
+    # once; the per-round eigenvalues of G are the reference
+    scheme = taylor_scheme(r)
+    radii = stability._cfl_radii(scheme, r - 1)
+    for c in (0.05, 0.2, 0.35, 1.0, 2.0):
+        ref = _eigvals_per_round_radii(scheme, r - 1, c)
+        got = radii(c, slice(None))
+        assert got.shape == (stability.CFL_ANGLES // 2 + 1,)
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+
+@pytest.mark.parametrize("scheme, per_round", [
+    (taylor_scheme(3), False),
+    (taylor_scheme(3, "sdA"), True),
+    (SchemeSpec(3, (False, True, False)), True),
+], ids=["standard", "sdA", "mixed"])
+def test_fourier_cfl_eigvals_calls(scheme, per_round, monkeypatch):
+    # one eigvals call per search on a plan with full inner stages; one per
+    # bisection round (at least 12 from [0, 2] to 5e-4) on any other plan
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    assert fourier_cfl(scheme, 2).found
+    if per_round:
+        assert len(calls) >= 12
+    else:
+        assert calls == [(stability.CFL_ANGLES // 2 + 1, 3, 3)]
+
+
+def _full_spectrum_tops(op, m):
+    """sigma_max of every symbol's m-th power over the full spectrum: the symbol route's reference."""
+    return np.linalg.svd(np.linalg.matrix_power(op.norm_symbols(), m), compute_uv=False)[..., 0]
+
+
+@pytest.mark.parametrize("dim, n", [(1, 5), (1, 16), (2, 4), (2, 5)])
+def test_half_spectrum_symbol_norm_is_the_full_spectrum_norm(dim, n):
+    # repr-equal over the default CFL grid; the half spectrum alone misses
+    # the last bit at some points, which the mirror recheck restores
+    mesh = stability._mesh_for(dim, n)
+    misses = 0
+    for r in (2, 3, 4, 5):
+        ops = operators.stage_operators(mesh, r - 1)
+        for m in (1, 2):
+            top = _full_spectrum_tops(ops[0], m)
+            assert repr(operator_norm(ops[0], "symbol", m=m)) == repr(float(top.max()))
+            for variant in ("standard", "sdA"):
+                for cfl in DEFAULT_CFL_GRID:
+                    emap = stability._step_map(taylor_scheme(r, variant), ops, cfl)
+                    top = _full_spectrum_tops(emap, m)
+                    got = operator_norm(emap, "symbol", m=m)
+                    assert repr(got) == repr(float(top.max())), (r, variant, m, cfl)
+                    misses += top[..., : n // 2 + 1].max() != got
+    assert misses > 0
 
 
 def test_fourier_cfl_rejects_k0():
