@@ -5,6 +5,7 @@ fraction of the uniform spacing); 2D meshes are uniform Cartesian grids.
 All meshes are immutable after construction.
 """
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,8 +49,9 @@ class Mesh1D:
     def cell_sizes(self):
         return np.diff(self.nodes)
 
-    @property
+    @cached_property
     def is_uniform(self):
+        """Equal cell widths to 1e-14; decided once, the nodes never change."""
         sizes = self.cell_sizes
         return bool(np.allclose(sizes, sizes[0], rtol=0.0, atol=1e-14))
 

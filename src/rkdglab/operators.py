@@ -617,7 +617,8 @@ def operator_norm(op, method, m=1, dense_cap=DENSE_CAP):
     half spectrum (the non-negative frequencies of the last cell axis) and
     then the mirror partners (-j mod n per axis) of the half-spectrum
     symbols within SYMBOL_MIRROR_RTOL of the half maximum: the result is
-    the maximum over the full spectrum, bit for bit;
+    the maximum over the full spectrum, bit for bit.  Symbols that are
+    not finite (overflow) raise LinAlgError;
     "dense_svd" assembles op densely (allowed up to dense_cap unknowns);
     "power_iteration" runs matrix-free on (op^m)(op^m)^T.  The route is
     chosen by the caller: stability.growth_excess takes "symbol", and the
@@ -630,9 +631,8 @@ def operator_norm(op, method, m=1, dense_cap=DENSE_CAP):
         half = (slice(None),) * (len(cells) - 1) + (slice(cells[-1] // 2 + 1),)
         top = _top_singular_values(op.norm_symbols(half), m)
         peak = top.max()
-        # the partners outside the half; a nan peak (overflow) takes them all,
-        # so each symbol is decomposed once, as on the full spectrum
-        near = np.nonzero(~(top < peak * (1.0 - SYMBOL_MIRROR_RTOL)))
+        # the mirror partners, outside the half, that could beat its maximum
+        near = np.nonzero(top >= peak * (1.0 - SYMBOL_MIRROR_RTOL))
         mirror = np.array([-j % n for j, n in zip(near, cells)])
         outside = tuple(mirror[:, mirror[-1] > cells[-1] // 2])
         return float(_top_singular_values(op.norm_symbols(outside), m).max(initial=peak))
@@ -650,9 +650,15 @@ def operator_norm(op, method, m=1, dense_cap=DENSE_CAP):
 
 
 def _top_singular_values(symbols, m):
-    """Largest singular value of each symbol's m-th power, over the leading axes."""
+    """Largest singular value of each symbol's m-th power, over the leading axes.
+
+    A stack that is not finite (overflow) raises LinAlgError before the
+    SVD, which would print LAPACK's argument errors to stdout.
+    """
     if m > 1:
         symbols = np.linalg.matrix_power(symbols, m)
+    if not np.isfinite(symbols).all():
+        raise np.linalg.LinAlgError("symbols are not finite")
     return np.linalg.svd(symbols, compute_uv=False)[..., 0]
 
 

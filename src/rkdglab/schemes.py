@@ -320,10 +320,10 @@ def evolve(scheme, mesh, k, u0, final_time, tau):
 
 #: steps one kernel call of fused stepping takes (a power of 2).  Wall time of
 #: `accuracy --dim 1 --r 2,3,4 --variant both --N 40,80,160 --perturb 0.15
-#: --seed 7` (median of 7, 2-core Xeon, one BLAS thread): 0.29, 0.21, 0.18,
-#: 0.21 and 0.49 s at 1, 2, 4, 8 and 16 steps, against 0.28 s for single
-#: steps alone.  Above 4 the O(J^2) block products of the squaring (J block
-#: offsets) cost more than the dispatches they save.
+#: --seed 7` with one blow-up check per run of chunks (median of 15, 2-core
+#: Xeon VM shared with other load, one BLAS thread): 0.29, 0.21, 0.17, 0.22
+#: and 0.49 s at 1, 2, 4, 8 and 16 steps.  Above 4 the O(J^2) block products
+#: of the squaring (J block offsets) cost more than the dispatches they save.
 CHUNK_STEPS = 4
 
 
@@ -341,12 +341,18 @@ def _evolve_fused(steps, coeffs):
     1 us more per step.
 
     A map with at least CHUNK_STEPS steps also takes them CHUNK_STEPS at a
-    time, through its chunk increment (see _chunk_increment), but only while
-    u is finite and max|u| times the chunk's growth bound stays below
-    BLOWUP_LIMIT: then no state inside the chunk could have crossed the
-    limit.  Once the bound fails, and for the count % CHUNK_STEPS steps
-    left over, every step is taken singly and checked for blow-up, so the
-    flagged step is the one stepping flags.
+    time, through its chunk increment E_P (see _chunk_increment), while u
+    is finite and max|u| times the chunk's growth bound (_chunk_bound)
+    stays below BLOWUP_LIMIT: then no state inside the chunk could have
+    crossed the limit.  That check is made once per run of chunks, not
+    before each chunk.  A chunk multiplies max|u| by at most
+    g_P = 1 + ||E_P||_inf, rounding aside, so a check that gives the
+    bound b certifies the i-th chunk after it while b g_P^i stays below
+    half the limit (the other half covers the rounding of the computed
+    states).  A run so takes exactly the chunks that a check before every
+    chunk would take.  Once the bound fails, and for the
+    count % CHUNK_STEPS steps left over, every step is taken singly and
+    checked for blow-up, so the flagged step is the one stepping flags.
     """
     space = steps[0][0].space
     u = coeffs.reshape(-1, space.n_modes)
@@ -355,8 +361,16 @@ def _evolve_fused(steps, coeffs):
         end = index + n
         if n >= CHUNK_STEPS:
             chunk, growth = _chunk_increment(emap.increment)
+            with np.errstate(over="ignore", invalid="ignore"):
+                g_p = 1.0 + _max_row_sum(chunk)
             weights, gather, spec = chunk.kernel
-            while index + CHUNK_STEPS <= end and np.max(np.abs(u)) * growth < BLOWUP_LIMIT:
+            bound = math.inf                # no run certified yet: check first
+            while index + CHUNK_STEPS <= end:
+                bound *= g_p
+                if not bound < 0.5 * BLOWUP_LIMIT:
+                    bound = _chunk_bound(u, growth)
+                    if not bound < BLOWUP_LIMIT:        # also nan
+                        break
                 u = u + np.einsum(spec, weights, u.take(gather))
                 index += CHUNK_STEPS
         weights, gather, spec = emap.increment.kernel
@@ -367,6 +381,11 @@ def _evolve_fused(steps, coeffs):
                 where = "the shortened final step" if shortened else f"step {index}"
                 raise BlowUpError(f"solution blew up at {where}", step_index=index)
     return u.reshape(space.shape)
+
+
+def _chunk_bound(u, growth):
+    """max|u| times a chunk's growth bound: below BLOWUP_LIMIT, no state of the chunk crosses it."""
+    return float(np.max(np.abs(u))) * growth
 
 
 def _chunk_increment(increment):

@@ -99,10 +99,15 @@ def growth_excess(emap, m=1):
 
 
 def _growth_point(emap, cfl, m):
-    """The StabilityPoint of an evolution map at the given CFL number."""
+    """The StabilityPoint of an evolution map at the given CFL number.
+
+    A growth that is not finite (overflow) raises LinAlgError.
+    """
     if m < 1:
         raise ValueError("power m must be >= 1")
     excess, route = growth_excess(emap, m)
+    if not math.isfinite(excess):
+        raise np.linalg.LinAlgError("growth is not finite")
     if abs(excess) < NORM_RESOLUTION:
         excess = 0.0
     return StabilityPoint(
@@ -127,9 +132,9 @@ def cfl_sweep(scheme, k, dim, n_list, m, cfl_grid):
 
     Each N builds its mesh and operators once, and the operators keep
     their Fourier symbols, so a CFL value forms only its increment and
-    the growth metric: the rows are those of delta at each point.  On
-    these uniform meshes overflow makes the symbols' SVD raise: a
-    flagged nan row.
+    the growth metric: the rows are those of delta at each point.  A
+    point whose symbols or growth overflow raises LinAlgError (see
+    _growth_point and operator_norm): a flagged nan row.
     """
     if len(n_list) == 0 or len(cfl_grid) == 0:
         raise ValueError("sweep grids must be non-empty")

@@ -7,10 +7,14 @@ intended, from the root of a checkout:
 
     PYTHONPATH=src python -m rkdglab.cli ARGS > tests/golden/NAME.txt
 """
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import rkdglab
 from rkdglab.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -36,3 +40,24 @@ def test_cli_stdout_matches_the_golden_file(name, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode("ascii") == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+#: a sweep whose larger CFL numbers overflow the symbols (exit status 1)
+OVERFLOW = "stability --r 2,3 --N 4,5 --cfl 1e50,1e80,1e150 --variant both"
+
+
+def test_overflowing_sweep_flags_every_nan_row_and_prints_no_lapack_message():
+    # a subprocess: LAPACK writes to the process's own stdout, which capsys misses
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rkdglab.__file__)))
+    out = subprocess.run([sys.executable, "-m", "rkdglab.cli", *OVERFLOW.split()],
+                         capture_output=True, timeout=60, env=env)
+    assert out.returncode == 1
+    assert b"DLASCL" not in out.stdout
+    assert out.stdout == (GOLDEN / "stability_overflow.txt").read_bytes()
+    nan_rows = [line.split(",") for line in out.stdout.decode("ascii").splitlines()
+                if line.endswith(",nan,nan")]
+    assert len(nan_rows) == 16
+    assert out.stderr.decode("ascii") == "".join(
+        f"error: {scheme} {variant} N={n} m={m} cfl={cfl}: growth is not finite\n"
+        for scheme, variant, _, n, m, cfl, _, _ in nan_rows
+    ) + f"error: {len(nan_rows)} failed row(s)\n"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rkdglab.errors import InvalidMeshError, InvalidPerturbationError, InvalidSpeedError
-from rkdglab.mesh import build_mesh_1d, build_mesh_2d
+from rkdglab.mesh import Mesh1D, build_mesh_1d, build_mesh_2d
 
 
 def test_uniform_nodes():
@@ -66,3 +66,27 @@ def test_mesh_equality_and_hash():
     b = build_mesh_1d(8, 0.1, seed=1)
     assert a == b and hash(a) == hash(b)
     assert a != build_mesh_1d(8, 0.1, seed=2)
+
+
+def test_is_uniform_is_decided_once_per_mesh(monkeypatch):
+    calls = []
+    real = np.allclose
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "allclose", counted)
+    nudged = np.linspace(0.0, 1.0, 9)
+    nudged[4] += 1e-13
+    cases = [
+        (build_mesh_1d(16), True),
+        (build_mesh_1d(16, 0.15, seed=3), False),
+        (Mesh1D(np.arange(9) / 8.0), True),            # equal widths, built by hand
+        (Mesh1D(np.linspace(0.0, 1.0, 4)), True),       # widths 1/3 up to rounding
+        (Mesh1D(nudged), False),
+    ]
+    for mesh, uniform in cases:
+        del calls[:]
+        assert [mesh.is_uniform for _ in range(3)] == [uniform] * 3
+        assert len(calls) == 1

@@ -23,6 +23,7 @@ from rkdglab.operators import (
     operator_norm,
     project,
     reduce_operator,
+    stage_operators,
 )
 from rkdglab.schemes import (
     BLOWUP_LIMIT,
@@ -687,6 +688,107 @@ def test_chunk_growth_bounds_every_power_within_the_chunk(name, n):
             norms.append(np.abs(power).sum(axis=1).max())
         assert max(norms) <= growth
         assert np.abs(chunk.as_dense() + np.eye(len(dense)) - power).max() <= 1e-13 * norms[-1]
+
+
+def _fused_checking_every_chunk(scheme, mesh, k, u0, final_time, tau):
+    """(coeffs, None) or (None, flagged step): fused stepping with the chunk check before every chunk.
+
+    The same kernels in the same order as evolve's fused stepping, so the
+    coefficients must agree bit for bit.
+    """
+    whole, remainder, shortened = schemes.step_plan(final_time, tau)
+    op, red = stage_operators(mesh, k)
+    p = schemes.CHUNK_STEPS
+    u = u0.coeffs.reshape(-1, u0.space.n_modes)
+    index = 0
+    for dt, n in ((tau, whole), (remainder, int(shortened))):
+        if not n:
+            continue
+        increment = EvolutionMap(scheme, op, red, dt).increment
+        end = index + n
+        if n >= p:
+            chunk, growth = schemes._chunk_increment(increment)
+            weights, gather, spec = chunk.kernel
+            while index + p <= end and np.max(np.abs(u)) * growth < BLOWUP_LIMIT:
+                u = u + np.einsum(spec, weights, u.take(gather))
+                index += p
+        weights, gather, spec = increment.kernel
+        while index < end:
+            index += 1
+            u = u + np.einsum(spec, weights, u.take(gather))
+            peak = np.max(np.abs(u))
+            if not (np.isfinite(peak) and peak < BLOWUP_LIMIT):
+                return None, index
+    return u.reshape(u0.coeffs.shape), None
+
+
+@pytest.fixture
+def chunk_checks(monkeypatch):
+    """Counts the chunk checks (schemes._chunk_bound) fused stepping makes."""
+    calls = []
+    real = schemes._chunk_bound
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(schemes, "_chunk_bound", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cfl", [None, 0.4])
+@pytest.mark.parametrize("variant", ["standard", "sdA"])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_fused_evolve_is_the_loop_that_checks_every_chunk_bit_for_bit(r, variant, cfl,
+                                                                      chunk_checks):
+    # 1203.4 steps: the bound of a stable run expires many times; at cfl 0.4
+    # some schemes blow up, after runs of unchecked chunks
+    n = 16
+    mesh = build_mesh_1d(n, 0.15, seed=r)
+    k = r - 1
+    scheme = taylor_scheme(r, variant)
+    u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, k))
+    tau = benchmark_tau(r, 1, n) if cfl is None else cfl / n
+    final_time = 1203.4 * tau
+    got = _evolve_outcome(scheme, mesh, k, u0, final_time, tau)
+    ref = _fused_checking_every_chunk(scheme, mesh, k, u0, final_time, tau)
+    assert got[1] == ref[1]
+    if ref[1] is None:
+        assert np.array_equal(got[0].coeffs, ref[0])
+        assert 1 < len(chunk_checks) < 1203 // schemes.CHUNK_STEPS
+    if cfl is None:
+        assert ref[1] is None
+
+
+def test_fused_evolve_checks_once_per_run_on_the_perturbed_accuracy_table(chunk_checks,
+                                                                          monkeypatch):
+    # the benchmark's perturbed table: 4,200 chunks in 18 maps, each of
+    # which a check before every chunk would check
+    chunk_weights = []
+    real_increment = schemes._chunk_increment
+
+    def recorded(increment):
+        chunk, growth = real_increment(increment)
+        chunk_weights.append(chunk.kernel[0])
+        return chunk, growth
+
+    chunks = []
+    real_einsum = np.einsum
+
+    def counted(spec, *operands, **kwargs):
+        if any(operands[0] is w for w in chunk_weights):
+            chunks.append(1)
+        return real_einsum(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(schemes, "_chunk_increment", recorded)
+    monkeypatch.setattr(np, "einsum", counted)
+    pairs = [(taylor_scheme(r, v), r - 1) for v in ("standard", "sdA") for r in (2, 3, 4)]
+    rows = accuracy_table(pairs, ProblemSpec(dim=1, final_time=1.0), (40, 80, 160),
+                          perturb=0.15, seed=5)
+    assert not any(row.flagged for row in rows)
+    assert len(chunk_weights) == 18 and len(chunks) == 4200
+    # one check per run: each map starts a run, and a run averages 19 chunks
+    assert len(chunk_weights) <= len(chunk_checks) < len(chunks) / 10
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,36 @@ def test_cfl_sweep_flags_numerical_failures_only(monkeypatch):
     assert point.flagged and np.isnan(point.delta)
 
 
+@pytest.mark.parametrize("excess", [np.nan, np.inf])
+def test_a_growth_that_is_not_finite_is_flagged_as_a_failure(excess, monkeypatch):
+    monkeypatch.setattr(stability, "growth_excess", lambda emap, m: (excess, "symbol"))
+    with pytest.raises(np.linalg.LinAlgError, match="growth is not finite"):
+        delta(taylor_scheme(2), build_mesh_1d(8), 1, 0.1)
+    (point,) = cfl_sweep(taylor_scheme(2), 1, 1, (8,), 1, (0.1,))
+    assert point.flagged and np.isnan(point.delta) and point.route is None
+
+
+@pytest.mark.parametrize("r, cfl, m", [(2, 1e80, 2), (3, 1e150, 1), (4, 1e100, 1)])
+def test_symbol_norm_refuses_symbols_that_are_not_finite_before_the_svd(r, cfl, m, monkeypatch):
+    # these symbols (or their m-th powers) overflow; handed to the SVD,
+    # they make LAPACK print argument errors to stdout
+    emap = evolution_map(taylor_scheme(r), build_mesh_1d(4), r - 1, cfl)
+    svd_inputs = []
+    real = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        svd_inputs.append(np.isfinite(a).all())
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            operator_norm(emap, "symbol", m=m)
+        (point,) = cfl_sweep(taylor_scheme(r), r - 1, 1, (4,), m, (cfl,))
+    assert point.flagged
+    assert all(svd_inputs)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_cfl_sweep_builds_each_mesh_once(dim, monkeypatch):
     # one mesh, one pair of operators and one set of their symbols per N,
