@@ -13,7 +13,7 @@ import operator
 import sys
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, SteppingLimitError
 from .experiments import (
     ProblemSpec,
     accuracy_table,
@@ -400,7 +400,7 @@ def main(argv=None):
     try:
         values = parse_config(text, overrides)
         return run(values)
-    except ConfigError as exc:
+    except (ConfigError, SteppingLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -54,5 +54,9 @@ class BlowUpError(FloatingPointError):
         self.step_index = step_index
 
 
+class SteppingLimitError(ValueError):
+    """A run would take more time steps than stepping takes (schemes.MAX_STEPPED_STEPS)."""
+
+
 class ConfigError(ValueError):
     """Invalid or contradictory run configuration."""

@@ -12,8 +12,9 @@ from functools import cached_property
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BlowUpError, UnsupportedDegreeError
+from .errors import BlowUpError, SteppingLimitError, UnsupportedDegreeError
 from .operators import (
     DGSpace,
     GridFunction,
@@ -260,9 +261,10 @@ class EvolveResult:
 FREQ_CHUNK = 256
 
 
-#: most steps evolve takes on a non-circulant operator, which it can only
-#: step: the largest run of the tables, regularity r = 5 to T = 500 on a
-#: perturbed N = 1280 mesh, takes 2.7e7.  More are refused before the first.
+#: most steps evolve steps: the largest stepped run of the tables,
+#: regularity r = 5 to T = 500 on a perturbed N = 1280 mesh, takes 2.7e7.
+#: A run that would step more (a perturbed mesh, or a uniform one whose
+#: Fourier route declines) is refused before the first step.
 MAX_STEPPED_STEPS = 10**8
 
 
@@ -294,7 +296,8 @@ def evolve(scheme, mesh, k, u0, final_time, tau):
     space: see _evolve_fourier.  Otherwise, and in any case in which
     stepping might have blown up, it steps with the maps' increments: see
     _evolve_fused.  final_time and tau are checked as step_plan checks
-    them; a non-circulant operator takes at most MAX_STEPPED_STEPS steps.
+    them.  A run that would step more than MAX_STEPPED_STEPS steps raises
+    SteppingLimitError instead.
     """
     n_whole, remainder, shortened = step_plan(final_time, tau)
     space = DGSpace(mesh, k)
@@ -303,9 +306,6 @@ def evolve(scheme, mesh, k, u0, final_time, tau):
     full_op, reduced_op = stage_operators(mesh, k)
     meta = dict(n_steps=n_whole + (1 if shortened else 0), t_final=final_time,
                 shortened_last_step=shortened)
-    if not full_op.is_circulant and meta["n_steps"] > MAX_STEPPED_STEPS:
-        raise ValueError(f"{meta['n_steps']} time steps of {tau} to final time {final_time} "
-                         f"exceed the {MAX_STEPPED_STEPS} that stepping takes")
     sizes = ((tau, n_whole, False), (remainder, int(shortened), True))
     steps = [(EvolutionMap(scheme, full_op, reduced_op, dt), n, last) for dt, n, last in sizes if n]
     if not steps:                           # a zero final time
@@ -314,16 +314,23 @@ def evolve(scheme, mesh, k, u0, final_time, tau):
         coeffs = _evolve_fourier(steps, u0.coeffs)
         if coeffs is not None and _state_ok(coeffs):
             return EvolveResult(u=GridFunction(space, coeffs), path="fourier", **meta)
+    if meta["n_steps"] > MAX_STEPPED_STEPS:
+        why = "; the Fourier route cannot bound their growth" if full_op.is_circulant else ""
+        raise SteppingLimitError(f"{meta['n_steps']:.6g} time steps of {tau} to final time "
+                                 f"{final_time} exceed the {MAX_STEPPED_STEPS} that stepping "
+                                 f"takes{why}")
     coeffs = _evolve_fused(steps, u0.coeffs)
     return EvolveResult(u=GridFunction(space, coeffs), path="stepping", **meta)
 
 
 #: steps one kernel call of fused stepping takes (a power of 2).  Wall time of
 #: `accuracy --dim 1 --r 2,3,4 --variant both --N 40,80,160 --perturb 0.15
-#: --seed 7` with one blow-up check per run of chunks (median of 15, 2-core
-#: Xeon VM shared with other load, one BLAS thread): 0.29, 0.21, 0.17, 0.22
-#: and 0.49 s at 1, 2, 4, 8 and 16 steps.  Above 4 the O(J^2) block products
-#: of the squaring (J block offsets) cost more than the dispatches they save.
+#: --seed 7` with neighbour rows read through the window (median of 15,
+#: interleaved, 2-core Xeon VM shared with other load, one BLAS thread):
+#: 0.23, 0.15, 0.12 and 0.16 s at 1, 2, 4 and 8 steps.  Above 4 the O(J^2)
+#: block products of the squaring (J block offsets) cost more than the
+#: dispatches they save.  The printed digits of the perturbed tables depend
+#: on it.
 CHUNK_STEPS = 4
 
 
@@ -332,13 +339,26 @@ def _evolve_fused(steps, coeffs):
 
     One step is the fixed map u -> u + E u, with E the map's increment, a
     block operator (offsets (0,) .. (-s,) in 1D) built once per step size.  A
-    step is E's BlockOperator.kernel written out: one gather of the
-    neighbour coefficients, one contraction with E's stacked blocks, and
-    one add.  The identity stays out of the stacked blocks: folded in, the
+    step is E's BlockOperator.kernel written out: one contraction of each
+    cell's row of neighbour coefficients with E's stacked blocks, and one
+    add.  The identity stays out of the stacked blocks: folded in, the
     rounding of I + E would repeat identically in every step and add up
-    (to 1e-13 relative over 10^4 steps, against 1e-14 here).  The loop is
-    written inline rather than calling E.apply_array, which costs about
-    1 us more per step.
+    (to 1e-13 relative over 10^4 steps, against 1e-14 here).
+
+    In 1D every increment has the offsets 0, -1, ..., -(J - 1) in block
+    order (BlockOperator.window_reach), so with the cells in reversed
+    order the row u_c, u_{c-1}, ..., u_{c-J+1} of cell c is one contiguous
+    slice.  _FusedState keeps u so, followed by a periodic tail as long as
+    the largest reach J - 1 of the run (a chunk's, CHUNK_STEPS times a
+    step's; the tail wraps round the mesh more than once when that reach
+    is the cell count or more), reads all rows of an operator as one
+    zero-copy strided window, and stacks the weights in the same reversed
+    order.  A step is one contraction, one in-place add and one refresh
+    of the tail, with no gather.  A row holds the same numbers in the same
+    order as the gather of E.apply_array, against the same weights, so
+    each contraction sums the same products in the same order and every
+    coefficient is bit-identical to the gather's.  In 2D a row is not one
+    window, and the rows are gathered at every step.
 
     A map with at least CHUNK_STEPS steps also takes them CHUNK_STEPS at a
     time, through its chunk increment E_P (see _chunk_increment), while u
@@ -354,33 +374,88 @@ def _evolve_fused(steps, coeffs):
     count % CHUNK_STEPS steps left over, every step is taken singly and
     checked for blow-up, so the flagged step is the one stepping flags.
     """
-    space = steps[0][0].space
-    u = coeffs.reshape(-1, space.n_modes)
+    plan = [(emap.increment,
+             _chunk_increment(emap.increment) if n >= CHUNK_STEPS else (None, None),
+             n, shortened) for emap, n, shortened in steps]
+    state = _FusedState(coeffs, [op for increment, (chunk, _), _, _ in plan
+                                 for op in (increment, chunk) if op is not None])
     index = 0
-    for emap, n, shortened in steps:
+    for increment, (chunk, growth), n, shortened in plan:
         end = index + n
-        if n >= CHUNK_STEPS:
-            chunk, growth = _chunk_increment(emap.increment)
+        if chunk is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 g_p = 1.0 + _max_row_sum(chunk)
-            weights, gather, spec = chunk.kernel
+            kernel = state.kernel(chunk)
             bound = math.inf                # no run certified yet: check first
             while index + CHUNK_STEPS <= end:
                 bound *= g_p
                 if not bound < 0.5 * BLOWUP_LIMIT:
-                    bound = _chunk_bound(u, growth)
+                    bound = _chunk_bound(state.u, growth)
                     if not bound < BLOWUP_LIMIT:        # also nan
                         break
-                u = u + np.einsum(spec, weights, u.take(gather))
+                state.advance(kernel)
                 index += CHUNK_STEPS
-        weights, gather, spec = emap.increment.kernel
+        kernel = state.kernel(increment)
         while index < end:
             index += 1
-            u = u + np.einsum(spec, weights, u.take(gather))
-            if not _state_ok(u):
+            state.advance(kernel)
+            if not _state_ok(state.u):
                 where = "the shortened final step" if shortened else f"step {index}"
                 raise BlowUpError(f"solution blew up at {where}", step_index=index)
-    return u.reshape(space.shape)
+    return state.coeffs()
+
+
+class _FusedState:
+    """The state u of fused stepping, and the neighbour rows its kernels contract.
+
+    When every operator of the run has a window_reach (1D), u is the head
+    of a buffer that holds the cells reversed and then a periodic tail
+    as long as the largest reach, and the rows are windows of the buffer
+    (see _evolve_fused).  Otherwise u is in cell order and the rows are
+    gathered by each operator's kernel.
+    """
+
+    def __init__(self, coeffs, ops):
+        self.shape = coeffs.shape
+        m = coeffs.shape[-1]
+        reaches = [op.window_reach for op in ops]
+        if None in reaches:
+            self.buffer, self.tail = None, []
+            self.u = coeffs.reshape(-1, m).copy()
+            return
+        n = coeffs.size // m
+        self.buffer = np.empty((n + max(reaches), m))
+        self.u = self.buffer[:n]
+        self.u[:] = coeffs.reshape(n, m)[::-1]
+        total = len(self.buffer)
+        self.tail = [(slice(start, min(start + n, total)), slice(0, min(n, total - start)))
+                     for start in range(n, total, n)]
+        self._wrap()
+
+    def _wrap(self):
+        """Copy the head's cells into the tail, round the mesh as often as it takes."""
+        for dst, src in self.tail:
+            self.buffer[dst] = self.buffer[src]
+
+    def kernel(self, op):
+        """(weights, spec, rows) of op: a step is u += einsum(spec, weights, rows())."""
+        if self.buffer is None:
+            weights, gather, spec = op.kernel
+            return weights, spec, lambda: self.u.take(gather)
+        m = self.u.shape[1]
+        width = (op.window_reach + 1) * m
+        window = sliding_window_view(self.buffer.reshape(-1), width)[: self.u.size : m]
+        return op.window_weights() + (lambda: window,)
+
+    def advance(self, kernel):
+        weights, spec, rows = kernel
+        self.u += np.einsum(spec, weights, rows())
+        self._wrap()
+
+    def coeffs(self):
+        """u as an array of the input's shape, in cell order."""
+        u = self.u if self.buffer is None else self.u[::-1].copy()
+        return u.reshape(self.shape)
 
 
 def _chunk_bound(u, growth):

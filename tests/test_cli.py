@@ -304,6 +304,23 @@ def test_more_steps_than_a_perturbed_mesh_is_stepped_exits_2_before_any_row(argv
     assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["accuracy", "--dim", "2", "--r", "4", "--N", "4", "--timestep", "1e-9"],
+     "1e+09 time steps of 1e-09 to final time 1.0 exceed the 100000000 that stepping takes; "
+     "the Fourier route cannot bound their growth"),
+    (["accuracy", "--r", "2", "--N", "4", "--timestep", "1e-300"],
+     "1e+300 time steps of 1e-300 to final time 1.0 exceed the 100000000 that stepping takes; "
+     "the Fourier route cannot bound their growth"),
+], ids=["2d-r4", "1d-r2"])
+def test_more_steps_than_stepping_takes_on_a_uniform_mesh_exits_2(argv, message):
+    # the Fourier route declines these runs (its growth bound overflows), so
+    # they would step, and the step cap refuses them before the first step
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rkdglab.__file__)))
+    out = subprocess.run([sys.executable, "-m", "rkdglab.cli", *argv], capture_output=True,
+                         text=True, timeout=30, env=env)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_longest_regularity_run_is_within_the_step_bound():
     # r = 5 at the default T = 500 on a perturbed N = 1280 mesh: 2.7e7 steps
     values = resolve(command="regularity", r="5", N="1280", perturb="0.15")

@@ -23,6 +23,7 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 CASES = {
     "accuracy_1d": "accuracy --r 2,3 --variant both --N 8,16",
     "accuracy_1d_perturbed": "accuracy --r 2,3 --variant both --N 8,16 --perturb 0.15 --seed 7",
+    "accuracy_1d_perturbed_r4": "accuracy --r 4 --variant both --N 4,8 --perturb 0.15 --seed 7",
     "accuracy_2d": "accuracy --dim 2 --r 3 --variant both --N 4,8",
     "regularity": "regularity --r 3 --variant both --N 16,32 --T 0.25",
     "regularity_two_orders": "regularity --r 2,3 --variant both --N 16,32 --T 0.25",

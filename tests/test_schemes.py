@@ -12,10 +12,11 @@ import pytest
 import rkdglab
 
 from rkdglab import schemes
-from rkdglab.errors import BlowUpError, UnsupportedDegreeError
+from rkdglab.errors import BlowUpError, SteppingLimitError, UnsupportedDegreeError
 from rkdglab.experiments import ProblemSpec, accuracy_table, benchmark_tau
 from rkdglab.mesh import build_mesh_1d, build_mesh_2d
 from rkdglab.operators import (
+    BlockOperator,
     DGSpace,
     GridFunction,
     assemble_upwind,
@@ -257,6 +258,31 @@ def test_evolve_refuses_more_steps_than_it_can_step_before_the_first(monkeypatch
     uniform = build_mesh_1d(8)
     res = evolve(taylor_scheme(2), uniform, 1, DGSpace(uniform, 1).zeros(), 1e9, 0.0125)
     assert res.path == "fourier" and res.n_steps == 80_000_000_000
+
+
+def test_evolve_refuses_too_many_steps_where_the_fourier_route_declines(monkeypatch):
+    # a uniform mesh steps when the Fourier route declines; its step count
+    # is capped as a perturbed mesh's is, before the first step
+    def stepping(*args):
+        raise AssertionError("stepping started")
+
+    declined = []
+    real = schemes._evolve_fourier
+
+    def fourier(*args):
+        out = real(*args)
+        declined.append(out is None)
+        return out
+
+    monkeypatch.setattr(schemes, "_evolve_fused", stepping)
+    monkeypatch.setattr(schemes, "_evolve_fourier", fourier)
+    uniform = build_mesh_1d(4)
+    u0 = DGSpace(uniform, 1).random(1)
+    with pytest.raises(SteppingLimitError,
+                       match="1e[+]300 time steps of 1e-300 .* that stepping takes; "
+                             "the Fourier route cannot bound their growth"):
+        evolve(taylor_scheme(2), uniform, 1, u0, 1.0, 1e-300)
+    assert declined == [True]
 
 
 def test_evolve_detects_blowup_above_cfl_limit():
@@ -693,13 +719,14 @@ def test_chunk_growth_bounds_every_power_within_the_chunk(name, n):
 def _fused_checking_every_chunk(scheme, mesh, k, u0, final_time, tau):
     """(coeffs, None) or (None, flagged step): fused stepping with the chunk check before every chunk.
 
-    The same kernels in the same order as evolve's fused stepping, so the
+    The same chunks and steps as evolve's fused stepping, each applied by
+    the increment's apply_array (a gather of the neighbour rows), so the
     coefficients must agree bit for bit.
     """
     whole, remainder, shortened = schemes.step_plan(final_time, tau)
     op, red = stage_operators(mesh, k)
     p = schemes.CHUNK_STEPS
-    u = u0.coeffs.reshape(-1, u0.space.n_modes)
+    u = u0.coeffs
     index = 0
     for dt, n in ((tau, whole), (remainder, int(shortened))):
         if not n:
@@ -708,18 +735,16 @@ def _fused_checking_every_chunk(scheme, mesh, k, u0, final_time, tau):
         end = index + n
         if n >= p:
             chunk, growth = schemes._chunk_increment(increment)
-            weights, gather, spec = chunk.kernel
             while index + p <= end and np.max(np.abs(u)) * growth < BLOWUP_LIMIT:
-                u = u + np.einsum(spec, weights, u.take(gather))
+                u = u + chunk.apply_array(u)
                 index += p
-        weights, gather, spec = increment.kernel
         while index < end:
             index += 1
-            u = u + np.einsum(spec, weights, u.take(gather))
+            u = u + increment.apply_array(u)
             peak = np.max(np.abs(u))
             if not (np.isfinite(peak) and peak < BLOWUP_LIMIT):
                 return None, index
-    return u.reshape(u0.coeffs.shape), None
+    return u, None
 
 
 @pytest.fixture
@@ -763,14 +788,24 @@ def test_fused_evolve_is_the_loop_that_checks_every_chunk_bit_for_bit(r, variant
 def test_fused_evolve_checks_once_per_run_on_the_perturbed_accuracy_table(chunk_checks,
                                                                           monkeypatch):
     # the benchmark's perturbed table: 4,200 chunks in 18 maps, each of
-    # which a check before every chunk would check
-    chunk_weights = []
+    # which a check before every chunk would check.  A chunk is a
+    # contraction with the window weights of a chunk increment.
+    chunk_ops = []
     real_increment = schemes._chunk_increment
 
     def recorded(increment):
         chunk, growth = real_increment(increment)
-        chunk_weights.append(chunk.kernel[0])
+        chunk_ops.append(chunk)
         return chunk, growth
+
+    chunk_weights = []
+    real_weights = BlockOperator.window_weights
+
+    def recorded_weights(op):
+        weights, spec = real_weights(op)
+        if any(op is chunk for chunk in chunk_ops):
+            chunk_weights.append(weights)
+        return weights, spec
 
     chunks = []
     real_einsum = np.einsum
@@ -781,6 +816,7 @@ def test_fused_evolve_checks_once_per_run_on_the_perturbed_accuracy_table(chunk_
         return real_einsum(spec, *operands, **kwargs)
 
     monkeypatch.setattr(schemes, "_chunk_increment", recorded)
+    monkeypatch.setattr(BlockOperator, "window_weights", recorded_weights)
     monkeypatch.setattr(np, "einsum", counted)
     pairs = [(taylor_scheme(r, v), r - 1) for v in ("standard", "sdA") for r in (2, 3, 4)]
     rows = accuracy_table(pairs, ProblemSpec(dim=1, final_time=1.0), (40, 80, 160),
@@ -789,6 +825,60 @@ def test_fused_evolve_checks_once_per_run_on_the_perturbed_accuracy_table(chunk_
     assert len(chunk_weights) == 18 and len(chunks) == 4200
     # one check per run: each map starts a run, and a run averages 19 chunks
     assert len(chunk_weights) <= len(chunk_checks) < len(chunks) / 10
+
+
+#: the window tests' stage plans: r = 2..5 in both variants, and a mixed plan
+WINDOW_SCHEMES = {f"{v}-r{r}": taylor_scheme(r, v) for r in (2, 3, 4, 5) for v in ("standard", "sdA")}
+WINDOW_SCHEMES["mixed-r3"] = SchemeSpec(3, (True, False, True))
+
+
+def _check_window_against_gather(scheme, mesh, n):
+    """Fused stepping equals the apply_array loop bit for bit, stable and blowing up."""
+    k = scheme.order - 1
+    u0 = project(lambda *x: np.sin(2 * np.pi * sum(x)), DGSpace(mesh, k))
+    tau = benchmark_tau(scheme.order, mesh.dim, n)
+    # 403.4 steps: runs of unchecked chunks, single steps and a shortened last step
+    got = _evolve_outcome(scheme, mesh, k, u0, 403.4 * tau, tau)
+    ref = _fused_checking_every_chunk(scheme, mesh, k, u0, 403.4 * tau, tau)
+    assert got[1] is None and ref[1] is None
+    assert np.array_equal(got[0].coeffs, ref[0])
+    # at cfl 0.4 every plan here blows up, at the same step
+    got = _evolve_outcome(scheme, mesh, k, u0, 1203.4 * 0.4 / n, 0.4 / n)
+    ref = _fused_checking_every_chunk(scheme, mesh, k, u0, 1203.4 * 0.4 / n, 0.4 / n)
+    assert got[0] is None and got[1] == ref[1] is not None
+
+
+def _window_reaches(scheme, mesh):
+    """window_reach of a one-step increment and of its chunk increment."""
+    op, red = stage_operators(mesh, scheme.order - 1)
+    increment = EvolutionMap(scheme, op, red, 0.01).increment
+    return increment.window_reach, schemes._chunk_increment(increment)[0].window_reach
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16])
+@pytest.mark.parametrize("name", WINDOW_SCHEMES)
+def test_window_stepping_is_the_gather_bit_for_bit(name, n):
+    # a chunk reaches 4 r cells: the periodic tail wraps round the mesh more
+    # than once at N = 2, 3 and 5 (and at 16 for r = 4, 5), not at all below
+    scheme = WINDOW_SCHEMES[name]
+    mesh = build_mesh_1d(n, 0.15, seed=n)
+    r = scheme.order
+    assert _window_reaches(scheme, mesh) == (r, schemes.CHUNK_STEPS * r)
+    _check_window_against_gather(scheme, mesh, n)
+
+
+@pytest.mark.parametrize("name", ["standard-r3", "sdA-r4", "mixed-r3"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fourier_fallback_stepping_is_the_gather_bit_for_bit(dim, name, monkeypatch):
+    # uniform meshes step when the Fourier route declines: shared blocks,
+    # through the window in 1D and through the gather in 2D
+    monkeypatch.setattr(schemes, "_evolve_fourier", lambda *args: None)
+    scheme = WINDOW_SCHEMES[name]
+    mesh = build_mesh_1d(5) if dim == 1 else build_mesh_2d(5, 4)
+    r = scheme.order
+    expected = (r, schemes.CHUNK_STEPS * r) if dim == 1 else (None, None)
+    assert _window_reaches(scheme, mesh) == expected
+    _check_window_against_gather(scheme, mesh, 5)
 
 
 # ---------------------------------------------------------------------------
