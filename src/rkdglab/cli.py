@@ -214,8 +214,11 @@ def _check_step_counts(values, pairs, t_end):
             if not math.isfinite(t / tau):
                 raise ConfigError(f"T = {t} is not a finite number of time steps of {tau}")
             whole, _, shortened = step_plan(t, tau)
-            if values["perturb"] and whole + shortened > MAX_STEPPED_STEPS:
-                raise ConfigError(f"T = {t} needs {whole + shortened} time steps of {tau}, more "
+            count = whole + shortened
+            if values["perturb"] and count > MAX_STEPPED_STEPS:
+                # 16 digits or more come from the float t / tau, past its precision
+                shown = f"{count:.6g}" if count >= 10**15 else count
+                raise ConfigError(f"T = {t} needs {shown} time steps of {tau}, more "
                                   f"than the {MAX_STEPPED_STEPS} taken on a perturbed mesh")
 
 

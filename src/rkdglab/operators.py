@@ -291,40 +291,18 @@ class BlockOperator:
         in block order, so A c is the contraction of that row with the
         cell's weights: weights is (m, J m) for shared blocks and
         (cells, m, J m) for per-cell stacks, and the einsum spec carries any
-        trailing batch axes.  Built on the first apply; the blocks must not
-        change afterwards.
+        trailing batch axes.  Built on first use; the blocks must not change
+        afterwards.
         """
         m = self.space.n_modes
         nbrs = self._neighbour_cells()
         gather = (nbrs[:, :, None] * m + np.arange(m)).reshape(len(nbrs), -1)
-        weights, spec = _stacked_blocks(self.blocks.values(), len(nbrs))
-        return weights, gather, spec
-
-    def window_weights(self):
-        """(weights, spec) of kernel with the cells in reversed order (see window_reach).
-
-        Formed from the blocks on every call and not kept, so an operator
-        stepped through windows holds no gather index and no second copy.
-        """
-        reversed_blocks = [b[::-1] if b.ndim == 3 else b for b in self.blocks.values()]
-        return _stacked_blocks(reversed_blocks, self.space.n_dofs // self.space.n_modes)
-
-    @property
-    def window_reach(self):
-        """J - 1 when each cell's kernel row is one slice of the cells reversed, else None.
-
-        That is so for 1D offsets 0, -1, ..., -(J - 1) in block order: with
-        the cells reversed, the row u_c, u_{c-1}, ..., u_{c-J+1} of cell c
-        lies at increasing addresses, each cell's modes ascending, as the
-        gather lays it out.  Past the last cell the row wraps around the
-        periodic mesh: a periodic tail of J - 1 cells after the last one,
-        going round more than once when J - 1 is the cell count or more,
-        completes it.
-        """
-        offsets = list(self.blocks)
-        if self.space.dim == 1 and offsets == [(-j,) for j in range(len(offsets))]:
-            return len(offsets) - 1
-        return None
+        blocks = list(self.blocks.values())
+        if self.shares_blocks:
+            return np.concatenate(blocks, axis=1), gather, "nj,cj...->cn..."
+        stack_shape = (len(nbrs), m, m)
+        weights = np.concatenate([np.broadcast_to(b, stack_shape) for b in blocks], axis=2)
+        return weights, gather, "cnj,cj...->cn..."
 
     def _neighbour_cells(self):
         """(cells, J) flat index of cell c + o, for every cell c and every offset o in block order."""
@@ -343,19 +321,6 @@ class BlockOperator:
         for j, blk in enumerate(self.blocks.values()):
             out[cells, :, nbrs[:, j], :] += blk
         return out.reshape(len(nbrs) * m, -1)
-
-
-def _stacked_blocks(blocks, cells):
-    """(weights, spec): the blocks side by side and their contraction with neighbour rows.
-
-    weights is (m, J m) when every block is shared, else (cells, m, J m).
-    """
-    blocks = list(blocks)
-    if all(b.ndim == 2 for b in blocks):
-        return np.concatenate(blocks, axis=1), "nj,cj...->cn..."
-    stack_shape = (cells,) + blocks[0].shape[-2:]
-    weights = np.concatenate([np.broadcast_to(b, stack_shape) for b in blocks], axis=2)
-    return weights, "cnj,cj...->cn..."
 
 
 @lru_cache(maxsize=32)

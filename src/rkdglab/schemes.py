@@ -346,19 +346,20 @@ def _evolve_fused(steps, coeffs):
     (to 1e-13 relative over 10^4 steps, against 1e-14 here).
 
     In 1D every increment has the offsets 0, -1, ..., -(J - 1) in block
-    order (BlockOperator.window_reach), so with the cells in reversed
-    order the row u_c, u_{c-1}, ..., u_{c-J+1} of cell c is one contiguous
-    slice.  _FusedState keeps u so, followed by a periodic tail as long as
-    the largest reach J - 1 of the run (a chunk's, CHUNK_STEPS times a
-    step's; the tail wraps round the mesh more than once when that reach
-    is the cell count or more), reads all rows of an operator as one
-    zero-copy strided window, and stacks the weights in the same reversed
-    order.  A step is one contraction, one in-place add and one refresh
-    of the tail, with no gather.  A row holds the same numbers in the same
-    order as the gather of E.apply_array, against the same weights, so
-    each contraction sums the same products in the same order and every
-    coefficient is bit-identical to the gather's.  In 2D a row is not one
-    window, and the rows are gathered at every step.
+    order, so with the cells in reversed order the row u_c, u_{c-1}, ...,
+    u_{c-J+1} of cell c is one contiguous slice, each cell's modes
+    ascending as the gather lays them out.  _Stepper keeps u so, followed
+    by a periodic tail as long as the largest reach J - 1 of the run (a
+    chunk's, CHUNK_STEPS times a step's; the tail wraps round the mesh
+    more than once when that reach is the cell count or more), and reads
+    all rows of an operator as one zero-copy strided window.  A step is
+    one contraction of the window with E's kernel weights (a reversed view
+    of a per-cell stack), one in-place add and one refresh of the tail,
+    with no gather.  A row holds the same numbers in the same order as the
+    gather of E.apply_array, against the same weights, so each contraction
+    sums the same products in the same order and every coefficient is
+    bit-identical to the gather's.  In 2D a row is not one window, and a
+    step is u += E.apply_array(u).
 
     A map with at least CHUNK_STEPS steps also takes them CHUNK_STEPS at a
     time, through its chunk increment E_P (see _chunk_increment), while u
@@ -375,58 +376,53 @@ def _evolve_fused(steps, coeffs):
     checked for blow-up, so the flagged step is the one stepping flags.
     """
     plan = [(emap.increment,
-             _chunk_increment(emap.increment) if n >= CHUNK_STEPS else (None, None),
+             _chunk_increment(emap.increment) if n >= CHUNK_STEPS else (None, None, None),
              n, shortened) for emap, n, shortened in steps]
-    state = _FusedState(coeffs, [op for increment, (chunk, _), _, _ in plan
-                                 for op in (increment, chunk) if op is not None])
+    stepper = _Stepper(coeffs, [op for increment, (chunk, _, _), _, _ in plan
+                                for op in (increment, chunk) if op is not None])
     index = 0
-    for increment, (chunk, growth), n, shortened in plan:
+    for increment, (chunk, growth, g_p), n, shortened in plan:
         end = index + n
         if chunk is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                g_p = 1.0 + _max_row_sum(chunk)
-            kernel = state.kernel(chunk)
+            advance = stepper.step_of(chunk)
             bound = math.inf                # no run certified yet: check first
             while index + CHUNK_STEPS <= end:
                 bound *= g_p
                 if not bound < 0.5 * BLOWUP_LIMIT:
-                    bound = _chunk_bound(state.u, growth)
+                    bound = _chunk_bound(stepper.u, growth)
                     if not bound < BLOWUP_LIMIT:        # also nan
                         break
-                state.advance(kernel)
+                advance()
                 index += CHUNK_STEPS
-        kernel = state.kernel(increment)
+        advance = stepper.step_of(increment)
         while index < end:
             index += 1
-            state.advance(kernel)
-            if not _state_ok(state.u):
+            advance()
+            if not _state_ok(stepper.u):
                 where = "the shortened final step" if shortened else f"step {index}"
                 raise BlowUpError(f"solution blew up at {where}", step_index=index)
-    return state.coeffs()
+    return stepper.coeffs()
 
 
-class _FusedState:
-    """The state u of fused stepping, and the neighbour rows its kernels contract.
+class _Stepper:
+    """The state u of fused stepping, and the steps u <- u + E u of the run's operators E.
 
-    When every operator of the run has a window_reach (1D), u is the head
-    of a buffer that holds the cells reversed and then a periodic tail
-    as long as the largest reach, and the rows are windows of the buffer
-    (see _evolve_fused).  Otherwise u is in cell order and the rows are
-    gathered by each operator's kernel.
+    When every operator of the run has the 1D offsets 0, -1, ..., -(J - 1)
+    in block order, u is the head of a buffer that holds the cells
+    reversed and then a periodic tail as long as the largest reach J - 1,
+    and a step contracts a window of the buffer (see _evolve_fused).
+    Otherwise u is in cell order and a step is u += E.apply_array(u).
     """
 
     def __init__(self, coeffs, ops):
-        self.shape = coeffs.shape
-        m = coeffs.shape[-1]
-        reaches = [op.window_reach for op in ops]
-        if None in reaches:
-            self.buffer, self.tail = None, []
-            self.u = coeffs.reshape(-1, m).copy()
+        offsets = [list(op.blocks) for op in ops]
+        if any(o != [(-j,) for j in range(len(o))] for o in offsets):
+            self.buffer, self.u = None, coeffs.copy()
             return
-        n = coeffs.size // m
-        self.buffer = np.empty((n + max(reaches), m))
+        n = len(coeffs)
+        self.buffer = np.empty((n + max(map(len, offsets)) - 1, coeffs.shape[1]))
         self.u = self.buffer[:n]
-        self.u[:] = coeffs.reshape(n, m)[::-1]
+        self.u[:] = coeffs[::-1]
         total = len(self.buffer)
         self.tail = [(slice(start, min(start + n, total)), slice(0, min(n, total - start)))
                      for start in range(n, total, n)]
@@ -437,25 +433,26 @@ class _FusedState:
         for dst, src in self.tail:
             self.buffer[dst] = self.buffer[src]
 
-    def kernel(self, op):
-        """(weights, spec, rows) of op: a step is u += einsum(spec, weights, rows())."""
+    def step_of(self, op):
+        """The function that takes one step u <- u + op u."""
         if self.buffer is None:
-            weights, gather, spec = op.kernel
-            return weights, spec, lambda: self.u.take(gather)
+            def advance():
+                self.u += op.apply_array(self.u)
+            return advance
+        weights, _, spec = op.kernel
+        if weights.ndim == 3:
+            weights = weights[::-1]
         m = self.u.shape[1]
-        width = (op.window_reach + 1) * m
-        window = sliding_window_view(self.buffer.reshape(-1), width)[: self.u.size : m]
-        return op.window_weights() + (lambda: window,)
+        window = sliding_window_view(self.buffer.reshape(-1), len(op.blocks) * m)[: self.u.size : m]
 
-    def advance(self, kernel):
-        weights, spec, rows = kernel
-        self.u += np.einsum(spec, weights, rows())
-        self._wrap()
+        def advance():
+            self.u += np.einsum(spec, weights, window)
+            self._wrap()
+        return advance
 
     def coeffs(self):
-        """u as an array of the input's shape, in cell order."""
-        u = self.u if self.buffer is None else self.u[::-1].copy()
-        return u.reshape(self.shape)
+        """u in cell order."""
+        return self.u if self.buffer is None else self.u[::-1].copy()
 
 
 def _chunk_bound(u, growth):
@@ -464,22 +461,24 @@ def _chunk_bound(u, growth):
 
 
 def _chunk_increment(increment):
-    """(E_P, growth) for P = CHUNK_STEPS: the increment K^P - I of P steps, and a bound.
+    """(E_P, growth, g_P) for P = CHUNK_STEPS: the increment K^P - I of P steps, and bounds.
 
     E_P is formed from E = K - I by squaring (doubled_increment), and
     growth = prod_{i=0..log2 P} (1 + ||E_{2^i}||_inf).  Every K^j with
     j <= P is a product of distinct K_{2^i} = I + E_{2^i}, so
     ||K^j||_inf <= growth: a state u whose max|u| times growth is below
     BLOWUP_LIMIT stays below it for the next P single steps.  Overflow
-    while squaring gives an inf or nan growth, and so no chunk.
+    while squaring gives an inf or nan growth, and so no chunk.  The last
+    factor, g_P = 1 + ||E_P||_inf, bounds the growth of one chunk.
     """
     e = increment
     with np.errstate(over="ignore", invalid="ignore"):
-        growth = 1.0 + _max_row_sum(e)
+        growth = g_p = 1.0 + _max_row_sum(e)
         for _ in range(CHUNK_STEPS.bit_length() - 1):
             e = doubled_increment(e)
-            growth *= 1.0 + _max_row_sum(e)
-    return e, growth
+            g_p = 1.0 + _max_row_sum(e)
+            growth *= g_p
+    return e, growth, g_p
 
 
 def _max_row_sum(op):

@@ -296,7 +296,10 @@ def test_step_count_that_is_not_finite_exits_2_before_any_row(argv, message):
     (["regularity", "--r", "3", "--N", "16,8", "--perturb", "0.1", "--T", "2e6"],
      "T = 2000000.0 needs 320000000 time steps of 0.00625, "
      "more than the 100000000 taken on a perturbed mesh"),
-], ids=["accuracy", "regularity"])
+    (["accuracy", "--r", "2", "--N", "4", "--perturb", "0.1", "--timestep", "1e-300"],
+     "T = 1.0 needs 1e+300 time steps of 1e-300, "
+     "more than the 100000000 taken on a perturbed mesh"),
+], ids=["accuracy", "regularity", "accuracy-1e-300"])
 def test_more_steps_than_a_perturbed_mesh_is_stepped_exits_2_before_any_row(argv, message):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rkdglab.__file__)))
     out = subprocess.run([sys.executable, "-m", "rkdglab.cli", *argv], capture_output=True,

@@ -705,7 +705,7 @@ def test_chunk_growth_bounds_every_power_within_the_chunk(name, n):
     op, red = _ops(mesh, scheme.order - 1)
     for cfl in (0.05, 0.4):
         emap = EvolutionMap(scheme, op, red, cfl / n)
-        chunk, growth = schemes._chunk_increment(emap.increment)
+        chunk, growth, _ = schemes._chunk_increment(emap.increment)
         dense = emap.as_dense()
         power = np.eye(len(dense))
         norms = []
@@ -734,7 +734,7 @@ def _fused_checking_every_chunk(scheme, mesh, k, u0, final_time, tau):
         increment = EvolutionMap(scheme, op, red, dt).increment
         end = index + n
         if n >= p:
-            chunk, growth = schemes._chunk_increment(increment)
+            chunk, growth, _ = schemes._chunk_increment(increment)
             while index + p <= end and np.max(np.abs(u)) * growth < BLOWUP_LIMIT:
                 u = u + chunk.apply_array(u)
                 index += p
@@ -788,43 +788,38 @@ def test_fused_evolve_is_the_loop_that_checks_every_chunk_bit_for_bit(r, variant
 def test_fused_evolve_checks_once_per_run_on_the_perturbed_accuracy_table(chunk_checks,
                                                                           monkeypatch):
     # the benchmark's perturbed table: 4,200 chunks in 18 maps, each of
-    # which a check before every chunk would check.  A chunk is a
-    # contraction with the window weights of a chunk increment.
+    # which a check before every chunk would check.  A chunk is a step
+    # that _Stepper takes with a chunk increment.
     chunk_ops = []
     real_increment = schemes._chunk_increment
 
     def recorded(increment):
-        chunk, growth = real_increment(increment)
+        chunk, growth, g_p = real_increment(increment)
         chunk_ops.append(chunk)
-        return chunk, growth
-
-    chunk_weights = []
-    real_weights = BlockOperator.window_weights
-
-    def recorded_weights(op):
-        weights, spec = real_weights(op)
-        if any(op is chunk for chunk in chunk_ops):
-            chunk_weights.append(weights)
-        return weights, spec
+        return chunk, growth, g_p
 
     chunks = []
-    real_einsum = np.einsum
+    real_step_of = schemes._Stepper.step_of
 
-    def counted(spec, *operands, **kwargs):
-        if any(operands[0] is w for w in chunk_weights):
+    def counted_step_of(stepper, op):
+        advance = real_step_of(stepper, op)
+        if not any(op is chunk for chunk in chunk_ops):
+            return advance
+
+        def counted():
             chunks.append(1)
-        return real_einsum(spec, *operands, **kwargs)
+            advance()
+        return counted
 
     monkeypatch.setattr(schemes, "_chunk_increment", recorded)
-    monkeypatch.setattr(BlockOperator, "window_weights", recorded_weights)
-    monkeypatch.setattr(np, "einsum", counted)
+    monkeypatch.setattr(schemes._Stepper, "step_of", counted_step_of)
     pairs = [(taylor_scheme(r, v), r - 1) for v in ("standard", "sdA") for r in (2, 3, 4)]
     rows = accuracy_table(pairs, ProblemSpec(dim=1, final_time=1.0), (40, 80, 160),
                           perturb=0.15, seed=5)
     assert not any(row.flagged for row in rows)
-    assert len(chunk_weights) == 18 and len(chunks) == 4200
+    assert len(chunk_ops) == 18 and len(chunks) == 4200
     # one check per run: each map starts a run, and a run averages 19 chunks
-    assert len(chunk_weights) <= len(chunk_checks) < len(chunks) / 10
+    assert len(chunk_ops) <= len(chunk_checks) < len(chunks) / 10
 
 
 #: the window tests' stage plans: r = 2..5 in both variants, and a mixed plan
@@ -849,10 +844,18 @@ def _check_window_against_gather(scheme, mesh, n):
 
 
 def _window_reaches(scheme, mesh):
-    """window_reach of a one-step increment and of its chunk increment."""
+    """The reach J - 1 of a one-step increment and of its chunk increment.
+
+    That is the reach of a window row when the offsets run 0, -1, ...,
+    -(J - 1) in block order, else None (no window).
+    """
     op, red = stage_operators(mesh, scheme.order - 1)
     increment = EvolutionMap(scheme, op, red, 0.01).increment
-    return increment.window_reach, schemes._chunk_increment(increment)[0].window_reach
+
+    def reach(e):
+        offsets = list(e.blocks)
+        return len(offsets) - 1 if offsets == [(-j,) for j in range(len(offsets))] else None
+    return reach(increment), reach(schemes._chunk_increment(increment)[0])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 16])
@@ -879,6 +882,40 @@ def test_fourier_fallback_stepping_is_the_gather_bit_for_bit(dim, name, monkeypa
     expected = (r, schemes.CHUNK_STEPS * r) if dim == 1 else (None, None)
     assert _window_reaches(scheme, mesh) == expected
     _check_window_against_gather(scheme, mesh, 5)
+
+
+def test_stepping_applies_the_gather_only_where_no_window_fits(monkeypatch):
+    # bit for bit the gather of apply_array is the window's equal, but a step
+    # through it costs about 20 % more: perturbed 1D meshes never take it,
+    # even where the periodic tail wraps round the mesh
+    real_apply = BlockOperator.apply_array
+
+    def refused(op, c):
+        raise AssertionError("a 1D step gathered its neighbour rows")
+
+    monkeypatch.setattr(BlockOperator, "apply_array", refused)
+    for n in (2, 3, 5, 16):
+        mesh = build_mesh_1d(n, 0.15, seed=n)
+        for scheme in WINDOW_SCHEMES.values():
+            k = scheme.order - 1
+            u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, k))
+            tau = benchmark_tau(scheme.order, 1, n)
+            assert evolve(scheme, mesh, k, u0, 43.4 * tau, tau).path == "stepping"
+    # in 2D every chunk and step of a declined Fourier route applies the
+    # increments: 9.4 steps are 2 chunks, 1 single step and the shortened one
+    applies = []
+
+    def counted(op, c):
+        applies.append(1)
+        return real_apply(op, c)
+
+    monkeypatch.setattr(BlockOperator, "apply_array", counted)
+    monkeypatch.setattr(schemes, "_evolve_fourier", lambda *args: None)
+    mesh = build_mesh_2d(5, 4)
+    u0 = DGSpace(mesh, 2).random(3)
+    tau = benchmark_tau(3, 2, 5)
+    assert evolve(taylor_scheme(3), mesh, 2, u0, 9.4 * tau, tau).path == "stepping"
+    assert len(applies) == 4
 
 
 # ---------------------------------------------------------------------------
