@@ -23,7 +23,7 @@ from .experiments import (
 )
 from .props import run_all as run_property_checks
 from .schemes import MAX_STEPPED_STEPS, step_plan, taylor_scheme
-from .stability import cfl_sweep, fourier_cfl
+from .stability import CFL_BISECT_TOL, cfl_sweep, fourier_cfl
 
 COMMANDS = ("accuracy", "regularity", "stability", "cfl", "prop-tests")
 
@@ -292,7 +292,10 @@ def run(values, out_stream=None, err_stream=None):
         rows = [CFL_HEADER]
         for scheme, k in _schemes_for(values):
             res = fourier_cfl(scheme, k)
-            warn_rows += 0 if res.found else 1
+            if not res.found:
+                warn_rows += 1
+                notes.append(f"warning: {scheme.label(k)} {scheme.variant} has no stable "
+                             f"CFL number of {CFL_BISECT_TOL:g} or more")
             rows.append(
                 f"{scheme.label(k)},{scheme.variant},{scheme.order},{k},"
                 f"{res.value:.6g},{_fmt(res.value, '.17g')}"
@@ -359,8 +362,15 @@ def read_csv(stream_or_path):
     return meta, fieldnames, rows
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose syntax errors are ConfigErrors: one error line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rkdglab",
         description="Upwind DG / explicit RK laboratory: accuracy tables, "
                     "stability sweeps, CFL numbers and operator identity checks.",
@@ -368,41 +378,22 @@ def main(argv=None):
     parser.add_argument("command", nargs="?", choices=COMMANDS,
                         help="what to run (may also come from the config file)")
     parser.add_argument("--config", help="path of a 'key = value' config file")
-    parser.add_argument("--set", dest="pairs", action="append", default=[],
-                        metavar="KEY=VALUE", help="override a config key")
     for key in KEY_SPECS:
-        if key == "command":
-            continue
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}", default=None)
-    args = parser.parse_args(argv)
-
-    text = None
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
-    overrides = []
-    for pair in args.pairs:
-        if "=" not in pair:
-            print(f"error: --set needs KEY=VALUE, got {pair!r}", file=sys.stderr)
-            return 2
-        key, _, val = pair.partition("=")
-        overrides.append((key.strip(), val))
-    for key in KEY_SPECS:
-        if key == "command":
-            continue
-        val = getattr(args, f"opt_{key}")
-        if val is not None:
-            overrides.append((key, val))
-    if args.command:
-        overrides.append(("command", args.command))
+        if key != "command":
+            parser.add_argument(f"--{key.replace('_', '-')}", dest=key)
 
     try:
-        values = parse_config(text, overrides)
-        return run(values)
+        args = parser.parse_args(argv)
+        text = None
+        if args.config:
+            try:
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ConfigError(f"cannot read config: {exc}") from exc
+        overrides = [(key, val) for key, val in vars(args).items()
+                     if key in KEY_SPECS and val is not None]
+        return run(parse_config(text, overrides))
     except (ConfigError, SteppingLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,6 @@ from .mesh import build_mesh_1d, build_mesh_2d
 from .operators import (
     DENSE_CAP,
     certify_below,
-    fft_angles,
     operator_norm,
     stage_operators,
     top_eigenvalue,
@@ -169,34 +168,33 @@ CFL_ANGLES = 2048
 CFL_BISECT_TOL = 5e-4
 CFL_GROWTH_TOL = 1e-7
 CFL_MAX = 2.0
+#: rows of the angles in [0, pi], which decide: real operators have
+#: G(2 pi - theta) = conj G(theta), of the same spectral radius
+_CFL_HALF = slice(CFL_ANGLES // 2 + 1)
 
 
 def _cfl_radii(scheme, k):
-    """radii(c, angles): spectral radius of G(c, theta) at angles, rows of the sampled [0, pi].
+    """radii(c, rows): spectral radius of G(c, theta) at rows of _CFL_HALF.
 
     G is the one-step symbol on the uniform CFL_ANGLES-cell mesh at
-    tau = c h.  The stage symbols do not depend on the step size, so they
-    are formed once.  A plan whose inner stages all read the full
-    operator S has G = R(tau S) with R(z) = sum_i alpha_i z^i, whose
-    eigenvalues R(tau lambda) come from the eigenvalues lambda of S,
-    found once.  Any other plan's G is no polynomial in one symbol: it is
-    formed, and its eigenvalues found, at every c.
+    tau = c h, read from the stage operators' kept symbols as cfl_sweep
+    reads them.  A plan whose inner stages all read the full operator S
+    has G = R(tau S) with R(z) = sum_i alpha_i z^i, whose eigenvalues
+    R(tau lambda) come from the eigenvalues lambda of S, found once.  Any
+    other plan's G is no polynomial in one symbol: it is formed
+    (EvolutionMap.norm_symbols), and its eigenvalues found, at every c.
     """
-    emap = evolution_map(scheme, build_mesh_1d(CFL_ANGLES), k, 0.0)
-    # real operators: G(2 pi - theta) = conj G(theta) has the same spectral
-    # radius, so the angles in [0, pi] decide
-    full, reduced = emap.stage_symbols(fft_angles(emap.space, half=True))
+    operators = stage_operators(build_mesh_1d(CFL_ANGLES), k)
     if not any(scheme.stage_plan[:-1]):
-        eigs = np.linalg.eigvals(full)
+        eigs = np.linalg.eigvals(operators[0].norm_symbols(_CFL_HALF))
 
-        def radii(c, angles):
-            g_eigs = np.polynomial.polynomial.polyval(c / CFL_ANGLES * eigs[angles], scheme.alphas)
+        def radii(c, rows):
+            g_eigs = np.polynomial.polynomial.polyval(c / CFL_ANGLES * eigs[rows], scheme.alphas)
             return np.abs(g_eigs).max(axis=1)
         return radii
 
-    def radii(c, angles):
-        step_map = EvolutionMap(scheme, emap.full_op, emap.reduced_op, c / CFL_ANGLES)
-        g = np.eye(k + 1) + step_map.increment_of(full[angles], reduced[angles])
+    def radii(c, rows):
+        g = _step_map(scheme, operators, c).norm_symbols(rows)
         return np.abs(np.linalg.eigvals(g)).max(axis=1)
     return radii
 
@@ -221,7 +219,7 @@ def fourier_cfl(scheme, k):
         nonlocal worst
         if worst is not None and not radii(c, worst).max() <= 1.0 + CFL_GROWTH_TOL:
             return False
-        rho = radii(c, slice(None))
+        rho = radii(c, _CFL_HALF)
         if rho.max() <= 1.0 + CFL_GROWTH_TOL:
             return True
         worst = [int(np.argmax(rho))]

@@ -7,9 +7,11 @@ import pytest
 
 import rkdglab
 
+from rkdglab import stability
 from rkdglab.cli import (
     ACCURACY_HEADER,
     CFL_HEADER,
+    KEY_SPECS,
     STABILITY_HEADER,
     _check_step_counts,
     _schemes_for,
@@ -142,6 +144,31 @@ def test_main_reports_config_errors(capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["accuracy", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["accuracy", "--N"], "argument --N: expected one argument"),
+    (["accuracyy"], "argument command: invalid choice: 'accuracyy'"),
+    (["accuracy", "--set", "N=8"], "unrecognized arguments: --set N=8"),
+], ids=["unknown-flag", "flag-without-value", "unknown-command", "set-is-gone"])
+def test_command_line_syntax_error_is_one_error_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+def test_help_lists_each_key_once_with_its_own_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    for key in KEY_SPECS:
+        if key == "command":
+            continue
+        usage = f"--{key.replace('_', '-')} {key.upper()}"
+        assert sum(line.startswith(usage) for line in lines) == 1, usage
+
+
 def test_io_failure_exit_code():
     values = resolve(command="cfl", r="2", k="1",
                      output="/nonexistent-dir/impossible/out.csv")
@@ -232,7 +259,7 @@ def test_out_of_range_value_is_a_config_error(argv, message, capsys):
     (["regularity", "--r", "2", "--N", "8", "--timestep", "0.01"],
      "regularity does not read timestep"),
     (["prop-tests", "--r", "3"], "prop-tests does not read r"),
-    (["cfl", "--set", "flat_mode=r+1"], "cfl does not read flat_mode"),
+    (["cfl", "--flat-mode", "r+1"], "cfl does not read flat_mode"),
     (["accuracy", "--r", "2", "--N", "8", "--seed", "5", "--T", "0.1"],
      "seed selects a perturbed 1D mesh: it needs perturb > 0, got seed = 5 with perturb = 0"),
     (["accuracy", "--dim", "2", "--r", "2", "--N", "8", "--seed", "5"],
@@ -272,6 +299,16 @@ def test_blown_up_row_names_scheme_n_and_step(capsys):
     assert captured.err == ("warning: RK3DG2 standard N=8 blew up at step 4\n"
                             "warning: 1 flagged row(s)\n")
     assert captured.out.splitlines()[-1] == "RK3DG2,standard,1,8,24,nan,,nan,"
+
+
+def test_cfl_row_with_no_stable_number_is_named(monkeypatch, capsys):
+    # an unsatisfiable growth threshold leaves no stable CFL number
+    monkeypatch.setattr(stability, "CFL_GROWTH_TOL", -1.0)
+    assert main(["cfl", "--r", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: RK2DG1 standard has no stable CFL number of 0.0005 "
+                            "or more\nwarning: 1 flagged row(s)\n")
+    assert captured.out.splitlines()[-1] == "RK2DG1,standard,2,1,0,0"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -258,6 +258,37 @@ def test_fourier_cfl_eigvals_calls(scheme, per_round, monkeypatch):
         assert calls == [(stability.CFL_ANGLES // 2 + 1, 3, 3)]
 
 
+@pytest.mark.parametrize("scheme", [taylor_scheme(3, "sdA"), SchemeSpec(3, (False, True, False))],
+                         ids=["sdA", "mixed"])
+def test_fourier_cfl_reads_g_from_the_kept_symbols(scheme, monkeypatch):
+    # a plan with reduced inner stages forms G by EvolutionMap.norm_symbols at
+    # every c it tests, 2.0 and the 12 bisection midpoints down to 5e-4, from
+    # symbols each operator forms once; no map is built at tau = 0
+    built, read, formed = [], [], []
+    init, norm_symbols, symbols = EvolutionMap.__init__, EvolutionMap.norm_symbols, BlockOperator.symbols
+
+    def counted_init(self, scheme, full_op, reduced_op, tau):
+        built.append(tau)
+        init(self, scheme, full_op, reduced_op, tau)
+
+    def counted_norm_symbols(self, rows=...):
+        read.append(self.tau)
+        return norm_symbols(self, rows)
+
+    def counted_symbols(self, angles):
+        formed.append(id(self))
+        return symbols(self, angles)
+
+    monkeypatch.setattr(EvolutionMap, "__init__", counted_init)
+    monkeypatch.setattr(EvolutionMap, "norm_symbols", counted_norm_symbols)
+    monkeypatch.setattr(BlockOperator, "symbols", counted_symbols)
+    assert fourier_cfl(scheme, 2).found
+    assert 0.0 not in built
+    assert set(read) == set(built) and len(set(read)) == 13
+    assert 2.0 / stability.CFL_ANGLES in read
+    assert len(formed) == len(set(formed)) == 2
+
+
 def _full_spectrum_tops(op, m):
     """sigma_max of every symbol's m-th power over the full spectrum: the symbol route's reference."""
     return np.linalg.svd(np.linalg.matrix_power(op.norm_symbols(), m), compute_uv=False)[..., 0]
