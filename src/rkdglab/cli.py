@@ -7,7 +7,6 @@ printed with 3 significant digits, growth metrics and CFL numbers with 6,
 and every rounded column has a full-precision twin with suffix _raw.
 """
 import argparse
-import itertools
 import math
 import operator
 import sys
@@ -18,7 +17,7 @@ from .experiments import (
     ProblemSpec,
     accuracy_table,
     regularity_default_time,
-    regularity_problem,
+    regularity_study,
     resolve_timestep,
 )
 from .props import run_all as run_property_checks
@@ -222,20 +221,6 @@ def _check_step_counts(values, pairs, t_end):
                                   f"than the {MAX_STEPPED_STEPS} taken on a perturbed mesh")
 
 
-def _regularity_table(values, pairs, t_end, n_quad):
-    """Rows of the regularity command in the order of pairs, from one table per
-    order r: its pairs share the problem (flat and default final time depend on r)."""
-    tables = {}
-    for order in sorted({scheme.order for scheme, _ in pairs}):
-        problem = regularity_problem(order, values["flat_mode"], t_end, values["dim"])
-        tables[order] = iter(accuracy_table(
-            [pair for pair in pairs if pair[0].order == order], problem, values["N"],
-            perturb=values["perturb"], seed=values["seed"], n_quad=n_quad,
-        ))
-    n_rows = len(values["N"])
-    return [row for scheme, _ in pairs for row in itertools.islice(tables[scheme.order], n_rows)]
-
-
 def run(values, out_stream=None, err_stream=None):
     """Execute a resolved config; returns the process exit status."""
     err = err_stream if err_stream is not None else sys.stderr
@@ -263,7 +248,10 @@ def run(values, out_stream=None, err_stream=None):
                 seed=values["seed"], n_quad=n_quad,
             )
         else:
-            table = _regularity_table(values, pairs, t_end, n_quad)
+            table = regularity_study(
+                pairs, values["flat_mode"], values["N"], final_time=t_end, dim=values["dim"],
+                perturb=values["perturb"], seed=values["seed"], n_quad=n_quad,
+            )
         for row in table:
             if row.flagged:
                 warn_rows += 1
@@ -372,6 +360,7 @@ class _Parser(argparse.ArgumentParser):
 def main(argv=None):
     parser = _Parser(
         prog="rkdglab",
+        allow_abbrev=False,
         description="Upwind DG / explicit RK laboratory: accuracy tables, "
                     "stability sweeps, CFL numbers and operator identity checks.",
     )

@@ -212,11 +212,21 @@ def regularity_problem(order, flat_mode, final_time, dim):
     return ProblemSpec(dim=dim, flat=flat, final_time=t_end)
 
 
-def regularity_study(scheme, k, flat_mode, n_list, final_time=None,
+def regularity_study(schemes, flat_mode, n_list, final_time=None,
                      dim=1, perturb=0.0, seed=0, n_quad=None):
-    """Accuracy sweep for data of limited smoothness, flat = r or r + 1."""
-    if scheme.order != k + 1:
+    """Accuracy sweep for data of limited smoothness, flat = r or r + 1.
+
+    schemes is a list of (SchemeSpec, k = r - 1).  One accuracy_table per
+    order r runs its pairs, which share the problem (flat and the default
+    final time depend on r); rows are ordered by (pair, N).
+    """
+    if any(scheme.order != k + 1 for scheme, k in schemes):
         raise ValueError("regularity study is set up for r = k + 1 schemes")
-    problem = regularity_problem(scheme.order, flat_mode, final_time, dim)
-    return accuracy_table([(scheme, k)], problem, n_list, perturb=perturb,
-                          seed=seed, n_quad=n_quad)
+    tables = {}
+    for order in sorted({scheme.order for scheme, _ in schemes}):
+        problem = regularity_problem(order, flat_mode, final_time, dim)
+        tables[order] = iter(accuracy_table(
+            [pair for pair in schemes if pair[0].order == order], problem, n_list,
+            perturb=perturb, seed=seed, n_quad=n_quad,
+        ))
+    return [next(tables[scheme.order]) for scheme, _ in schemes for _n in n_list]

@@ -334,19 +334,20 @@ def _neighbour_index(shape, offsets):
     return index
 
 
-def fft_angles(space, half=False):
+def fft_angles(space):
     """Angles 2 pi j / n of the discrete Fourier modes of the cell grid.
 
     One row per frequency, first axis slowest, as numpy.fft orders them.
-    half keeps only the non-negative frequencies of the last cell axis,
-    the half spectrum that numpy.fft.rfftn returns.
     """
-    counts = space.shape[:-1]
-    axes = [2.0 * np.pi * np.arange(n) / n for n in counts]
-    if half:
-        axes[-1] = axes[-1][: counts[-1] // 2 + 1]
+    axes = [2.0 * np.pi * np.arange(n) / n for n in space.shape[:-1]]
     grid = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grid], axis=-1)
+
+
+def half_spectrum(cells):
+    """Index of the cell axes keeping the frequencies numpy.fft.rfftn keeps, those
+    with j <= n // 2 on the last axis; a real map's other symbols mirror them."""
+    return (slice(None),) * (len(cells) - 1) + (slice(cells[-1] // 2 + 1),)
 
 
 def dense_from_matvec(apply_array, space, chunk=128):
@@ -535,32 +536,24 @@ def eval_grid(u, n_points=None):
 # interface traces and jump forms
 # ---------------------------------------------------------------------------
 
-def _traces_1d(u):
-    """(right, left) traces of u on every cell, as plain values."""
-    k = u.space.degree
-    right, left, _ = reference_tables(k)
-    h = u.space.mesh.cell_sizes
-    s = np.sqrt(2.0 / h)
-    return s * (u.coeffs @ right), s * (u.coeffs @ left)
-
-
 def _face_traces(u):
     """[(beta, outflow, inflow), ...]: u's traces on the cell faces, per cell axis.
 
     Along axis d, outflow is the trace on each cell's downwind face and
     inflow the trace on its upwind face, so the jump u^+ - u^- on the
     downwind faces is np.roll(inflow, -1, axis=d) - outflow.  In 1D the
-    traces are values (_traces_1d).  In 2D they are modal coefficients of
+    traces are values.  In 2D they are modal coefficients of
     shape (nx, ny, k+1), scaled to physical size: the trace polynomial
     sum_a coef[a] sqrt(2/h) P~_a on an edge of length h is orthonormal
     in L2 of the edge, so edge integrals of products are dot products.
     """
     space = u.space
     mesh = space.mesh
-    if space.dim == 1:
-        return [(mesh.beta, *_traces_1d(u))]
     k = space.degree
     right, left, _ = reference_tables(k)
+    if space.dim == 1:
+        s = np.sqrt(2.0 / mesh.cell_sizes)
+        return [(mesh.beta, s * (u.coeffs @ right), s * (u.coeffs @ left))]
     tensor = to_tensor(u.coeffs, k)
     sx = np.sqrt(2.0 / mesh.hx)
     sy = np.sqrt(2.0 / mesh.hy)
@@ -628,13 +621,13 @@ def operator_norm(op, method, m=1, dense_cap=DENSE_CAP):
         raise ValueError("power m must be >= 1")
     if method == "symbol":
         cells = op.space.mesh.cells
-        half = (slice(None),) * (len(cells) - 1) + (slice(cells[-1] // 2 + 1),)
+        half = half_spectrum(cells)
         top = _top_singular_values(op.norm_symbols(half), m)
         peak = top.max()
         # the mirror partners, outside the half, that could beat its maximum
         near = np.nonzero(top >= peak * (1.0 - SYMBOL_MIRROR_RTOL))
         mirror = np.array([-j % n for j, n in zip(near, cells)])
-        outside = tuple(mirror[:, mirror[-1] > cells[-1] // 2])
+        outside = tuple(mirror[:, mirror[-1] >= half[-1].stop])
         return float(_top_singular_values(op.norm_symbols(outside), m).max(initial=peak))
 
     if method == "dense_svd":

@@ -38,18 +38,15 @@ def gauss_radau(f, space, n_points=None):
     moments = project(f, space, n_points=n_points).coeffs
 
     # local (k+1) x (k+1) system: k moment rows plus the right-trace row;
-    # in the orthonormal basis the matrix is cell-independent
+    # in the orthonormal basis the matrix is cell-independent and lower
+    # triangular with diagonal (1, ..., 1, right[k] > 0), so never singular
     a = np.zeros((k + 1, k + 1))
     a[:k, :k] = np.eye(k)
     a[k, :] = right
     rhs = np.empty((k + 1, mesh.n_cells))
     rhs[:k] = moments[:, :k].T
     rhs[k] = f(mesh.nodes[1:]) * np.sqrt(h / 2.0)
-    try:
-        coeffs = np.linalg.solve(a, rhs).T
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - matrix is triangular-ish
-        raise ProjectionFailureError("singular Gauss-Radau system") from exc
-    return GridFunction(space, np.ascontiguousarray(coeffs))
+    return GridFunction(space, np.ascontiguousarray(np.linalg.solve(a, rhs).T))
 
 
 def _lsz_system(space):

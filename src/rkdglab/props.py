@@ -8,6 +8,7 @@ import numpy as np
 from .mesh import build_mesh_1d, build_mesh_2d
 from .operators import (
     DGSpace,
+    _face_traces,
     assemble_upwind,
     jump_inner,
     l2_inner,
@@ -158,9 +159,7 @@ def check_gauss_radau():
         full = project(f, space, n_points=20)
         sub = project(p, target="k_minus_1") - project(full, target="k_minus_1")
         worst = max(worst, sub.norm())
-        from .operators import _traces_1d
-
-        right, _ = _traces_1d(p)
+        ((_, right, _),) = _face_traces(p)
         worst = max(worst, np.abs(right - f(mesh.nodes[1:])).max())
     return "Gauss-Radau constraints", worst, 1e-12
 

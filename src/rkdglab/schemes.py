@@ -20,6 +20,7 @@ from .operators import (
     GridFunction,
     dense_from_matvec,
     fft_angles,
+    half_spectrum,
     stage_operators,
 )
 
@@ -257,7 +258,9 @@ class EvolveResult:
 
 
 #: frequencies whose symbols are formed and powered together, which keeps
-#: the memory of the Fourier path independent of the mesh size
+#: the memory of the Fourier path independent of the mesh size: in one chunk,
+#: accuracy --dim 2 --variant both peaked at 117 MB of RSS instead of 61 MB
+#: and took 1.23 s instead of 0.88 s (2-core Xeon VM, one run each)
 FREQ_CHUNK = 256
 
 
@@ -508,10 +511,10 @@ def _evolve_fourier(steps, coeffs):
     u_norm = float(np.linalg.norm(coeffs))
     if not u_norm < BLOWUP_LIMIT:           # also catches nan
         return None
-    cell_axes = tuple(range(space.dim))
+    cells, cell_axes = space.shape[:-1], tuple(range(space.dim))
     spec = np.fft.rfftn(coeffs, axes=cell_axes)
     flat = spec.reshape(-1, space.n_modes)      # may be a copy: transform back from flat
-    angles = fft_angles(space, half=True)
+    angles = fft_angles(space).reshape(cells + (-1,))[half_spectrum(cells)].reshape(-1, space.dim)
     eye = np.eye(space.n_modes)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(flat), FREQ_CHUNK):
@@ -531,7 +534,7 @@ def _evolve_fourier(steps, coeffs):
                     if n:
                         e = doubled_increment(e)
             flat[chunk] = v
-    return np.fft.irfftn(flat.reshape(spec.shape), s=space.shape[:-1], axes=cell_axes)
+    return np.fft.irfftn(flat.reshape(spec.shape), s=cells, axes=cell_axes)
 
 
 def _state_ok(coeffs):

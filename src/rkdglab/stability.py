@@ -16,6 +16,7 @@ from .mesh import build_mesh_1d, build_mesh_2d
 from .operators import (
     DENSE_CAP,
     certify_below,
+    half_spectrum,
     operator_norm,
     stage_operators,
     top_eigenvalue,
@@ -170,7 +171,7 @@ CFL_GROWTH_TOL = 1e-7
 CFL_MAX = 2.0
 #: rows of the angles in [0, pi], which decide: real operators have
 #: G(2 pi - theta) = conj G(theta), of the same spectral radius
-_CFL_HALF = slice(CFL_ANGLES // 2 + 1)
+_CFL_HALF = half_spectrum((CFL_ANGLES,))
 
 
 def _cfl_radii(scheme, k):

@@ -190,7 +190,7 @@ def test_criterion_5_limited_regularity():
     crit = Criterion("5 (limited-regularity orders)")
     finest = {}
     for (variant, r, mode), ref_errs in REGULARITY_1D.items():
-        rows = regularity_study(taylor_scheme(r, variant), r - 1, mode, N_REG, final_time=1.0)
+        rows = regularity_study([(taylor_scheme(r, variant), r - 1)], mode, N_REG, final_time=1.0)
         for row, ref in zip(rows, ref_errs):
             rel = abs(row.l2_error - ref) / ref
             crit.check(
@@ -214,7 +214,7 @@ def test_criterion_5_limited_regularity():
 
     # r = 4, 5 default-run variant: T = 50 against the repository oracle
     for (r, variant, mode), ref_errs in REG_T50_ORACLE.items():
-        rows = regularity_study(taylor_scheme(r, variant), r - 1, mode, (20, 40, 80),
+        rows = regularity_study([(taylor_scheme(r, variant), r - 1)], mode, (20, 40, 80),
                                 final_time=50.0)
         for row, ref in zip(rows, ref_errs):
             rel = abs(row.l2_error - ref) / ref
@@ -398,9 +398,9 @@ def test_criterion_8_projection_suite():
     for k in (1, 2, 3):
         space = DGSpace(mesh, k)
         p = gauss_radau(field.value, space, n_points=20)
-        from rkdglab.operators import _traces_1d
+        from rkdglab.operators import _face_traces
 
-        right, _ = _traces_1d(p)
+        ((_, right, _),) = _face_traces(p)
         crit.check(np.abs(right - field.value(mesh.nodes[1:])).max() <= 1e-12,
                    f"right-trace interpolation k={k}")
         moments = project(field.value, space, n_points=20)
@@ -584,7 +584,8 @@ def test_slow_regularity_t500():
         (5, "standard", "r", 20): 3.69e-4,
     }
     for (r, variant, mode, n), val in ref.items():
-        rows = regularity_study(taylor_scheme(r, variant), r - 1, mode, (n,), final_time=500.0)
+        rows = regularity_study([(taylor_scheme(r, variant), r - 1)], mode, (n,),
+                                final_time=500.0)
         rel = abs(rows[0].l2_error - val) / val
         print(f"T=500 {variant} r={r} flat={mode} N={n}: {rows[0].l2_error:.3e} vs {val:.2e}")
         assert rel <= 0.03

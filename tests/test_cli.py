@@ -149,7 +149,12 @@ def test_main_reports_config_errors(capsys):
     (["accuracy", "--N"], "argument --N: expected one argument"),
     (["accuracyy"], "argument command: invalid choice: 'accuracyy'"),
     (["accuracy", "--set", "N=8"], "unrecognized arguments: --set N=8"),
-], ids=["unknown-flag", "flag-without-value", "unknown-command", "set-is-gone"])
+    # a flag prefix is no flag: --t could mean T or timestep, --q quad_points
+    (["accuracy", "--r", "2", "--N", "8", "--t", "0.5"], "unrecognized arguments: --t 0.5"),
+    (["accuracy", "--q", "3"], "unrecognized arguments: --q 3"),
+    (["regularity", "--flat", "r"], "unrecognized arguments: --flat r"),
+], ids=["unknown-flag", "flag-without-value", "unknown-command", "set-is-gone",
+        "prefix-t", "prefix-q", "prefix-flat"])
 def test_command_line_syntax_error_is_one_error_line(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

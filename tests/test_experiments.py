@@ -144,12 +144,34 @@ def test_zero_speed_solution_is_stationary():
 
 def test_regularity_study_validation_and_smoke():
     with pytest.raises(ValueError):
-        regularity_study(taylor_scheme(3), 1, "r", (20,))
+        regularity_study([(taylor_scheme(3), 1)], "r", (20,))
     with pytest.raises(ValueError):
-        regularity_study(taylor_scheme(2), 1, "bogus", (20,))
-    rows = regularity_study(taylor_scheme(2), 1, "r", (40, 80), final_time=1.0)
+        regularity_study([(taylor_scheme(2), 1)], "bogus", (20,))
+    rows = regularity_study([(taylor_scheme(2), 1)], "r", (40, 80), final_time=1.0)
     assert len(rows) == 2
     assert rows[1].eoc is not None and 1.0 < rows[1].eoc < 2.2
+
+
+def test_regularity_study_returns_interleaved_pairs_in_pair_order():
+    # RK2 and RK3 run separate tables (their flat differs); rows still follow the pairs
+    pairs = [(taylor_scheme(3, "sdA"), 2), (taylor_scheme(2), 1), (taylor_scheme(3), 2)]
+    rows = regularity_study(pairs, "r", (8, 16), final_time=0.1, perturb=0.15, seed=7)
+    assert [(row.scheme, row.variant, row.n) for row in rows] == [
+        ("RK3DG2", "sdA", 8), ("RK3DG2", "sdA", 16), ("RK2DG1", "standard", 8),
+        ("RK2DG1", "standard", 16), ("RK3DG2", "standard", 8), ("RK3DG2", "standard", 16)]
+    for i, pair in enumerate(pairs):
+        alone = regularity_study([pair], "r", (8, 16), final_time=0.1, perturb=0.15, seed=7)
+        assert rows[2 * i: 2 * i + 2] == alone
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_regularity_pair_without_k_of_r_minus_1_is_a_value_error_before_any_row(
+        where, monkeypatch):
+    monkeypatch.setattr(experiments, "evolve", None)
+    pairs = [(taylor_scheme(2), 1), (taylor_scheme(3, "sdA"), 2)]
+    pairs.insert(where, (taylor_scheme(3), 1))
+    with pytest.raises(ValueError, match="r = k \\+ 1"):
+        regularity_study(pairs, "r", (8, 16), final_time=0.1)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -159,7 +181,7 @@ def test_repeated_n_is_a_value_error_before_any_row(dim, monkeypatch):
     with pytest.raises(ValueError, match=r"distinct, got \(4, 4\)"):
         accuracy_table([(taylor_scheme(2), 1)], ProblemSpec(dim=dim), (4, 4))
     with pytest.raises(ValueError, match=r"distinct, got \(8, 16, 8\)"):
-        regularity_study(taylor_scheme(2), 1, "r", (8, 16, 8), final_time=0.1, dim=dim)
+        regularity_study([(taylor_scheme(2), 1)], "r", (8, 16, 8), final_time=0.1, dim=dim)
 
 
 def test_blown_up_row_keeps_the_step_index():

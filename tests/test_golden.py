@@ -28,6 +28,8 @@ CASES = {
     "regularity": "regularity --r 3 --variant both --N 16,32 --T 0.25",
     "regularity_two_orders": "regularity --r 2,3 --variant both --N 16,32 --T 0.25",
     "regularity_2d": "regularity --dim 2 --r 2 --variant both --N 4,8 --T 0.25",
+    "regularity_1d_perturbed": ("regularity --r 2,3 --variant both --N 16,32 --T 0.25"
+                                " --perturb 0.15 --seed 7"),
     "stability_1d": "stability --r 3 --k 2 --variant both --N 8 --cfl 0.1,0.3",
     "stability_2d": "stability --r 3 --k 2 --variant both --N 8 --cfl 0.1,0.3 --dim 2",
     "cfl": "cfl --variant both --r 2,3",

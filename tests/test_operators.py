@@ -20,6 +20,7 @@ from rkdglab.operators import (
     GridFunction,
     assemble_upwind,
     eval_grid,
+    half_spectrum,
     jump_inner,
     jump_seminorm,
     l2_inner,
@@ -508,6 +509,14 @@ def test_power_iteration_matches_dense_on_evolution_map():
     assert abs(dense - power) <= 1e-8 * dense
     symbol = operator_norm(emap, "symbol")
     assert abs(dense - symbol) <= 1e-12 * dense
+
+
+@pytest.mark.parametrize("cells", [(4,), (5,), (4, 5), (5, 4)])
+def test_half_spectrum_keeps_the_rfftn_frequencies(cells):
+    mesh = build_mesh_1d(*cells) if len(cells) == 1 else build_mesh_2d(*cells)
+    op = assemble_upwind(mesh, 1)
+    kept = op.norm_symbols(half_spectrum(cells)).shape[:-2]
+    assert kept == np.fft.rfftn(np.zeros(cells), axes=tuple(range(len(cells)))).shape
 
 
 def test_inverse_estimate_norm_sweep():

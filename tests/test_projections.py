@@ -81,9 +81,9 @@ def test_gauss_radau_defining_constraints():
         space = DGSpace(mesh, k)
         p = gauss_radau(f, space, n_points=20)
         # right-trace interpolation at every cell right endpoint
-        from rkdglab.operators import _traces_1d
+        from rkdglab.operators import _face_traces
 
-        right, _ = _traces_1d(p)
+        ((_, right, _),) = _face_traces(p)
         scale = max(np.abs(f(mesh.nodes[1:])).max(), 1.0)
         assert np.abs(right - f(mesh.nodes[1:])).max() <= 1e-12 * scale
         # orthogonality of the error against P^{k-1} per cell
