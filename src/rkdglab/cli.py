@@ -66,7 +66,7 @@ KEY_SPECS = {
     "m": (int, 1, ((">=", 1),)),
     "cfl": (_list_of(float), "auto", ((">=", 0),)),
     "T": (_keyword_or("auto", float), "auto", ((">=", 0), ("<", math.inf))),
-    "timestep": (_keyword_or("benchmark", float), "benchmark", ((">", 0),)),
+    "timestep": (_keyword_or("benchmark", float), "benchmark", ((">", 0), ("<", math.inf))),
     "flat_mode": (_choice(("r", "r+1"), "flat_mode must be 'r' or 'r+1'"), "r", ()),
     "output": (str, "-", ()),
     "quad_points": (_keyword_or("auto", int), "auto", ((">=", 1),)),
@@ -221,9 +221,8 @@ def _check_step_counts(values, pairs, t_end):
                                   f"than the {MAX_STEPPED_STEPS} taken on a perturbed mesh")
 
 
-def run(values, out_stream=None, err_stream=None):
+def run(values, out_stream=None):
     """Execute a resolved config; returns the process exit status."""
-    err = err_stream if err_stream is not None else sys.stderr
     command = values["command"]
     warn_rows = 0
     failed_rows = 0
@@ -293,20 +292,20 @@ def run(values, out_stream=None, err_stream=None):
 
     body = "".join(line + "\n" for line in rows)
     try:
-        _write_output(values, body, out_stream, err, plain=command == "prop-tests")
+        _write_output(values, body, out_stream, plain=command == "prop-tests")
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=err)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     for note in notes:
-        print(note, file=err)
+        print(note, file=sys.stderr)
     if warn_rows:
-        print(f"warning: {warn_rows} flagged row(s)", file=err)
+        print(f"warning: {warn_rows} flagged row(s)", file=sys.stderr)
     if failed_rows:
-        print(f"error: {failed_rows} failed row(s)", file=err)
+        print(f"error: {failed_rows} failed row(s)", file=sys.stderr)
     return 1 if failed_rows or failed_checks else 0
 
 
-def _write_output(values, body, out_stream, err, plain=False):
+def _write_output(values, body, out_stream, plain=False):
     preamble = ""
     if not plain:
         preamble = (
@@ -321,33 +320,9 @@ def _write_output(values, body, out_stream, err, plain=False):
     if values["output"] == "-":
         sys.stdout.write(text)
         return
-    with open(values["output"], "w", encoding="ascii") as fh:
+    # the config echo repeats the output path: a non-ASCII one is escaped
+    with open(values["output"], "w", encoding="ascii", errors="backslashreplace") as fh:
         fh.write(text)
-
-
-def read_csv(stream_or_path):
-    """Parse harness CSV back into (meta, fieldnames, rows-of-dicts)."""
-    if hasattr(stream_or_path, "read"):
-        text = stream_or_path.read()
-    else:
-        with open(stream_or_path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    meta = {}
-    fieldnames = None
-    rows = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            key, _, val = line[1:].partition(":")
-            meta[key.strip()] = val.strip()
-            continue
-        cells = line.split(",")
-        if fieldnames is None:
-            fieldnames = cells
-            continue
-        rows.append(dict(zip(fieldnames, cells)))
-    return meta, fieldnames, rows
 
 
 class _Parser(argparse.ArgumentParser):
@@ -378,7 +353,7 @@ def main(argv=None):
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config: {exc}") from exc
         overrides = [(key, val) for key, val in vars(args).items()
                      if key in KEY_SPECS and val is not None]

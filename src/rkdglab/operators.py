@@ -26,8 +26,6 @@ from .errors import (
     UnsupportedDegreeError,
 )
 
-DENSE_EXPORT_MAGIC = b"RKDGDNS1"
-
 
 # ---------------------------------------------------------------------------
 # discrete space and grid functions
@@ -350,9 +348,10 @@ def half_spectrum(cells):
     return (slice(None),) * (len(cells) - 1) + (slice(cells[-1] // 2 + 1),)
 
 
-def dense_from_matvec(apply_array, space, chunk=128):
+def dense_from_matvec(apply_array, space):
     """Assemble the dense matrix of a batch-capable coefficient map."""
     n = space.n_dofs
+    chunk = 128                             # columns per apply_array call
     out = np.empty((n, n))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
@@ -812,37 +811,3 @@ def top_eigenvalue(op):
         last_estimate=float(theta[-1]),
         last_vector=y[:, -1] @ basis[:len(alpha)],
     )
-
-
-# ---------------------------------------------------------------------------
-# dense export formats (for cross-checks with external tools)
-# ---------------------------------------------------------------------------
-
-def save_dense_text(op, path):
-    """Column-major plain text: 'rows cols' line, then one value per line."""
-    a = op.as_dense()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        for val in a.flatten(order="F"):
-            fh.write(f"{val:.17e}\n")
-
-
-def save_dense_binary(op, path):
-    """16-byte header (8-byte magic, uint32 rows, uint32 cols) + float64 column-major."""
-    a = op.as_dense()
-    with open(path, "wb") as fh:
-        fh.write(DENSE_EXPORT_MAGIC)
-        fh.write(np.uint32(a.shape[0]).tobytes())
-        fh.write(np.uint32(a.shape[1]).tobytes())
-        fh.write(a.flatten(order="F").astype("<f8").tobytes())
-
-
-def load_dense_binary(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != DENSE_EXPORT_MAGIC:
-            raise ValueError("not a dense operator dump")
-        rows = int(np.frombuffer(fh.read(4), dtype=np.uint32)[0])
-        cols = int(np.frombuffer(fh.read(4), dtype=np.uint32)[0])
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-    return data.reshape((rows, cols), order="F")

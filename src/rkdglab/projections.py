@@ -117,11 +117,11 @@ def lsz(f, space, n_points=None):
     return GridFunction(space, coeffs.reshape(nx, ny, m))
 
 
-def special_projection(f, space, n_points=None):
+def special_projection(f, space):
     """Dimension dispatch: gauss_radau in 1D, lsz on uniform 2D meshes."""
     if space.dim == 1:
-        return gauss_radau(f, space, n_points)
-    return lsz(f, space, n_points)
+        return gauss_radau(f, space)
+    return lsz(f, space)
 
 
 #: pi_star fixed point: relative update at which it stops, and its iteration cap

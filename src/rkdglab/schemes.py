@@ -275,12 +275,13 @@ def step_plan(final_time, tau):
     """(whole, remainder, shortened): how evolve reaches final_time in steps of tau.
 
     whole steps of tau, then, if shortened, one last step of remainder.
-    final_time must be finite and >= 0, tau > 0 and final_time / tau finite.
+    final_time must be finite and >= 0, tau finite and > 0 and final_time / tau
+    finite.
     """
     if not 0.0 <= final_time < math.inf:
         raise ValueError(f"final time must be finite and >= 0, got {final_time}")
-    if not tau > 0.0:
-        raise ValueError(f"time step must be > 0, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"time step must be finite and > 0, got {tau}")
     with np.errstate(over="ignore"):
         n_steps = final_time / tau
     if not math.isfinite(n_steps):

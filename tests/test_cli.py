@@ -1,3 +1,4 @@
+import csv
 import io
 import os
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 
 import rkdglab
 
-from rkdglab import stability
+from rkdglab import cli, stability
 from rkdglab.cli import (
     ACCURACY_HEADER,
     CFL_HEADER,
@@ -17,7 +18,6 @@ from rkdglab.cli import (
     _schemes_for,
     main,
     parse_config,
-    read_csv,
     run,
 )
 from rkdglab.errors import ConfigError
@@ -27,6 +27,16 @@ from rkdglab.schemes import MAX_STEPPED_STEPS
 
 def resolve(text=None, **kv):
     return parse_config(text, [(k, v) for k, v in kv.items()])
+
+
+def _read_csv(text):
+    """(meta, fieldnames, rows): the '# key: value' lines, then the plain CSV below them."""
+    lines = text.splitlines()
+    meta = dict((part.strip() for part in line[1:].split(":", 1))
+                for line in lines if line.startswith("#"))
+    reader = csv.DictReader(line for line in lines if not line.startswith("#"))
+    rows = list(reader)
+    return meta, reader.fieldnames, rows
 
 
 def test_missing_command_is_rejected():
@@ -71,7 +81,7 @@ def test_cfl_job_single_scheme():
     values = resolve(command="cfl", r="2", k="1", variant="sdA")
     out = io.StringIO()
     assert run(values, out_stream=out) == 0
-    meta, fields, rows = read_csv(io.StringIO(out.getvalue()))
+    meta, fields, rows = _read_csv(out.getvalue())
     assert ",".join(fields) == CFL_HEADER
     assert len(rows) == 1
     assert rows[0]["scheme"] == "RK2DG1" and rows[0]["variant"] == "sdA"
@@ -83,7 +93,7 @@ def test_cfl_job_full_family():
     values = resolve(command="cfl", variant="sdA")
     out = io.StringIO()
     assert run(values, out_stream=out) == 0
-    _, _, rows = read_csv(io.StringIO(out.getvalue()))
+    _, _, rows = _read_csv(out.getvalue())
     expected = (0.333, 0.191, 0.127, 0.104, 0.085, 0.076, 0.064)
     assert len(rows) == 7
     for row, ref in zip(rows, expected):
@@ -105,7 +115,7 @@ def test_accuracy_job_headers_and_roundtrip():
     values = resolve(command="accuracy", r="2", dim="1", N="20,40")
     out = io.StringIO()
     assert run(values, out_stream=out) == 0
-    meta, fields, rows = read_csv(io.StringIO(out.getvalue()))
+    meta, fields, rows = _read_csv(out.getvalue())
     assert ",".join(fields) == ACCURACY_HEADER
     assert [r["N"] for r in rows] == ["20", "40"]
     assert rows[0]["eoc"] == ""
@@ -135,8 +145,52 @@ def test_main_with_config_file(tmp_path):
     cfg.write_text("command = cfl\nr = 2\nk = 1\nvariant = sdA\n"
                    f"output = {tmp_path / 'out.csv'}\n")
     assert main(["--config", str(cfg)]) == 0
-    meta, fields, rows = read_csv(str(tmp_path / "out.csv"))
+    meta, fields, rows = _read_csv((tmp_path / "out.csv").read_text(encoding="ascii"))
     assert rows[0]["cfl"].startswith("0.333")
+
+
+def test_infinite_timestep_in_a_config_file_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("command = accuracy\nr = 2\nN = 4,8\ntimestep = inf\n")
+    assert main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", "error: timestep must be > 0 and < inf, "
+                                       "got timestep = inf\n")
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_bytes(b"command = cfl\nr = 2 # \xff\n")
+    assert main(["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read config: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_non_ascii_output_path_is_escaped_in_the_ascii_file(tmp_path, capsys):
+    argv = ["accuracy", "--r", "2", "--N", "4,8"]
+    assert main(argv) == 0
+    _, _, expected = _read_csv(capsys.readouterr().out)
+    path = tmp_path / "\u00e9.csv"
+    assert main([*argv, "--output", str(path)]) == 0
+    meta, _, rows = _read_csv(path.read_bytes().decode("ascii"))
+    assert rows == expected
+    assert meta["config"].endswith(f"output={tmp_path}/\\xe9.csv quad_points=auto")
+
+
+def test_main_hands_the_resolved_values_to_run_alone(monkeypatch, capsys):
+    # bench/worker.py --setup-only times config resolution through this seam:
+    # it replaces cli.run with a stub and calls main
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return 7
+
+    monkeypatch.setattr(cli, "run", recorder)
+    assert main(["accuracy", "--r", "2", "--N", "4,8"]) == 7
+    assert capsys.readouterr() == ("", "")
+    assert calls == [((resolve(command="accuracy", r="2", N="4,8"),), {})]
 
 
 def test_main_reports_config_errors(capsys):
@@ -221,8 +275,12 @@ def test_sda_with_k0_is_a_config_error(capsys):
     (["accuracy", "--r", "2", "--perturb", "0.5"], "perturb must be >= 0 and < 0.5, got perturb = 0.5"),
     (["accuracy", "--r", "2", "--perturb", "-0.1"], "perturb must be >= 0 and < 0.5, got perturb = -0.1"),
     (["accuracy", "--r", "2", "--quad-points", "0"], "quad_points must be >= 1, got quad_points = 0"),
-    (["accuracy", "--r", "2", "--timestep", "0"], "timestep must be > 0, got timestep = 0.0"),
-    (["accuracy", "--r", "2", "--timestep", "-0.01"], "timestep must be > 0, got timestep = -0.01"),
+    (["accuracy", "--r", "2", "--timestep", "0"], "timestep must be > 0 and < inf, got timestep = 0.0"),
+    (["accuracy", "--r", "2", "--timestep", "-0.01"],
+     "timestep must be > 0 and < inf, got timestep = -0.01"),
+    # an infinite step takes no step: it once printed the initial error as that at T
+    (["accuracy", "--r", "2", "--N", "4,8", "--timestep", "inf"],
+     "timestep must be > 0 and < inf, got timestep = inf"),
     (["accuracy", "--r", "2", "--N", "8", "--T", "-1"], "T must be >= 0 and < inf, got T = -1.0"),
     (["stability", "--r", "2", "--cfl", "0.1,-0.1"], "cfl must be >= 0, got cfl = -0.1"),
     (["accuracy", "--r", "0"], "r must be >= 1, got r = 0"),
@@ -243,8 +301,8 @@ def test_sda_with_k0_is_a_config_error(capsys):
     (["stability", "--r", "2", "--N", "8,16,8"],
      "N must not repeat a value, got N = 8 more than once"),
 ], ids=["N1", "N1-2d", "m0", "perturb-high", "perturb-negative", "quad0", "timestep0",
-        "timestep-negative", "T-negative", "cfl-negative", "r0", "dim3", "seed-negative",
-        "perturb-stability", "perturb-2d-accuracy", "perturb-2d-regularity",
+        "timestep-negative", "timestep-inf", "T-negative", "cfl-negative", "r0", "dim3",
+        "seed-negative", "perturb-stability", "perturb-2d-accuracy", "perturb-2d-regularity",
         "N-repeated", "N-repeated-2d", "N-repeated-regularity", "N-repeated-stability"])
 def test_out_of_range_value_is_a_config_error(argv, message, capsys):
     assert main(argv) == 2

@@ -24,14 +24,11 @@ from rkdglab.operators import (
     jump_inner,
     jump_seminorm,
     l2_inner,
-    load_dense_binary,
     operator_norm,
     project,
     quadrature_grid,
     quadrature_points,
     reduce_operator,
-    save_dense_binary,
-    save_dense_text,
     strong_derivative,
     trace_norm,
 )
@@ -646,25 +643,3 @@ def test_discrete_integration_by_parts():
                 rhs += (-1.0) ** (j + 1) * jump_inner(pw[i - j - 1], pv[j])
             scale = max(abs(lhs), pw[i].norm() * v.norm(), 1.0)
             assert abs(lhs - rhs) <= 1e-10 * scale
-
-
-# ---------------------------------------------------------------------------
-# dense export
-# ---------------------------------------------------------------------------
-
-def test_dense_export_round_trip(tmp_path):
-    op = assemble_upwind(perturbed_mesh(5, seed=11), 1)
-    dense = op.as_dense()
-    binpath = tmp_path / "op.bin"
-    save_dense_binary(op, binpath)
-    assert np.array_equal(load_dense_binary(binpath), dense)
-    with open(binpath, "rb") as fh:
-        header = fh.read(16)
-    assert len(header) == 16
-
-    txtpath = tmp_path / "op.txt"
-    save_dense_text(op, txtpath)
-    lines = txtpath.read_text().splitlines()
-    rows, cols = (int(tok) for tok in lines[0].split())
-    data = np.array([float(tok) for tok in lines[1:]]).reshape((rows, cols), order="F")
-    assert np.allclose(data, dense, rtol=0.0, atol=0.0)

@@ -217,7 +217,7 @@ def test_evolve_rejects_bad_time_input(perturb):
         mesh = build_mesh_1d(8, {perturb})
         u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, 1))
         cases = [(-1.0, 0.01), (float("nan"), 0.01), (float("inf"), 0.01),
-                 (1.0, 0.0), (1.0, -0.01), (1.0, float("nan"))]
+                 (1.0, 0.0), (1.0, -0.01), (1.0, float("nan")), (1.0, float("inf"))]
         for final_time, tau in cases:
             try:
                 evolve(taylor_scheme(2), mesh, 1, u0, final_time, tau)
@@ -229,7 +229,7 @@ def test_evolve_rejects_bad_time_input(perturb):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["ValueError"] * 6
+    assert out.stdout.split() == ["ValueError"] * 7
 
 
 @pytest.mark.parametrize("final_time, tau", [(1e300, 1e-300), (1.0, 1e-320)])
@@ -239,6 +239,12 @@ def test_evolve_rejects_a_step_count_that_is_not_finite(final_time, tau):
     message = f"final time {final_time} is not a finite number of time steps of {tau}"
     with pytest.raises(ValueError, match=re.escape(message)):
         evolve(taylor_scheme(2), mesh, 1, u0, final_time, tau)
+
+
+def test_step_plan_rejects_an_infinite_time_step():
+    # step_plan(1.0, inf) once planned no step, and evolve returned u0
+    with pytest.raises(ValueError, match="time step must be finite and > 0, got inf"):
+        schemes.step_plan(1.0, math.inf)
 
 
 def test_evolve_refuses_more_steps_than_it_can_step_before_the_first(monkeypatch):
