@@ -351,7 +351,7 @@ def main(argv=None):
         text = None
         if args.config:
             try:
-                with open(args.config, "r", encoding="utf-8") as fh:
+                with open(args.config, "r", encoding="utf-8-sig") as fh:
                     text = fh.read()
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config: {exc}") from exc

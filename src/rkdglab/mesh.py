@@ -56,7 +56,7 @@ class Mesh1D:
         return bool(np.allclose(sizes, sizes[0], rtol=0.0, atol=1e-14))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Mesh1D)
             and self.beta == other.beta
             and self.nodes.shape == other.nodes.shape

@@ -73,7 +73,7 @@ class DGSpace:
         return GridFunction(self, rng.standard_normal(self.shape))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, DGSpace)
             and self.degree == other.degree
             and self.mesh == other.mesh

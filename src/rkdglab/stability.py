@@ -76,18 +76,20 @@ def excess_operator(emap, m=1):
 def growth_excess(emap, m=1):
     """(||K^m||_2^2 - 1, route) for an evolution map K.
 
-    A circulant map takes its Fourier symbols (route "symbol").  Any
-    other map reads the excess as the top eigenvalue of S_m
-    (excess_operator): first a floor certificate,
-    certify_below(S_m, NORM_RESOLUTION), which proves the excess below
-    the resolution in O(N) (route "certificate", excess 0); failing
-    that, np.linalg.eigvalsh of the dense S_m up to DENSE_CAP unknowns
-    (route "dense") and Lanczos on S_m above it (top_eigenvalue, route
-    "lanczos"; PowerIterationError if it does not converge).
+    A circulant map takes its Fourier symbols (route "symbol": the floor
+    certificate _symbol_floor, else their SVD).  Any other map reads the
+    excess as the top eigenvalue of S_m (excess_operator): first a floor
+    certificate, certify_below(S_m, NORM_RESOLUTION), which proves the
+    excess below the resolution in O(N) (route "certificate", excess 0);
+    failing that, np.linalg.eigvalsh of the dense S_m up to DENSE_CAP
+    unknowns (route "dense") and Lanczos on S_m above it (top_eigenvalue,
+    route "lanczos"; PowerIterationError if it does not converge).
     operator_norm's "dense_svd" and "power_iteration" methods are the
     cross-checks of these routes.
     """
     if emap.is_circulant:
+        if _symbol_floor(emap, m):
+            return 0.0, "symbol"
         nrm = operator_norm(emap, "symbol", m=m)
         return nrm * nrm - 1.0, "symbol"
     s_m = excess_operator(emap, m)
@@ -96,6 +98,17 @@ def growth_excess(emap, m=1):
     if emap.n_dofs <= DENSE_CAP:
         return float(np.linalg.eigvalsh(s_m.as_dense())[-1]), "dense"
     return top_eigenvalue(s_m), "lanczos"
+
+
+def _symbol_floor(emap, m):
+    """certify_below's test on the half-spectrum symbols G of a circulant map (the others
+    mirror them): whether every (1 + NORM_RESOLUTION) I - (G^m)^H G^m has a Cholesky factor."""
+    g = np.linalg.matrix_power(emap.norm_symbols(half_spectrum(emap.space.mesh.cells)), m)
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(
+            (1.0 + NORM_RESOLUTION) * np.eye(g.shape[-1]) - np.conj(g).swapaxes(-1, -2) @ g)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def _growth_point(emap, cfl, m):
@@ -174,8 +187,8 @@ CFL_MAX = 2.0
 _CFL_HALF = half_spectrum((CFL_ANGLES,))
 
 
-def _cfl_radii(scheme, k):
-    """radii(c, rows): spectral radius of G(c, theta) at rows of _CFL_HALF.
+def _cfl_stable(scheme, k):
+    """stable(c, rows): per row of _CFL_HALF, whether rho(G(c, theta)) <= 1 + CFL_GROWTH_TOL.
 
     G is the one-step symbol on the uniform CFL_ANGLES-cell mesh at
     tau = c h, read from the stage operators' kept symbols as cfl_sweep
@@ -183,21 +196,56 @@ def _cfl_radii(scheme, k):
     has G = R(tau S) with R(z) = sum_i alpha_i z^i, whose eigenvalues
     R(tau lambda) come from the eigenvalues lambda of S, found once.  Any
     other plan's G is no polynomial in one symbol: it is formed
-    (EvolutionMap.norm_symbols), and its eigenvalues found, at every c.
+    (EvolutionMap.norm_symbols) and decided by _spectrum_inside at every c.
     """
     operators = stage_operators(build_mesh_1d(CFL_ANGLES), k)
     if not any(scheme.stage_plan[:-1]):
         eigs = np.linalg.eigvals(operators[0].norm_symbols(_CFL_HALF))
 
-        def radii(c, rows):
+        def stable(c, rows):
             g_eigs = np.polynomial.polynomial.polyval(c / CFL_ANGLES * eigs[rows], scheme.alphas)
-            return np.abs(g_eigs).max(axis=1)
-        return radii
+            return np.abs(g_eigs).max(axis=1) <= 1.0 + CFL_GROWTH_TOL
+        return stable
 
-    def radii(c, rows):
+    def stable(c, rows):
         g = _step_map(scheme, operators, c).norm_symbols(rows)
-        return np.abs(np.linalg.eigvals(g)).max(axis=1)
-    return radii
+        return _spectrum_inside(g, 1.0 + CFL_GROWTH_TOL)
+    return stable
+
+
+def _spectrum_inside(g, radius):
+    """Per matrix of a stack g: whether every eigenvalue lies in |z| < radius.
+
+    Schur-Cohn (Miller, JIMA 8, 1971; Strikwerda, ch. 4): the roots of a
+    monic p lie in the unit disk iff |p(0)| < 1 and those of the monic
+    multiple of (p(z) - p(0) z^deg conj(p(1 / conj z))) / z do (unscaled,
+    each step squares the coefficients' scale).  p is the characteristic
+    polynomial of phi(g / radius): phi(z) = (z - a) / (1 - a z) keeps the
+    disk, and a = 1 - d within Frobenius distance 0 < d < 1 of I spreads the
+    eigenvalues crowding round z = 1 at small c, which p's coefficients
+    cannot resolve.  A matrix that is not finite, or a radius <= 0, is never inside.
+    """
+    m = g.shape[-1]
+    eye = np.eye(m)
+    inside = np.isfinite(g).all(axis=(-2, -1)) & (radius > 0)
+    with np.errstate(all="ignore"):
+        b = g / radius
+        spread = np.linalg.norm(b - eye, axis=(-2, -1))
+        near = inside & (spread > 0.0) & (spread < 1.0)
+        a = 1.0 - spread[near][:, None, None]
+        b[near] = np.linalg.solve(eye - a * b[near], b[near] - a * eye)
+        # det(z I - b) = sum_j p_j z^j by Faddeev-LeVerrier: M_1 = I, M_j = b M_{j-1} + p_{m-j+1} I
+        p = np.ones(g.shape[:-2] + (m + 1,), dtype=b.dtype)
+        b_m = b
+        for j in range(1, m + 1):
+            p[..., m - j] = -np.einsum("...ii->...", b_m) / j
+            if j < m:
+                b_m = np.matmul(b, b_m + p[..., m - j, None, None] * eye)
+        for _ in range(m):
+            p0 = p[..., :1]
+            inside &= np.abs(p0[..., 0]) < 1.0
+            p = (p[..., 1:] - p0 * np.conj(p[..., -2::-1])) / (1.0 - np.abs(p0) ** 2)
+    return inside
 
 
 def fourier_cfl(scheme, k):
@@ -206,24 +254,25 @@ def fourier_cfl(scheme, k):
     Bisection on c for max_theta rho(G(c, theta)) <= 1 + CFL_GROWTH_TOL,
     with G the one-step symbol of the scheme on the uniform CFL_ANGLES-cell
     mesh at tau = c h, whose frequencies are the sampled angles (see
-    _cfl_radii).  The growth tolerance admits the slow eigenvalue drift of
+    _cfl_stable).  The growth tolerance admits the slow eigenvalue drift of
     the weakly stable schemes while pinning the sharp blow-up threshold.
     """
     if k < 1 or scheme.order < 2:
         raise ValueError("Fourier CFL computed for k >= 1, r >= 2")
-    radii = _cfl_radii(scheme, k)
-    # the angle of largest spectral radius at the last unstable c: tested
+    stable_rows = _cfl_stable(scheme, k)
+    # the middle one of the rows that failed at the last unstable c: tested
     # alone first, it usually settles the next unstable c without the rest
     worst = None
 
     def stable(c):
         nonlocal worst
-        if worst is not None and not radii(c, worst).max() <= 1.0 + CFL_GROWTH_TOL:
+        if worst is not None and not stable_rows(c, worst).all():
             return False
-        rho = radii(c, _CFL_HALF)
-        if rho.max() <= 1.0 + CFL_GROWTH_TOL:
+        ok = stable_rows(c, _CFL_HALF)
+        if ok.all():
             return True
-        worst = [int(np.argmax(rho))]
+        failing = np.flatnonzero(~ok)
+        worst = failing[len(failing) // 2:][:1]
         return False
 
     lo, hi = 0.0, CFL_MAX

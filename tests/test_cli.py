@@ -167,6 +167,17 @@ def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_config_file_with_a_byte_order_mark_runs(tmp_path, capsys):
+    # some editors save UTF-8 with a leading byte-order mark
+    cfg = tmp_path / "job.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfcommand = cfl\nr = 2\n")
+    assert main(["--config", str(cfg)]) == 0
+    from_file = capsys.readouterr()
+    assert from_file.err == ""
+    assert main(["cfl", "--r", "2"]) == 0
+    assert from_file.out.splitlines()[1:] == capsys.readouterr().out.splitlines()[1:]
+
+
 def test_non_ascii_output_path_is_escaped_in_the_ascii_file(tmp_path, capsys):
     argv = ["accuracy", "--r", "2", "--N", "4,8"]
     assert main(argv) == 0

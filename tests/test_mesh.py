@@ -3,6 +3,7 @@ import pytest
 
 from rkdglab.errors import InvalidMeshError, InvalidPerturbationError, InvalidSpeedError
 from rkdglab.mesh import Mesh1D, build_mesh_1d, build_mesh_2d
+from rkdglab.operators import DGSpace
 
 
 def test_uniform_nodes():
@@ -65,7 +66,11 @@ def test_mesh_equality_and_hash():
     a = build_mesh_1d(8, 0.1, seed=1)
     b = build_mesh_1d(8, 0.1, seed=1)
     assert a == b and hash(a) == hash(b)
+    assert a == a and a is not b
     assert a != build_mesh_1d(8, 0.1, seed=2)
+    # spaces compare by value too: equal but distinct meshes give equal spaces
+    assert DGSpace(a, 2) == DGSpace(b, 2) and hash(DGSpace(a, 2)) == hash(DGSpace(b, 2))
+    assert DGSpace(a, 2) != DGSpace(a, 3) and DGSpace(a, 2) != DGSpace(build_mesh_1d(8), 2)
 
 
 def test_is_uniform_is_decided_once_per_mesh(monkeypatch):

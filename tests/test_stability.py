@@ -224,25 +224,30 @@ def _eigvals_per_round_radii(scheme, k, c):
 
 @pytest.mark.parametrize("r", range(2, 9))
 def test_eigen_once_radii_match_per_round_eigvals(r):
-    # a standard plan's radii come from the full symbol's eigenvalues, found
-    # once; the per-round eigenvalues of G are the reference
+    # a standard plan decides from the full symbol's eigenvalues, found
+    # once; the per-round eigenvalues of G are the reference, on both sides
+    # of the CFL number
     scheme = taylor_scheme(r)
-    radii = stability._cfl_radii(scheme, r - 1)
-    for c in (0.05, 0.2, 0.35, 1.0, 2.0):
-        ref = _eigvals_per_round_radii(scheme, r - 1, c)
-        got = radii(c, slice(None))
+    stable = stability._cfl_stable(scheme, r - 1)
+    cfl = float(FROZEN_CFL["standard"][r - 2])
+    decided = []
+    for c in (0.05, 0.2, 0.35, 1.0, 2.0, cfl, cfl + 5e-4):
+        ref = _eigvals_per_round_radii(scheme, r - 1, c) <= 1.0 + stability.CFL_GROWTH_TOL
+        got = stable(c, stability._CFL_HALF)
         assert got.shape == (stability.CFL_ANGLES // 2 + 1,)
-        assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+        assert np.array_equal(got, ref), c
+        decided.append(got.all())
+    assert decided[-2:] == [True, False]
 
 
-@pytest.mark.parametrize("scheme, per_round", [
-    (taylor_scheme(3), False),
-    (taylor_scheme(3, "sdA"), True),
-    (SchemeSpec(3, (False, True, False)), True),
+@pytest.mark.parametrize("scheme", [
+    taylor_scheme(3),
+    taylor_scheme(3, "sdA"),
+    SchemeSpec(3, (False, True, False)),
 ], ids=["standard", "sdA", "mixed"])
-def test_fourier_cfl_eigvals_calls(scheme, per_round, monkeypatch):
-    # one eigvals call per search on a plan with full inner stages; one per
-    # bisection round (at least 12 from [0, 2] to 5e-4) on any other plan
+def test_fourier_cfl_eigvals_calls(scheme, monkeypatch):
+    # one eigvals call per search on a plan with full inner stages; none on
+    # any other plan, whose rounds decide by the Schur-Cohn test
     calls = []
     eigvals = np.linalg.eigvals
 
@@ -252,10 +257,57 @@ def test_fourier_cfl_eigvals_calls(scheme, per_round, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
     assert fourier_cfl(scheme, 2).found
-    if per_round:
-        assert len(calls) >= 12
-    else:
+    if scheme.variant == "standard":
         assert calls == [(stability.CFL_ANGLES // 2 + 1, 3, 3)]
+    else:
+        assert calls == []
+
+
+def _eigvals_decision(g):
+    return np.abs(np.linalg.eigvals(g)).max(axis=1) <= 1.0 + stability.CFL_GROWTH_TOL
+
+
+@pytest.mark.parametrize("scheme, k", [(taylor_scheme(r, "sdA"), r - 1) for r in range(2, 9)]
+                         + [(SchemeSpec(3, (False, True, False)), 2),
+                            (SchemeSpec(3, (True, False, False)), 2),
+                            (taylor_scheme(2, "sdA"), 6)],
+                         ids=[f"sdA-r{r}" for r in range(2, 9)] + ["FR-r3", "RF-r3", "sdA-r2-k6"])
+def test_schur_cohn_decision_is_the_eigvals_decision(scheme, k):
+    # every row of every round agrees with the eigenvalues of G, on 25 values
+    # of c up to twice the CFL number and at 5e-4 and 1e-3 either side of it
+    cfl = fourier_cfl(scheme, k).value
+    ops = operators.stage_operators(build_mesh_1d(stability.CFL_ANGLES), k)
+    grid = np.concatenate([np.linspace(2 * cfl / 25, 2 * cfl, 25),
+                           cfl + np.array([-1e-3, -5e-4, 5e-4, 1e-3])])
+    both = set()
+    for c in grid:
+        g = stability._step_map(scheme, ops, c).norm_symbols(stability._CFL_HALF)
+        got = stability._spectrum_inside(g, 1.0 + stability.CFL_GROWTH_TOL)
+        assert np.array_equal(got, _eigvals_decision(g)), c
+        both.add(bool(got.all()))
+    assert both == {True, False}
+
+
+@pytest.mark.parametrize("k, cfl", [(6, 0.0068359375), (7, 0.00537109375)])
+def test_fourier_cfl_resolves_eigenvalues_crowding_round_one(k, cfl):
+    # RK2 at high degree is stable only at small c, where the eigenvalues of
+    # G crowd round z = 1; these are the numbers an eigvals search finds
+    assert fourier_cfl(taylor_scheme(2, "sdA"), k).value == cfl
+
+
+def test_schur_cohn_rejects_rows_that_are_not_finite_and_radii_not_above_zero():
+    scheme = taylor_scheme(4, "sdA")
+    ops = operators.stage_operators(build_mesh_1d(stability.CFL_ANGLES), 3)
+    g = stability._step_map(scheme, ops, 0.1).norm_symbols(stability._CFL_HALF).copy()
+    g[3, 0, 1] = np.inf
+    g[7, 2, 2] = np.nan
+    g[11, 1, 0] = -np.inf
+    got = stability._spectrum_inside(g, 1.0 + stability.CFL_GROWTH_TOL)
+    finite = np.isfinite(g).all(axis=(1, 2))
+    assert not got[~finite].any() and got[finite].all()
+    assert np.array_equal(got[finite], _eigvals_decision(g[finite]))
+    for radius in (0.0, -1.0, -np.inf):
+        assert not stability._spectrum_inside(g[finite], radius).any()
 
 
 @pytest.mark.parametrize("scheme", [taylor_scheme(3, "sdA"), SchemeSpec(3, (False, True, False))],
@@ -313,6 +365,30 @@ def test_half_spectrum_symbol_norm_is_the_full_spectrum_norm(dim, n):
                     assert repr(got) == repr(float(top.max())), (r, variant, m, cfl)
                     misses += top[..., : n // 2 + 1].max() != got
     assert misses > 0
+
+
+@pytest.mark.parametrize("dim, n", [(1, 5), (1, 16), (2, 4), (2, 5)])
+def test_symbol_floor_certificate_keeps_the_svd_delta(dim, n):
+    # the certificate holds exactly where the SVD route prints the floor, and
+    # the printed delta is the SVD route's, repr for repr; each mesh has
+    # points on both sides of the certificate
+    mesh = stability._mesh_for(dim, n)
+    certified = set()
+    for r in (2, 3, 4, 5):
+        ops = operators.stage_operators(mesh, r - 1)
+        for m in (1, 2):
+            for variant in ("standard", "sdA"):
+                scheme = taylor_scheme(r, variant)
+                for cfl in DEFAULT_CFL_GRID:
+                    emap = stability._step_map(scheme, ops, cfl)
+                    floor = stability._symbol_floor(emap, m)
+                    point = stability._growth_point(emap, cfl, m)
+                    svd = _delta_by_norm(scheme, mesh, r - 1, cfl, m, "symbol")
+                    assert repr(point.delta) == repr(svd), (r, variant, m, cfl)
+                    assert point.route == "symbol"
+                    assert floor == (svd == DELTA_FLOOR), (r, variant, m, cfl)
+                    certified.add(floor)
+    assert certified == {True, False}
 
 
 def test_fourier_cfl_rejects_k0():
