@@ -592,42 +592,26 @@ POWER_SEED = 0
 POWER_RTOL = 1e-10
 POWER_MAX_ITER = 10000
 
-#: "symbol" norm: a half-spectrum symbol whose top singular value lies within
-#: this relative distance of the half maximum has its mirror partner checked.
-#: Mirror partners are conjugate up to rounding (their sigma_max differ by at
-#: most 8.5e-15 relative on the sweep grids of r = 2..5, 1D N = 5..320 and
-#: 2D N = 4..80), so a partner that could beat the half maximum is checked.
+#: symbol_norm: a half-spectrum symbol whose top singular value lies within
+#: this relative distance of the half maximum has its mirror partner checked;
+#: partners are conjugate up to rounding (their sigma_max differ by at most
+#: 8.5e-15 relative on the sweep grids of r = 2..5, 1D N = 5..320, 2D N = 4..80).
 SYMBOL_MIRROR_RTOL = 1e-10
 
 
 def operator_norm(op, method, m=1, dense_cap=DENSE_CAP):
     """2-norm of op^m by the given method.
 
-    "symbol" takes the per-frequency SVD of a circulant op's Fourier
-    symbols (its norm_symbols raise ValueError on any other op).  A real
-    op has conjugate symbols at opposite frequencies, so it decomposes the
-    half spectrum (the non-negative frequencies of the last cell axis) and
-    then the mirror partners (-j mod n per axis) of the half-spectrum
-    symbols within SYMBOL_MIRROR_RTOL of the half maximum: the result is
-    the maximum over the full spectrum, bit for bit.  Symbols that are
-    not finite (overflow) raise LinAlgError;
-    "dense_svd" assembles op densely (allowed up to dense_cap unknowns);
-    "power_iteration" runs matrix-free on (op^m)(op^m)^T.  The route is
-    chosen by the caller: stability.growth_excess takes "symbol", and the
-    other two are its cross-checks.
+    "symbol" is symbol_norm on a circulant op (norm_symbols raise
+    ValueError on any other op); "dense_svd" assembles op densely (allowed
+    up to dense_cap unknowns); "power_iteration" runs matrix-free on
+    (op^m)(op^m)^T.  stability.growth_excess takes the symbol route, and
+    the other two are its cross-checks.
     """
     if m < 1:
         raise ValueError("power m must be >= 1")
     if method == "symbol":
-        cells = op.space.mesh.cells
-        half = half_spectrum(cells)
-        top = _top_singular_values(op.norm_symbols(half), m)
-        peak = top.max()
-        # the mirror partners, outside the half, that could beat its maximum
-        near = np.nonzero(top >= peak * (1.0 - SYMBOL_MIRROR_RTOL))
-        mirror = np.array([-j % n for j, n in zip(near, cells)])
-        outside = tuple(mirror[:, mirror[-1] >= half[-1].stop])
-        return float(_top_singular_values(op.norm_symbols(outside), m).max(initial=peak))
+        return symbol_norm(op, m, symbol_powers(op, half_spectrum(op.space.mesh.cells), m))
 
     if method == "dense_svd":
         if op.n_dofs > dense_cap:
@@ -641,17 +625,32 @@ def operator_norm(op, method, m=1, dense_cap=DENSE_CAP):
     raise ValueError(f"unknown norm method {method!r}")
 
 
-def _top_singular_values(symbols, m):
-    """Largest singular value of each symbol's m-th power, over the leading axes.
-
-    A stack that is not finite (overflow) raises LinAlgError before the
-    SVD, which would print LAPACK's argument errors to stdout.
-    """
+def symbol_powers(op, rows, m):
+    """The m-th powers of a circulant op's norm_symbols at rows; LinAlgError if they are not
+    finite (overflow), before a LAPACK call on them prints argument errors to stdout."""
+    g = op.norm_symbols(rows)
     if m > 1:
-        symbols = np.linalg.matrix_power(symbols, m)
-    if not np.isfinite(symbols).all():
+        g = np.linalg.matrix_power(g, m)
+    if not np.isfinite(g).all():
         raise np.linalg.LinAlgError("symbols are not finite")
-    return np.linalg.svd(symbols, compute_uv=False)[..., 0]
+    return g
+
+
+def symbol_norm(op, m, half):
+    """||op^m||_2 of a circulant op, from half = symbol_powers(op, half_spectrum(cells), m).
+
+    A real op has conjugate symbols at opposite frequencies, so this is
+    the half's largest top singular value once the mirror partners
+    (-j mod n per axis) within SYMBOL_MIRROR_RTOL of it are checked: bit
+    for bit the maximum over the full spectrum.
+    """
+    cells = op.space.mesh.cells
+    top = np.linalg.svd(half, compute_uv=False)[..., 0]
+    peak = top.max()
+    near = np.nonzero(top >= peak * (1.0 - SYMBOL_MIRROR_RTOL))
+    mirror = np.array([-j % n for j, n in zip(near, cells)])
+    partners = symbol_powers(op, tuple(mirror[:, mirror[-1] > cells[-1] // 2]), m)
+    return float(np.linalg.svd(partners, compute_uv=False)[..., 0].max(initial=peak))
 
 
 def _power_iteration_norm(op, m):

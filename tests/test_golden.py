@@ -33,6 +33,7 @@ CASES = {
     "stability_1d": "stability --r 3 --k 2 --variant both --N 8 --cfl 0.1,0.3",
     "stability_2d": "stability --r 3 --k 2 --variant both --N 8 --cfl 0.1,0.3 --dim 2",
     "cfl": "cfl --variant both --r 2,3",
+    "cfl_high_k": "cfl --r 3 --k 13 --variant both",
     "prop_tests": "prop-tests",
 }
 

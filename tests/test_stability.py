@@ -106,20 +106,22 @@ def test_symbol_norm_refuses_symbols_that_are_not_finite_before_the_svd(r, cfl, 
     # these symbols (or their m-th powers) overflow; handed to the SVD,
     # they make LAPACK print argument errors to stdout
     emap = evolution_map(taylor_scheme(r), build_mesh_1d(4), r - 1, cfl)
-    svd_inputs = []
-    real = np.linalg.svd
+    lapack_inputs = []
 
-    def recorded(a, *args, **kwargs):
-        svd_inputs.append(np.isfinite(a).all())
-        return real(a, *args, **kwargs)
+    def recorded(real):
+        def call(a, *args, **kwargs):
+            lapack_inputs.append(np.isfinite(a).all())
+            return real(a, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.linalg, "svd", recorded)
+    monkeypatch.setattr(np.linalg, "svd", recorded(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "cholesky", recorded(np.linalg.cholesky))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
             operator_norm(emap, "symbol", m=m)
         (point,) = cfl_sweep(taylor_scheme(r), r - 1, 1, (4,), m, (cfl,))
     assert point.flagged
-    assert all(svd_inputs)
+    assert all(lapack_inputs)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -270,11 +272,16 @@ def _eigvals_decision(g):
 @pytest.mark.parametrize("scheme, k", [(taylor_scheme(r, "sdA"), r - 1) for r in range(2, 9)]
                          + [(SchemeSpec(3, (False, True, False)), 2),
                             (SchemeSpec(3, (True, False, False)), 2),
-                            (taylor_scheme(2, "sdA"), 6)],
-                         ids=[f"sdA-r{r}" for r in range(2, 9)] + ["FR-r3", "RF-r3", "sdA-r2-k6"])
+                            (taylor_scheme(2, "sdA"), 6)]
+                         + [(taylor_scheme(2, "sdA"), k) for k in (9, 10)]
+                         + [(taylor_scheme(3, "sdA"), 13),
+                            (SchemeSpec(3, (False, True, False)), 12)],
+                         ids=[f"sdA-r{r}" for r in range(2, 9)] + ["FR-r3", "RF-r3", "sdA-r2-k6",
+                              "sdA-r2-k9", "sdA-r2-k10", "sdA-r3-k13", "FR-r3-k12"])
 def test_schur_cohn_decision_is_the_eigvals_decision(scheme, k):
     # every row of every round agrees with the eigenvalues of G, on 25 values
-    # of c up to twice the CFL number and at 5e-4 and 1e-3 either side of it
+    # of c up to twice the CFL number and at 5e-4 and 1e-3 either side of it;
+    # stacks of order k + 1 on both sides of SCHUR_COHN_MAX_ORDER
     cfl = fourier_cfl(scheme, k).value
     ops = operators.stage_operators(build_mesh_1d(stability.CFL_ANGLES), k)
     grid = np.concatenate([np.linspace(2 * cfl / 25, 2 * cfl, 25),
@@ -288,26 +295,37 @@ def test_schur_cohn_decision_is_the_eigvals_decision(scheme, k):
     assert both == {True, False}
 
 
-@pytest.mark.parametrize("k, cfl", [(6, 0.0068359375), (7, 0.00537109375)])
-def test_fourier_cfl_resolves_eigenvalues_crowding_round_one(k, cfl):
-    # RK2 at high degree is stable only at small c, where the eigenvalues of
+#: (r, k, CFL number) of sdA as a search deciding every round by eigvals finds it
+_EIGVALS_CFL = [(2, 6, 0.0068359375), (2, 7, 0.00537109375), (2, 10, 0.0029296875),
+                (2, 11, 0.00244140625), (2, 12, 0.001953125), (2, 13, 0.001953125),
+                (2, 14, 0.00146484375), (2, 15, 0.00146484375), (2, 16, 0.00146484375),
+                (3, 13, 0.015625), (4, 12, 0.01904296875), (5, 12, 0.01708984375)]
+
+
+@pytest.mark.parametrize("r, k, cfl", _EIGVALS_CFL,
+                         ids=[f"{k}-{cfl}" if r == 2 else f"r{r}-{k}-{cfl}" for r, k, cfl in _EIGVALS_CFL])
+def test_fourier_cfl_resolves_eigenvalues_crowding_round_one(r, k, cfl):
+    # at high degree sdA is stable only at small c, where the eigenvalues of
     # G crowd round z = 1; these are the numbers an eigvals search finds
-    assert fourier_cfl(taylor_scheme(2, "sdA"), k).value == cfl
+    assert fourier_cfl(taylor_scheme(r, "sdA"), k) == stability.FourierCfl(value=cfl, found=True)
 
 
 def test_schur_cohn_rejects_rows_that_are_not_finite_and_radii_not_above_zero():
+    # on stacks of order 4 (Schur-Cohn) and 13 (above SCHUR_COHN_MAX_ORDER), each
+    # at a stable c
     scheme = taylor_scheme(4, "sdA")
-    ops = operators.stage_operators(build_mesh_1d(stability.CFL_ANGLES), 3)
-    g = stability._step_map(scheme, ops, 0.1).norm_symbols(stability._CFL_HALF).copy()
-    g[3, 0, 1] = np.inf
-    g[7, 2, 2] = np.nan
-    g[11, 1, 0] = -np.inf
-    got = stability._spectrum_inside(g, 1.0 + stability.CFL_GROWTH_TOL)
-    finite = np.isfinite(g).all(axis=(1, 2))
-    assert not got[~finite].any() and got[finite].all()
-    assert np.array_equal(got[finite], _eigvals_decision(g[finite]))
-    for radius in (0.0, -1.0, -np.inf):
-        assert not stability._spectrum_inside(g[finite], radius).any()
+    for k, c in ((3, 0.1), (12, 0.01)):
+        ops = operators.stage_operators(build_mesh_1d(stability.CFL_ANGLES), k)
+        g = stability._step_map(scheme, ops, c).norm_symbols(stability._CFL_HALF).copy()
+        g[3, 0, 1] = np.inf
+        g[7, 2, 2] = np.nan
+        g[11, 1, 0] = -np.inf
+        got = stability._spectrum_inside(g, 1.0 + stability.CFL_GROWTH_TOL)
+        finite = np.isfinite(g).all(axis=(1, 2))
+        assert not got[~finite].any() and got[finite].all()
+        assert np.array_equal(got[finite], _eigvals_decision(g[finite]))
+        for radius in (0.0, -1.0, -np.inf):
+            assert not stability._spectrum_inside(g[finite], radius).any()
 
 
 @pytest.mark.parametrize("scheme", [taylor_scheme(3, "sdA"), SchemeSpec(3, (False, True, False))],
@@ -381,7 +399,8 @@ def test_symbol_floor_certificate_keeps_the_svd_delta(dim, n):
                 scheme = taylor_scheme(r, variant)
                 for cfl in DEFAULT_CFL_GRID:
                     emap = stability._step_map(scheme, ops, cfl)
-                    floor = stability._symbol_floor(emap, m)
+                    g = operators.symbol_powers(emap, operators.half_spectrum(mesh.cells), m)
+                    floor = stability._floor_certified(g)
                     point = stability._growth_point(emap, cfl, m)
                     svd = _delta_by_norm(scheme, mesh, r - 1, cfl, m, "symbol")
                     assert repr(point.delta) == repr(svd), (r, variant, m, cfl)
@@ -389,6 +408,50 @@ def test_symbol_floor_certificate_keeps_the_svd_delta(dim, n):
                     assert floor == (svd == DELTA_FLOOR), (r, variant, m, cfl)
                     certified.add(floor)
     assert certified == {True, False}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_uniform_growth_point_forms_its_symbol_stack_once(dim, monkeypatch):
+    # a certified point reads the map's symbols once, the half spectrum; any
+    # other point reads them once more, for the mirror partners alone.  At
+    # m = 2 each stack read is raised to its power once, the half stack too
+    mesh = stability._mesh_for(dim, 8)
+    half = operators.half_spectrum(mesh.cells)
+    ops = operators.stage_operators(mesh, 2)
+    reads, powers, certified = [], [], []
+    norm_symbols, matrix_power, floor = (EvolutionMap.norm_symbols, np.linalg.matrix_power,
+                                         stability._floor_certified)
+
+    def counted_norm_symbols(self, rows=...):
+        reads.append(rows)
+        return norm_symbols(self, rows)
+
+    def counted_power(a, n):
+        powers.append(a.shape[:-2])
+        return matrix_power(a, n)
+
+    def recorded_floor(g):
+        certified.append(floor(g))
+        return certified[-1]
+
+    monkeypatch.setattr(EvolutionMap, "norm_symbols", counted_norm_symbols)
+    monkeypatch.setattr(np.linalg, "matrix_power", counted_power)
+    monkeypatch.setattr(stability, "_floor_certified", recorded_floor)
+    seen = set()
+    for m in (1, 2):
+        for variant in ("standard", "sdA"):
+            for cfl in DEFAULT_CFL_GRID:
+                for record in (reads, powers, certified):
+                    record.clear()
+                stability._growth_point(stability._step_map(taylor_scheme(3, variant), ops, cfl),
+                                        cfl, m)
+                assert len(certified) == 1
+                assert reads[0] == half
+                assert len(reads) == (1 if certified[0] else 2)
+                assert len(powers) == (m - 1) * len(reads)
+                assert powers[:m - 1] == [mesh.cells[:-1] + (8 // 2 + 1,)] * (m - 1)
+                seen.add(certified[0])
+    assert seen == {True, False}
 
 
 def test_fourier_cfl_rejects_k0():
