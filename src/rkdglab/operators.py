@@ -306,6 +306,36 @@ class BlockOperator:
         """(cells, J) flat index of cell c + o, for every cell c and every offset o in block order."""
         return _neighbour_index(self.space.shape[:-1], tuple(self.blocks))
 
+    @cached_property
+    def _ring(self):
+        """certify_below's periodic block-tridiagonal form of a 1D operator; None if not finite.
+
+        The cells form m super-blocks of consecutive cells, at least b each
+        for block bandwidth b (one of all n cells when n < 2b), padded to q
+        cells: a block joins a super-block to itself or to a neighbour.
+        d[j] holds the blocks within super-block j and u[j] those to j + 1
+        (mod m; at m = 2, u[1]^T joins the two as well), each (m, q p, q p)
+        with aliased offsets summed; pad (m, q p) marks the padding.
+        """
+        n, p = self.space.shape
+        q = -(-n // max(n // max([1] + [abs(o) for (o,) in self.blocks]), 1))
+        m = -(-n // q)
+        count = n // m + (np.arange(m) < n % m)
+        group = np.repeat(np.arange(m), count)
+        slot = np.arange(n) - np.repeat(np.cumsum(count) - count, count)
+        d, u = np.zeros((2, m, q, p, q, p))
+        for (off,), blk in self.blocks.items():
+            to = (np.arange(n) + off) % n
+            within = group[to] == group
+            blk = np.broadcast_to(blk, (n, p, p))
+            for out, c in ((d, within), (u, ~within & (off > 0))):
+                out[group[c], slot[c], :, slot[to[c]], :] += blk[c]
+        if not (np.isfinite(d).all() and np.isfinite(u).all()):
+            return None
+        pad = np.ones((m, q, p), dtype=bool)
+        pad[group, slot] = False
+        return d.reshape(m, q * p, -1), u.reshape(m, q * p, -1), pad.reshape(m, -1)
+
     def as_dense(self):
         """Dense matrix acting on flattened coefficients (small sizes only).
 
@@ -582,7 +612,8 @@ def trace_norm(v):
 # operator norms
 # ---------------------------------------------------------------------------
 
-#: largest number of unknowns for which a dense matrix is ever assembled
+#: unknowns up to which growth_excess brackets the top of S_m (Lanczos above it)
+#: and operator_norm's "dense_svd" may assemble; no growth point assembles a dense matrix
 DENSE_CAP = 4096
 
 
@@ -691,71 +722,45 @@ def _power_iteration_norm(op, m):
 def certify_below(op, bound):
     """True when bound * I - op is positive definite: every eigenvalue of op is below bound.
 
-    op must be a symmetric 1D BlockOperator; anything else, and a band
-    too wide for the mesh (fewer than 2b + 1 cells for block bandwidth
-    b), is never certified.  The test is a block Cholesky factorization
-    of A = bound * I - op in cell order (Golub & Van Loan, Matrix
-    Computations, section 4.3): A is positive definite exactly when
-    every pivot block of the elimination is (Sylvester's law of inertia
-    applied to the Schur complements), and a pivot that is not makes
-    np.linalg.cholesky raise.
-
-    The band has a periodic wrap: the first b cells couple to the last b.
-    Those last b cells are a dense border that stays in the working
-    matrix from the start, so it collects its Schur complement, while
-    the other cells enter one at a time as the elimination reaches
-    them: the working matrix never holds more than 2b + 1 cells, and
-    time and memory are O(N).  A LinAlgError anywhere means "not
-    certified".
+    op must be a symmetric BlockOperator; a 2D one is never certified.
+    A = bound * I - op is periodic block tridiagonal over the super-blocks
+    of BlockOperator._ring, whose padding unknowns get a unit diagonal and
+    no coupling.  Block cyclic reduction (Buzbee, Golub & Nielson, SINUM
+    7, 1970) eliminates the odd super-blocks of the ring at once: one
+    batched np.linalg.cholesky of their diagonal blocks, then their Schur
+    complement onto the even ones, which form the next ring, until one
+    block is left.  A is positive definite exactly when every pivot block
+    is (Sylvester's law of inertia applied to the Schur complements), and
+    one that is not makes cholesky raise: a LinAlgError, or a pivot that
+    is not finite, means "not certified".  log2(m) levels, O(N) work.
     """
-    if op.space.dim != 1:
+    ring = op._ring if op.space.dim == 1 else None
+    if ring is None or not np.isfinite(bound):
         return False
-    n, p = op.space.shape
-    b = max(abs(off) for (off,) in op.blocks)
-    if n < 2 * b + 1:
-        return False
-    band = np.zeros((n, 2 * b + 1, p, p))       # band[c, o + b] = A_{c, c + o}
-    for (off,), blk in op.blocks.items():
-        band[:, off + b] -= blk
-    band[:, b] += bound * np.eye(p)
-    if not np.isfinite(band).all():
-        return False
-
-    def coupling(rows, cols):
-        """A[rows, cols] as (len(rows), p, C p) for cell indices rows and cols (len(rows), C)."""
-        gap = (cols - rows[:, None]) % n
-        off = np.where(gap <= b, gap, gap - n)
-        inside = np.abs(off) <= b
-        blocks = band[rows[:, None], np.where(inside, off + b, 0)] * inside[..., None, None]
-        return blocks.transpose(0, 2, 1, 3).reshape(len(rows), p, cols.shape[1] * p)
-
-    # the working matrix: the window (cells next in line), then the border
-    border = np.arange(n - b, n)
-    start = np.concatenate([np.arange(b + 1), border])
-    work = coupling(start, start[None, :]).reshape(len(start) * p, -1)
-    # each later cell c joins behind the window c - b .. c - 1, before the border
-    entering = np.arange(b + 1, n - b)
-    rows_in = coupling(entering, np.concatenate(
-        [entering[:, None] + np.arange(-b, 1), np.broadcast_to(border, (len(entering), b))],
-        axis=1))
-    at = b * p
-    keep = np.r_[0:at, at + p:(2 * b + 1) * p]
-    keep = np.ix_(keep, keep)
+    d, u, pad = ring
+    m, s, _ = d.shape
+    d = np.where(pad, 1.0, bound)[..., None] * np.eye(s) - d
+    u = -u
     try:
-        for i in range(n):
-            factor = np.linalg.cholesky(work[:p, :p])
-            x = np.linalg.solve(factor, work[:p, p:])
-            rest = work[p:, p:] - x.T @ x
-            if i < len(entering):
-                work = np.empty(((2 * b + 1) * p,) * 2)
-                work[keep] = rest
-                work[at:at + p] = rows_in[i]
-                work[:, at:at + p] = rows_in[i].T
-            else:
-                work = rest
+        while m > 1:
+            h = m // 2
+            factor = np.linalg.cholesky(d[1:2 * h:2])
+            if not np.isfinite(factor).all():
+                return False
+            # odd j: w = factor^-1 (A_{j,j-1} | A_{j,j+1}); w^T w updates j -+ 1 and joins them
+            w = np.linalg.inv(factor) @ np.concatenate(
+                [u[0:2 * h:2].transpose(0, 2, 1), u[1:2 * h:2]], axis=2)
+            g = w.transpose(0, 2, 1) @ w
+            d = d[0::2]
+            d[:h] -= g[:, :s, :s]
+            d[np.arange(1, h + 1) % (m - h)] -= g[:, s:, s:]
+            u = np.concatenate([-g[:, :s, s:], u[2 * h:]])
+            m -= h
+        # the last block: its wrap couples it to itself
+        factor = np.linalg.cholesky(d[0] + u[0] + u[0].T)
     except np.linalg.LinAlgError:
         return False
-    return True
+    return bool(np.isfinite(factor).all())
 
 
 #: Lanczos: stopping residual relative to the Ritz spread, and step cap

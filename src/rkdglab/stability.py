@@ -27,6 +27,8 @@ from .schemes import EvolutionMap
 DELTA_FLOOR = 1e-16
 #: |norm^2 - 1| below this is indistinguishable from zero in double precision
 NORM_RESOLUTION = 1e-13
+#: growth_excess: relative width of a certified growth bracket
+BRACKET_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,10 @@ class StabilityPoint:
     delta: float
     flagged: bool = False
     #: how delta was computed (see growth_excess): "symbol", "certificate",
-    #: "dense" or "lanczos"; None for a flagged point
+    #: "bracket" or "lanczos"; None for a flagged point
     route: Optional[str] = None
+    #: the LinAlgError message of a flagged point
+    error: Optional[str] = None
 
 
 def _mesh_for(dim, n):
@@ -81,12 +85,17 @@ def growth_excess(emap, m=1):
     _floor_certified, else symbol_norm).  Any other map reads the
     excess as the top eigenvalue of S_m (excess_operator): first a floor
     certificate, certify_below(S_m, NORM_RESOLUTION), which proves the
-    excess below the resolution in O(N) (route "certificate", excess 0);
-    failing that, np.linalg.eigvalsh of the dense S_m up to DENSE_CAP
-    unknowns (route "dense") and Lanczos on S_m above it (top_eigenvalue,
-    route "lanczos"; PowerIterationError if it does not converge).
-    operator_norm's "dense_svd" and "power_iteration" methods are the
-    cross-checks of these routes.
+    excess below the resolution in O(N) (route "certificate", excess 0).
+    Failing that, up to DENSE_CAP unknowns, bisection on certify_below
+    between NORM_RESOLUTION (the failed certificate puts the top there or
+    above) and the Gershgorin bound of S_m, at geometric midpoints, down to
+    a width of BRACKET_RTOL * hi + NORM_RESOLUTION: the certified upper
+    end hi is the excess (route "bracket"; LinAlgError if no upper end
+    certifies).  Above
+    the cap, Lanczos on S_m (top_eigenvalue, route "lanczos";
+    PowerIterationError if it does not converge).  operator_norm's
+    "dense_svd" and "power_iteration" methods are the cross-checks of
+    these routes.
     """
     if emap.is_circulant:
         g = symbol_powers(emap, half_spectrum(emap.space.mesh.cells), m)
@@ -97,9 +106,20 @@ def growth_excess(emap, m=1):
     s_m = excess_operator(emap, m)
     if certify_below(s_m, NORM_RESOLUTION):
         return 0.0, "certificate"
-    if emap.n_dofs <= DENSE_CAP:
-        return float(np.linalg.eigvalsh(s_m.as_dense())[-1]), "dense"
-    return top_eigenvalue(s_m), "lanczos"
+    if emap.n_dofs > DENSE_CAP:
+        return top_eigenvalue(s_m), "lanczos"
+    lo = NORM_RESOLUTION
+    hi = float(sum(np.abs(b).sum(axis=-1) for b in s_m.blocks.values()).max())
+    certified = False
+    while hi - lo > BRACKET_RTOL * hi + NORM_RESOLUTION:
+        mid = math.sqrt(lo * hi)
+        if certify_below(s_m, mid):
+            hi, certified = mid, True
+        else:
+            lo = mid
+    if not (certified or certify_below(s_m, hi)):
+        raise np.linalg.LinAlgError(f"growth bracket: its upper end {hi!r} does not certify")
+    return hi, "bracket"
 
 
 def _floor_certified(g):
@@ -147,8 +167,8 @@ def cfl_sweep(scheme, k, dim, n_list, m, cfl_grid):
     Each N builds its mesh and operators once, and the operators keep
     their Fourier symbols, so a CFL value forms only its increment and
     the growth metric: the rows are those of delta at each point.  A
-    point whose symbols or growth overflow raises LinAlgError (see
-    _growth_point and operators.symbol_powers): a flagged nan row.
+    LinAlgError (overflow: _growth_point, operators.symbol_powers; or an
+    uncertified growth bracket) gives a flagged nan row with its message.
     """
     if len(n_list) == 0 or len(cfl_grid) == 0:
         raise ValueError("sweep grids must be non-empty")
@@ -161,10 +181,10 @@ def cfl_sweep(scheme, k, dim, n_list, m, cfl_grid):
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     points.append(_growth_point(_step_map(scheme, operators, cfl), cfl, m))
-            except np.linalg.LinAlgError:
+            except np.linalg.LinAlgError as err:
                 points.append(StabilityPoint(
-                    scheme=scheme.label(k), variant=scheme.variant,
-                    dim=dim, n=n, m=m, cfl=float(cfl), delta=math.nan, flagged=True,
+                    scheme=scheme.label(k), variant=scheme.variant, dim=dim, n=n, m=m,
+                    cfl=float(cfl), delta=math.nan, flagged=True, error=str(err),
                 ))
     return points
 

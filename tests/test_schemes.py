@@ -1196,7 +1196,7 @@ def test_mixed_plan_evolve_matches_the_butcher_stepping_loop(kind, r, plan, step
 def test_mixed_plan_delta_is_the_top_singular_value_of_the_step(r, plan):
     # symbols on uniform meshes; on the perturbed one the floor certificate
     # (below the cfl limit; a fourth-order step expands at every cfl) and
-    # the dense eigenvalue problem
+    # the certified bracket
     scheme = SchemeSpec(r, plan)
     routes = set()
     for kind in MESH_KINDS:
@@ -1210,7 +1210,7 @@ def test_mixed_plan_delta_is_the_top_singular_value_of_the_step(r, plan):
             ref = max(0.0 if abs(excess) < NORM_RESOLUTION else excess, DELTA_FLOOR)
             assert abs(point.delta - ref) <= 1e-6 * abs(ref) + 1e-12, (kind, cfl)
             routes.add(point.route)
-    assert routes == {"symbol", "dense"} | ({"certificate"} if r < 4 else set())
+    assert routes == {"symbol", "bracket"} | ({"certificate"} if r < 4 else set())
 
 
 @pytest.mark.parametrize("r, plan", [(3, (True, False, True)), (3, (True, True, True)),

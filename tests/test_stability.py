@@ -16,6 +16,7 @@ from rkdglab.operators import (
     top_eigenvalue,
 )
 from rkdglab.stability import (
+    BRACKET_RTOL,
     DELTA_FLOOR,
     NORM_RESOLUTION,
     cfl_sweep,
@@ -476,8 +477,8 @@ def _no_dense(self):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_growth_routes_agree_with_dense_svd_on_perturbed_meshes(m):
-    # the cfl grid straddles the floor: both the certificate and the dense
-    # eigenvalue route are taken, and both match the dense SVD of K^m
+    # the cfl grid straddles the floor: both the certificate and the bracket
+    # route are taken, and both match the dense SVD of K^m
     routes = set()
     for r, k, variant in ((3, 2, "standard"), (4, 3, "sdA")):
         scheme = taylor_scheme(r, variant)
@@ -488,7 +489,23 @@ def test_growth_routes_agree_with_dense_svd_on_perturbed_meshes(m):
                 ref = _delta_by_norm(scheme, mesh, k, cfl, m, "dense_svd")
                 assert abs(got.delta - ref) <= 1e-6 * ref + 1e-12, (r, seed, cfl)
                 routes.add(got.route)
-    assert routes == {"certificate", "dense"}
+    assert routes == {"certificate", "bracket"}
+
+
+@pytest.mark.parametrize("n, k, r, variant", [(256, 2, 3, "standard"), (200, 3, 4, "sdA")])
+def test_bracket_route_holds_the_top_eigenvalue(n, k, r, variant, monkeypatch):
+    # the benchmark's two perturbed-mesh points below the cap: bisection on
+    # certificates builds no dense matrix; the pin is eigvalsh of the dense S_1
+    scheme = taylor_scheme(r, variant)
+    meshes = [build_mesh_1d(n, 0.15, seed=seed) for seed in range(6)]
+    tops = [np.linalg.eigvalsh(excess_operator(evolution_map(scheme, mesh, k, 0.1)).as_dense())[-1]
+            for mesh in meshes]
+    monkeypatch.setattr(BlockOperator, "as_dense", _no_dense)
+    monkeypatch.setattr(EvolutionMap, "as_dense", _no_dense)
+    for seed, (mesh, top) in enumerate(zip(meshes, tops)):
+        point = delta(scheme, mesh, k, 0.1)
+        assert point.route == "bracket", seed
+        assert top - 1e-15 <= point.delta <= top + BRACKET_RTOL * top + NORM_RESOLUTION + 1e-15, seed
 
 
 def test_excess_operator_is_the_gram_excess_of_the_m_step_map():
@@ -501,17 +518,45 @@ def test_excess_operator_is_the_gram_excess_of_the_m_step_map():
         assert np.abs(excess.as_dense() - (km.T @ km - np.eye(len(k)))).max() <= 1e-12
 
 
+#: (cells, modes, block bandwidth b) of random symmetric operators: n = 2b + 1,
+#: n < 2b + 1 (a ring of two super-blocks at n = 2b, one dense block below),
+#: b = 0, the primes 37, 41 and 1009, and between them rings of odd and of even
+#: size at every level of the reduction
+CERTIFICATE_CASES = [(5, 2, 2), (7, 2, 3), (4, 2, 2), (3, 1, 2), (6, 2, 0), (11, 4, 0), (9, 3, 1),
+                     (16, 1, 3), (20, 3, 2), (24, 1, 1), (13, 1, 0), (37, 2, 3), (41, 3, 2),
+                     (41, 4, 1), (700, 1, 1), (1009, 1, 2)]
+
+
+def _dense_cholesky_passes(a):
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def test_certificate_brackets_the_top_eigenvalue():
-    # random symmetric periodic block operators, down to the narrowest
-    # mesh a band of width b allows (2b + 1 cells)
+    # each decision at top -+ 1e-9 is that of the dense Cholesky of bound I - op
     rng = np.random.Generator(np.random.PCG64(5))
-    for n, p, s in ((5, 2, 2), (7, 2, 3), (9, 3, 1), (16, 1, 3), (20, 3, 2)):
+    parities = set()
+    for n, p, b in CERTIFICATE_CASES:
         space = DGSpace(build_mesh_1d(n, 0.2, seed=n), p - 1)
-        e = BlockOperator(space, {(-j,): 0.3 * rng.standard_normal((n, p, p)) for j in range(s + 1)})
+        e = BlockOperator(space, {(-j,): 0.3 * rng.standard_normal((n, p, p)) for j in range(b + 1)})
         sym = e + e.transpose() + e.transpose() @ e
-        top = np.linalg.eigvalsh(sym.as_dense())[-1]
-        assert certify_below(sym, top + 1e-9), (n, p, s)
-        assert not certify_below(sym, top - 1e-9), (n, p, s)
+        dense = sym.as_dense()
+        top = np.linalg.eigvalsh(dense)[-1]
+        for bound, certified in ((top - 1e-9, False), (top + 1e-9, True)):
+            assert _dense_cholesky_passes(bound * np.eye(n * p) - dense) == certified
+            # shifted by top + 1 the bound is negative; the padding keeps its unit diagonal
+            for shift in (0.0, top + 1.0):
+                assert certify_below(sym + -shift * np.eye(p), bound - shift) == certified, (n, p, b)
+        # ring sizes level by level: each level halves the ring, rounding up
+        size, level = sym._ring[0].shape[0], 0
+        while size > 1:
+            parities.add((level, size % 2))
+            size, level = size - size // 2, level + 1
+    deepest = max(level for level, _ in parities)
+    assert parities >= {(level, parity) for level in range(deepest) for parity in (0, 1)}
 
 
 def test_certificate_sees_the_periodic_wrap():
@@ -522,9 +567,11 @@ def test_certificate_sees_the_periodic_wrap():
     sym = shift + shift.transpose()
     assert not certify_below(sym, 1.999)
     assert certify_below(sym, 2.0 + 1e-9)
-    # a band too wide for the mesh, and 2D operators, are never certified
+    # a band too wide for the mesh sums its aliased offsets: (T + T^T)^2 on
+    # 4 cells has eigenvalues 4, 0, 4, 0; 2D operators are never certified
     narrow = BlockOperator(DGSpace(build_mesh_1d(4), 0), {(1,): np.ones((1, 1)), (-1,): np.ones((1, 1))})
-    assert not certify_below(narrow @ narrow, 100.0)
+    assert certify_below(narrow @ narrow, 100.0)
+    assert not certify_below(narrow @ narrow, 4.0 - 1e-9)
     assert not certify_below(assemble_upwind(build_mesh_2d(4, 4), 1), 100.0)
 
 
@@ -607,20 +654,22 @@ def test_stability_point_records_its_route():
     assert delta(scheme, build_mesh_2d(4, 4), 1, 0.0).route == "symbol"
     perturbed = build_mesh_1d(8, 0.2, seed=1)
     assert delta(scheme, perturbed, 1, 0.1).route == "certificate"
-    assert delta(scheme, perturbed, 1, 0.5).route == "dense"
+    assert delta(scheme, perturbed, 1, 0.5).route == "bracket"
 
 
 def test_linalg_error_in_the_certificate_means_not_certified(monkeypatch):
     monkeypatch.setattr(stability, "_mesh_for", lambda dim, n: build_mesh_1d(n, 0.15, seed=4))
     scheme = taylor_scheme(3)
     clean = cfl_sweep(scheme, 2, 1, (24,), 1, (0.05, 0.15))
-    assert [p.route for p in clean] == ["certificate", "dense"]
+    assert [p.route for p in clean] == ["certificate", "bracket"]
 
     def broken(a):
         raise np.linalg.LinAlgError("factorization failed")
 
+    # no certificate passes, so no bracket gets a certified upper end
     monkeypatch.setattr(np.linalg, "cholesky", broken)
     patched = cfl_sweep(scheme, 2, 1, (24,), 1, (0.05, 0.15))
-    assert not any(p.flagged for p in patched)
-    assert [p.route for p in patched] == ["dense", "dense"]
-    assert [p.delta for p in patched] == [p.delta for p in clean]
+    assert all(p.flagged and np.isnan(p.delta) and p.route is None for p in patched)
+    assert all(p.error.startswith("growth bracket") for p in patched)
+    with pytest.raises(np.linalg.LinAlgError, match="growth bracket"):
+        delta(scheme, build_mesh_1d(24, 0.15, seed=4), 2, 0.15)
