@@ -18,7 +18,7 @@ from .schemes import evolve
 @dataclass(frozen=True)
 class ProblemSpec:
     """Transport test problem: sin(2 pi x) or sin(2 pi (x+y)) advected at
-    constant speed up to a final time.
+    unit speed along each axis (the default mesh speeds) up to a final time.
 
     With a regularity parameter flat, the data of limited smoothness
     sin(...)^(flat - 1/3) instead.  The fractional power is read through
@@ -30,36 +30,29 @@ class ProblemSpec:
     dim: int
     flat: Optional[int] = None    # regularity parameter of sin^(flat - 1/3) data; None: sin
     final_time: float = 1.0
-    beta: float = 1.0
-    beta_x: float = 1.0
-    beta_y: float = 1.0
 
     def __post_init__(self):
         if self.flat is not None and self.flat < 2:
             raise ValueError("sinpow data needs a regularity parameter >= 2")
 
     @property
-    def speed(self):
-        return self.beta if self.dim == 1 else self.beta_x + self.beta_y
-
-    @property
     def value(self):
         return self.exact(0.0)
 
     def exact(self, t):
-        shift = self.speed * t
+        shift = self.dim * t
         if self.flat is None:
             return lambda *xy: np.sin(2.0 * np.pi * (sum(xy) - shift))
         p = 3 * self.flat - 1
         return lambda *xy: np.cbrt(np.sin(2.0 * np.pi * (sum(xy) - shift)) ** p)
 
     def deriv(self, i):
-        """i-th advective derivative (-beta . grad)^i of the initial data."""
+        """i-th advective derivative (-(1, ..., 1) . grad)^i of the initial data."""
         if i == 0:
             return self.value
         if self.flat is not None:
             raise NotImplementedError("analytic derivatives only kept for smooth data")
-        amp = (-self.speed * 2.0 * np.pi) ** i
+        amp = (-self.dim * 2.0 * np.pi) ** i
         phase = i * np.pi / 2.0
         return lambda *xy: amp * np.sin(2.0 * np.pi * sum(xy) + phase)
 
@@ -71,10 +64,10 @@ class ProblemSpec:
 
 def build_problem_mesh(problem, n, perturb=0.0, seed=0):
     if problem.dim == 1:
-        return build_mesh_1d(n, perturb_fraction=perturb, seed=seed, beta=problem.beta)
+        return build_mesh_1d(n, perturb_fraction=perturb, seed=seed)
     if perturb:
         raise ValueError(f"2D meshes are uniform: perturb must be 0, got {perturb}")
-    return build_mesh_2d(n, n, beta_x=problem.beta_x, beta_y=problem.beta_y)
+    return build_mesh_2d(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +155,7 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
             u0 = starts[k]
             tau = resolve_timestep(timestep, scheme.order, problem.dim, n)
             try:
-                result = evolve(scheme, mesh, k, u0, problem.final_time, tau)
+                result = evolve(scheme, u0, problem.final_time, tau)
             except BlowUpError as exc:
                 out.append((u0.space.n_dofs, math.nan, exc))
                 continue

@@ -351,6 +351,14 @@ class BlockOperator:
         return out.reshape(len(nbrs) * m, -1)
 
 
+def max_row_sum(op):
+    """||op||_inf on flattened coefficients: the largest absolute row sum of its stacked blocks.
+
+    Where offsets alias (fewer cells than offsets) it is an upper bound.
+    """
+    return float(np.max(sum(np.abs(b).sum(axis=-1) for b in op.blocks.values())))
+
+
 @lru_cache(maxsize=32)
 def _neighbour_index(shape, offsets):
     """BlockOperator._neighbour_cells of a cell grid shape and offsets, shared, so read-only."""
@@ -779,21 +787,18 @@ def top_eigenvalue(op):
     its residual |beta_j y_j| is at most LANCZOS_RTOL times the spread of
     the Ritz values, or when the basis spans the space.  T_j is
     diagonalized only at geometrically spaced j (16, 20, 25, ...): its
-    O(j^3) cost would otherwise dominate long runs.  The basis storage
-    doubles as it fills.  PowerIterationError after LANCZOS_MAX_ITER
-    steps, carrying the top Ritz pair.
+    O(j^3) cost would otherwise dominate long runs.  The basis is
+    allocated once at its largest size; rows no step reaches are never
+    written.  PowerIterationError after LANCZOS_MAX_ITER steps, carrying
+    the top Ritz pair.
     """
     n = op.n_dofs
     w = np.random.Generator(np.random.PCG64(POWER_SEED)).standard_normal(n)
     b = float(np.linalg.norm(w))
-    basis = np.empty((min(16, n), n))
+    basis = np.empty((min(LANCZOS_MAX_ITER, n), n))
     alpha, beta = [], []
     check = 16
-    for j in range(min(LANCZOS_MAX_ITER, n)):
-        if j == len(basis):
-            # in place: no view of basis is alive here.  refcheck would also
-            # count a profiler's reference to the bound method basis.resize
-            basis.resize((2 * j, n), refcheck=False)
+    for j in range(len(basis)):
         basis[j] = w / b
         if j:
             beta.append(b)

@@ -129,12 +129,13 @@ PI_STAR_TOL = 1e-12
 PI_STAR_MAX_ITER = 200
 
 
-def pi_star(problem, scheme, space, upwind_op, reduced_op, tau, q):
+def pi_star(problem, scheme, inner_op, tau, q):
     """Time-step-aware approximation operator of the reduced-stage schemes.
 
     problem (a ProblemSpec) supplies deriv(i), the i-th advective
-    derivative as a callable (deriv(0) is the function itself).  The
-    inverted stage polynomial in the reduced operator is solved by
+    derivative as a callable (deriv(0) is the function itself).  inner_op
+    is the inner-stage operator (the reduced one for sdA) on the space of
+    the result.  The inverted stage polynomial in inner_op is solved by
     fixed-point (Neumann) iteration, which converges exactly in the
     small-time-step regime where the operator is defined.  On failure,
     CflTooLargeError carries the observed contraction: the ratio of the
@@ -142,6 +143,7 @@ def pi_star(problem, scheme, space, upwind_op, reduced_op, tau, q):
     """
     alphas = scheme.alphas
     s = scheme.stages
+    space = inner_op.space
     k = space.degree
     if not 1 <= q <= min(s, k + 1):
         raise ValueError(f"truncation order q={q} outside [1, min(r, k+1)]")
@@ -157,15 +159,14 @@ def pi_star(problem, scheme, space, upwind_op, reduced_op, tau, q):
         tail_seed = special_projection(problem.deriv(q), space)
         tail = alphas[s] * tail_seed
         for i in range(s - 1, q, -1):
-            tail = alphas[i] * tail_seed + tau * reduced_op.apply(tail)
+            tail = alphas[i] * tail_seed + tau * inner_op.apply(tail)
         rhs = rhs + tau**q * tail
 
     # solve (I + E) v = rhs with E = sum_{i>=2} alpha_i (tau Lt)^{i-1}:
     # the increment of the stage polynomial with coefficients alpha_1..alpha_s
     if s < 2 or tau == 0.0:
         return rhs
-    tail_poly = symbol_increment(alphas[1:], tau, reduced_op, reduced_op,
-                                 np.eye(space.n_modes))
+    tail_poly = symbol_increment(alphas[1:], tau, inner_op, inner_op, np.eye(space.n_modes))
     v = rhs.copy()
     scale = max(rhs.norm(), 1e-300)
     previous = np.inf

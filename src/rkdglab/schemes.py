@@ -16,11 +16,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BlowUpError, SteppingLimitError, UnsupportedDegreeError
 from .operators import (
-    DGSpace,
     GridFunction,
     dense_from_matvec,
     fft_angles,
     half_spectrum,
+    max_row_sum,
     stage_operators,
 )
 
@@ -291,7 +291,7 @@ def step_plan(final_time, tau):
     return whole, remainder, remainder > 1e-12 * max(final_time, 1.0)
 
 
-def evolve(scheme, mesh, k, u0, final_time, tau):
+def evolve(scheme, u0, final_time, tau):
     """u0 advanced to final_time in steps of tau; the last step is shortened if needed.
 
     Every stage plan builds one EvolutionMap per step size that takes a
@@ -304,10 +304,7 @@ def evolve(scheme, mesh, k, u0, final_time, tau):
     SteppingLimitError instead.
     """
     n_whole, remainder, shortened = step_plan(final_time, tau)
-    space = DGSpace(mesh, k)
-    if u0.space != space:
-        raise ValueError("initial state does not live on the requested space")
-    full_op, reduced_op = stage_operators(mesh, k)
+    full_op, reduced_op = stage_operators(u0.space.mesh, u0.space.degree)
     meta = dict(n_steps=n_whole + (1 if shortened else 0), t_final=final_time,
                 shortened_last_step=shortened)
     sizes = ((tau, n_whole, False), (remainder, int(shortened), True))
@@ -317,14 +314,14 @@ def evolve(scheme, mesh, k, u0, final_time, tau):
     if full_op.is_circulant:
         coeffs = _evolve_fourier(steps, u0.coeffs)
         if coeffs is not None and _state_ok(coeffs):
-            return EvolveResult(u=GridFunction(space, coeffs), path="fourier", **meta)
+            return EvolveResult(u=GridFunction(u0.space, coeffs), path="fourier", **meta)
     if meta["n_steps"] > MAX_STEPPED_STEPS:
         why = "; the Fourier route cannot bound their growth" if full_op.is_circulant else ""
         raise SteppingLimitError(f"{meta['n_steps']:.6g} time steps of {tau} to final time "
                                  f"{final_time} exceed the {MAX_STEPPED_STEPS} that stepping "
                                  f"takes{why}")
     coeffs = _evolve_fused(steps, u0.coeffs)
-    return EvolveResult(u=GridFunction(space, coeffs), path="stepping", **meta)
+    return EvolveResult(u=GridFunction(u0.space, coeffs), path="stepping", **meta)
 
 
 #: steps one kernel call of fused stepping takes (a power of 2).  Wall time of
@@ -477,20 +474,12 @@ def _chunk_increment(increment):
     """
     e = increment
     with np.errstate(over="ignore", invalid="ignore"):
-        growth = g_p = 1.0 + _max_row_sum(e)
+        growth = g_p = 1.0 + max_row_sum(e)
         for _ in range(CHUNK_STEPS.bit_length() - 1):
             e = doubled_increment(e)
-            g_p = 1.0 + _max_row_sum(e)
+            g_p = 1.0 + max_row_sum(e)
             growth *= g_p
     return e, growth, g_p
-
-
-def _max_row_sum(op):
-    """||op||_inf on flattened coefficients: the largest absolute row sum of its stacked blocks.
-
-    Where offsets alias (fewer cells than offsets) it is an upper bound.
-    """
-    return float(np.max(sum(np.abs(b).sum(axis=-1) for b in op.blocks.values())))
 
 
 def _evolve_fourier(steps, coeffs):

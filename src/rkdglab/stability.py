@@ -17,6 +17,7 @@ from .operators import (
     DENSE_CAP,
     certify_below,
     half_spectrum,
+    max_row_sum,
     stage_operators,
     symbol_norm,
     symbol_powers,
@@ -109,7 +110,7 @@ def growth_excess(emap, m=1):
     if emap.n_dofs > DENSE_CAP:
         return top_eigenvalue(s_m), "lanczos"
     lo = NORM_RESOLUTION
-    hi = float(sum(np.abs(b).sum(axis=-1) for b in s_m.blocks.values()).max())
+    hi = max_row_sum(s_m)
     certified = False
     while hi - lo > BRACKET_RTOL * hi + NORM_RESOLUTION:
         mid = math.sqrt(lo * hi)

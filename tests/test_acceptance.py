@@ -452,7 +452,7 @@ def test_criterion_8_projection_suite():
         sp = DGSpace(mesh, 2)
         op = assemble_upwind(mesh, 2)
         red = reduce_operator(op)
-        p = pi_star(field, taylor_scheme(3, "sdA"), sp, op, red, 0.05 / n, 3)
+        p = pi_star(field, taylor_scheme(3, "sdA"), red, 0.05 / n, 3)
         from rkdglab.operators import eval_grid, quadrature_grid
         x, w = quadrature_grid(sp, 14)
         errs.append(float(np.sqrt(np.sum(w * (eval_grid(p, 14) - field.value(x)) ** 2))))
@@ -464,7 +464,7 @@ def test_criterion_8_projection_suite():
         mesh = build_mesh_1d(n)
         sp = DGSpace(mesh, 1)
         op = assemble_upwind(mesh, 1)
-        p = pi_star(field, taylor_scheme(2, "standard"), sp, op, op, 0.05 / n, 2)
+        p = pi_star(field, taylor_scheme(2, "standard"), op, 0.05 / n, 2)
         diffs.append((p - gauss_radau(field.value, sp)).norm())
     order = math.log2(diffs[-2] / diffs[-1])
     crit.check(abs(order - 3.0) <= 0.15, f"closeness order {order:.3f} vs k+2=3")

@@ -275,7 +275,7 @@ def test_pi_star_collapses_at_zero_step():
     mesh = build_mesh_1d(16)
     space = DGSpace(mesh, 1)
     op, red = _ops(mesh, 1)
-    p = pi_star(field, taylor_scheme(2, "sdA"), space, op, red, 0.0, 2)
+    p = pi_star(field, taylor_scheme(2, "sdA"), red, 0.0, 2)
     g = gauss_radau(field.value, space)
     assert (p - g).norm() == 0.0
 
@@ -286,7 +286,7 @@ def test_pi_star_matches_second_order_formula():
     space = DGSpace(mesh, 1)
     op, red = _ops(mesh, 1)
     tau = 0.05 / 16
-    p = pi_star(field, taylor_scheme(2, "sdA"), space, op, red, tau, 2)
+    p = pi_star(field, taylor_scheme(2, "sdA"), red, tau, 2)
     rhs = gauss_radau(lambda x: field.value(x) + 0.5 * tau * field.deriv(1)(x), space)
     dense = np.eye(space.n_dofs) + 0.5 * tau * red.as_dense()
     expected = np.linalg.solve(dense, rhs.coeffs.ravel()).reshape(space.shape)
@@ -301,7 +301,7 @@ def test_pi_star_error_order():
         mesh = build_mesh_1d(n)
         space = DGSpace(mesh, 2)
         op, red = _ops(mesh, 2)
-        p = pi_star(field, taylor_scheme(3, "sdA"), space, op, red, 0.05 / n, 3)
+        p = pi_star(field, taylor_scheme(3, "sdA"), red, 0.05 / n, 3)
         errs.append(l2_distance_to(p, field.value))
     order = np.log2(errs[-2] / errs[-1])
     assert abs(order - 3.0) <= 0.1
@@ -317,7 +317,7 @@ def test_pi_star_gauss_radau_closeness_order():
         mesh = build_mesh_1d(n)
         space = DGSpace(mesh, k)
         op = assemble_upwind(mesh, k)
-        p = pi_star(field, taylor_scheme(2, "standard"), space, op, op, 0.05 / n, 2)
+        p = pi_star(field, taylor_scheme(2, "standard"), op, 0.05 / n, 2)
         diffs.append((p - gauss_radau(field.value, space)).norm())
     order = np.log2(diffs[-2] / diffs[-1])
     assert abs(order - (k + 2)) <= 0.15
@@ -329,7 +329,7 @@ def test_pi_star_rejects_bad_q():
     space = DGSpace(mesh, 1)
     op, red = _ops(mesh, 1)
     with pytest.raises(ValueError):
-        pi_star(field, taylor_scheme(3, "sdA"), space, op, red, 0.001, 3)  # q > k+1
+        pi_star(field, taylor_scheme(3, "sdA"), red, 0.001, 3)  # q > k+1
 
 
 @pytest.mark.filterwarnings("error")
@@ -339,7 +339,7 @@ def test_pi_star_cfl_too_large():
     space = DGSpace(mesh, 1)
     op, red = _ops(mesh, 1)
     with pytest.raises(CflTooLargeError) as info:
-        pi_star(field, taylor_scheme(2, "sdA"), space, op, red, 10.0, 2)
+        pi_star(field, taylor_scheme(2, "sdA"), red, 10.0, 2)
     assert info.value.contraction > 1.0
     assert f"observed contraction {info.value.contraction}" in str(info.value)
 
@@ -350,7 +350,7 @@ def test_pi_star_stops_once_the_update_grows():
     space = DGSpace(mesh, 1)
     op, red = _ops(mesh, 1)
     with pytest.raises(CflTooLargeError, match="stopped contracting at iteration 2"):
-        pi_star(field, taylor_scheme(2, "sdA"), space, op, red, 10.0, 2)
+        pi_star(field, taylor_scheme(2, "sdA"), red, 10.0, 2)
 
 
 def test_special_projection_dispatch():

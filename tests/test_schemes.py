@@ -188,10 +188,10 @@ def test_evolve_zero_time_and_composition():
     space = DGSpace(mesh, k)
     u0 = project(lambda x: np.sin(2 * np.pi * x), space)
     scheme = taylor_scheme(2)
-    assert (evolve(scheme, mesh, k, u0, 0.0, 0.01).u - u0).norm() == 0.0
+    assert (evolve(scheme, u0, 0.0, 0.01).u - u0).norm() == 0.0
 
     tau = 0.005
-    two = evolve(scheme, mesh, k, u0, 2 * tau, tau)
+    two = evolve(scheme, u0, 2 * tau, tau)
     op, red = _ops(mesh, k)
     manual = step(scheme, op, red, step(scheme, op, red, u0, tau), tau)
     assert (two.u - manual).norm() <= 1e-14 * u0.norm()
@@ -202,7 +202,7 @@ def test_evolve_shortens_last_step():
     mesh = build_mesh_1d(8)
     space = DGSpace(mesh, 1)
     u0 = project(lambda x: np.sin(2 * np.pi * x), space)
-    res = evolve(taylor_scheme(2), mesh, 1, u0, 0.0105, 0.002)
+    res = evolve(taylor_scheme(2), u0, 0.0105, 0.002)
     assert res.shortened_last_step
     assert res.n_steps == 6
 
@@ -220,7 +220,7 @@ def test_evolve_rejects_bad_time_input(perturb):
                  (1.0, 0.0), (1.0, -0.01), (1.0, float("nan")), (1.0, float("inf"))]
         for final_time, tau in cases:
             try:
-                evolve(taylor_scheme(2), mesh, 1, u0, final_time, tau)
+                evolve(taylor_scheme(2), u0, final_time, tau)
                 print("returned")
             except ValueError:
                 print("ValueError")
@@ -238,7 +238,7 @@ def test_evolve_rejects_a_step_count_that_is_not_finite(final_time, tau):
     u0 = DGSpace(mesh, 1).zeros()
     message = f"final time {final_time} is not a finite number of time steps of {tau}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        evolve(taylor_scheme(2), mesh, 1, u0, final_time, tau)
+        evolve(taylor_scheme(2), u0, final_time, tau)
 
 
 def test_step_plan_rejects_an_infinite_time_step():
@@ -257,12 +257,12 @@ def test_evolve_refuses_more_steps_than_it_can_step_before_the_first(monkeypatch
     # 8e10 steps of 0.0125, and one step more than the bound
     for final_time in (1e9, (schemes.MAX_STEPPED_STEPS + 0.5) * 0.0125):
         with pytest.raises(ValueError, match="that stepping takes"):
-            evolve(taylor_scheme(2), mesh, 1, u0, final_time, 0.0125)
+            evolve(taylor_scheme(2), u0, final_time, 0.0125)
     # at the bound, stepping starts; a uniform mesh takes Fourier steps
     with pytest.raises(AssertionError, match="stepping started"):
-        evolve(taylor_scheme(2), mesh, 1, u0, schemes.MAX_STEPPED_STEPS * 0.0125, 0.0125)
+        evolve(taylor_scheme(2), u0, schemes.MAX_STEPPED_STEPS * 0.0125, 0.0125)
     uniform = build_mesh_1d(8)
-    res = evolve(taylor_scheme(2), uniform, 1, DGSpace(uniform, 1).zeros(), 1e9, 0.0125)
+    res = evolve(taylor_scheme(2), DGSpace(uniform, 1).zeros(), 1e9, 0.0125)
     assert res.path == "fourier" and res.n_steps == 80_000_000_000
 
 
@@ -287,7 +287,7 @@ def test_evolve_refuses_too_many_steps_where_the_fourier_route_declines(monkeypa
     with pytest.raises(SteppingLimitError,
                        match="1e[+]300 time steps of 1e-300 .* that stepping takes; "
                              "the Fourier route cannot bound their growth"):
-        evolve(taylor_scheme(2), uniform, 1, u0, 1.0, 1e-300)
+        evolve(taylor_scheme(2), u0, 1.0, 1e-300)
     assert declined == [True]
 
 
@@ -299,7 +299,7 @@ def test_evolve_detects_blowup_above_cfl_limit():
     u0 = project(lambda x: np.sin(2 * np.pi * x), space)
     tau = 0.3 / 64  # above the 0.191 limit
     try:
-        res = evolve(taylor_scheme(3, "sdA"), mesh, k, u0, 2000 * tau, tau)
+        res = evolve(taylor_scheme(3, "sdA"), u0, 2000 * tau, tau)
         grew = res.u.norm() > 10.0 * u0.norm()
     except BlowUpError as exc:
         grew = True
@@ -477,7 +477,7 @@ def test_fourier_evolve_matches_stepping(dim, r, variant, shortened, step_calls)
     u0 = DGSpace(mesh, k).random(10 * r + dim)
     tau = benchmark_tau(r, dim, n)
     final_time = (30.4 if shortened else 30) * tau
-    res = evolve(scheme, mesh, k, u0, final_time, tau)
+    res = evolve(scheme, u0, final_time, tau)
     assert res.path == "fourier" and len(step_calls) == 0
     assert res.shortened_last_step == shortened
     assert res.n_steps == 30 + shortened
@@ -492,7 +492,7 @@ def test_fourier_evolve_matches_stepping_over_ten_thousand_steps(step_calls):
     scheme = taylor_scheme(5, "sdA")
     u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, k))
     tau = benchmark_tau(5, 1, 320)
-    res = evolve(scheme, mesh, k, u0, 1.0, tau)
+    res = evolve(scheme, u0, 1.0, tau)
     assert res.path == "fourier" and len(step_calls) == 0
     assert res.n_steps >= 10_000 and res.shortened_last_step
     ref, _ = _stepping_loop(scheme, mesh, k, u0, 1.0, tau)
@@ -505,7 +505,7 @@ def test_perturbed_meshes_and_butcher_form_still_step(step_calls):
     tau = 0.01
     perturbed = build_mesh_1d(12, 0.15, seed=3)
     u0 = DGSpace(perturbed, k).random(4)
-    res = evolve(scheme, perturbed, k, u0, 0.105, tau)
+    res = evolve(scheme, u0, 0.105, tau)
     # the fused one-step operator steps without step(); it sums the same
     # terms in another order, so agreement is to rounding, not bitwise
     assert res.path == "stepping" and len(step_calls) == 0 and res.n_steps == 11
@@ -519,12 +519,12 @@ def test_perturbed_meshes_and_butcher_form_still_step(step_calls):
     uniform = build_mesh_1d(12)
     for mesh, path in ((uniform, "fourier"), (perturbed, "stepping")):
         u0 = DGSpace(mesh, k).random(5)
-        res = evolve(mixed, mesh, k, u0, 0.105, tau)
+        res = evolve(mixed, u0, 0.105, tau)
         assert res.path == path and len(step_calls) == 0 and res.n_steps == 11
         ref, _ = _stepping_loop(mixed, mesh, k, u0, 0.105, tau, form="butcher")
         assert (res.u - ref).norm() <= 1e-12 * ref.norm()
     u0 = DGSpace(uniform, k).random(5)
-    assert evolve(scheme, uniform, k, u0, 0.0, tau).path == "stepping"
+    assert evolve(scheme, u0, 0.0, tau).path == "stepping"
 
 
 @pytest.mark.parametrize("r", [5])
@@ -536,7 +536,7 @@ def test_mixed_plan_without_tableau_fails_before_stepping(r, step_calls):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="needs a tableau"):
-            evolve(mixed, mesh, r - 1, u0, 0.05, 0.01)
+            evolve(mixed, u0, 0.05, 0.01)
     assert len(step_calls) == 0
 
 
@@ -544,7 +544,7 @@ def test_fourier_evolve_keeps_unsupported_degree_error():
     mesh = build_mesh_1d(8)
     u0 = DGSpace(mesh, 0).random(0)
     with pytest.raises(UnsupportedDegreeError):
-        evolve(taylor_scheme(2, "sdA"), mesh, 0, u0, 0.01, 1e-3)
+        evolve(taylor_scheme(2, "sdA"), u0, 0.01, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +561,7 @@ def test_fused_evolve_matches_stepping(r, variant, shortened, step_calls):
     u0 = DGSpace(mesh, k).random(10 * r)
     tau = benchmark_tau(r, 1, 11)
     final_time = (30.4 if shortened else 30) * tau
-    res = evolve(scheme, mesh, k, u0, final_time, tau)
+    res = evolve(scheme, u0, final_time, tau)
     assert res.path == "stepping" and len(step_calls) == 0
     assert res.shortened_last_step == shortened
     assert res.n_steps == 30 + shortened
@@ -576,7 +576,7 @@ def test_fused_evolve_matches_stepping_over_ten_thousand_steps(step_calls):
     scheme = taylor_scheme(5, "sdA")
     u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, k))
     tau = benchmark_tau(5, 1, 320)
-    res = evolve(scheme, mesh, k, u0, 1.0, tau)
+    res = evolve(scheme, u0, 1.0, tau)
     assert res.path == "stepping" and len(step_calls) == 0
     assert res.n_steps >= 10_000 and res.shortened_last_step
     ref, _ = _stepping_loop(scheme, mesh, k, u0, 1.0, tau)
@@ -591,7 +591,7 @@ def test_fused_evolve_is_the_2d_fourier_fallback(variant, step_calls, monkeypatc
     scheme = taylor_scheme(3, variant)
     u0 = DGSpace(mesh, k).random(7)
     tau = benchmark_tau(3, 2, 5)
-    res = evolve(scheme, mesh, k, u0, 20.4 * tau, tau)
+    res = evolve(scheme, u0, 20.4 * tau, tau)
     assert res.path == "stepping" and len(step_calls) == 0 and res.n_steps == 21
     ref, flagged = _stepping_loop(scheme, mesh, k, u0, 20.4 * tau, tau)
     assert flagged is None
@@ -604,18 +604,18 @@ def test_fused_evolve_blowup_parity_with_stepping():
     mesh = build_mesh_1d(64, 0.15, seed=2)
     u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, k))
     tau = 0.3 / 64
-    got = _evolve_outcome(sda3, mesh, k, u0, 2000 * tau, tau)
+    got = _evolve_outcome(sda3, u0, 2000 * tau, tau)
     ref = _stepping_loop(sda3, mesh, k, u0, 2000 * tau, tau)
     assert got[0] is None and got[1] == ref[1] is not None
 
     bad = u0.copy()
     bad.coeffs[5, 1] = np.nan
-    assert _evolve_outcome(sda3, mesh, k, bad, 10 * tau, tau) == (None, 1)
+    assert _evolve_outcome(sda3, bad, 10 * tau, tau) == (None, 1)
     assert _stepping_loop(sda3, mesh, k, bad, 10 * tau, tau) == (None, 1)
 
     u0 = DGSpace(mesh, 0).random(0)
     with pytest.raises(UnsupportedDegreeError):
-        evolve(taylor_scheme(2, "sdA"), mesh, 0, u0, 0.01, 1e-3)
+        evolve(taylor_scheme(2, "sdA"), u0, 0.01, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +659,7 @@ def _check_chunked_against_stepping(scheme, form, mesh, n_x, kernel_calls):
         for shortened in (False, True):
             final_time = (n + 0.4 if shortened else n) * tau
             del kernel_calls[:]
-            res = evolve(scheme, mesh, k, u0, final_time, tau)
+            res = evolve(scheme, u0, final_time, tau)
             assert len(kernel_calls) == n // p + n % p + shortened, (n, shortened)
             assert res.path == "stepping" and res.n_steps == n + shortened
             ref, flagged = _stepping_loop(scheme, mesh, k, u0, final_time, tau, form=form)
@@ -692,7 +692,7 @@ def test_chunked_fused_evolve_flags_the_step_stepping_flags(cfl, scale, residue,
     mesh = build_mesh_1d(16, 0.15, seed=2)
     u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, k)) * scale
     tau = cfl / 16
-    got = _evolve_outcome(sda3, mesh, k, u0, 3000 * tau, tau)
+    got = _evolve_outcome(sda3, u0, 3000 * tau, tau)
     chunked_calls = len(kernel_calls)
     ref = _stepping_loop(sda3, mesh, k, u0, 3000 * tau, tau)
     assert ref[1] % schemes.CHUNK_STEPS == residue
@@ -781,7 +781,7 @@ def test_fused_evolve_is_the_loop_that_checks_every_chunk_bit_for_bit(r, variant
     u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, k))
     tau = benchmark_tau(r, 1, n) if cfl is None else cfl / n
     final_time = 1203.4 * tau
-    got = _evolve_outcome(scheme, mesh, k, u0, final_time, tau)
+    got = _evolve_outcome(scheme, u0, final_time, tau)
     ref = _fused_checking_every_chunk(scheme, mesh, k, u0, final_time, tau)
     assert got[1] == ref[1]
     if ref[1] is None:
@@ -839,12 +839,12 @@ def _check_window_against_gather(scheme, mesh, n):
     u0 = project(lambda *x: np.sin(2 * np.pi * sum(x)), DGSpace(mesh, k))
     tau = benchmark_tau(scheme.order, mesh.dim, n)
     # 403.4 steps: runs of unchecked chunks, single steps and a shortened last step
-    got = _evolve_outcome(scheme, mesh, k, u0, 403.4 * tau, tau)
+    got = _evolve_outcome(scheme, u0, 403.4 * tau, tau)
     ref = _fused_checking_every_chunk(scheme, mesh, k, u0, 403.4 * tau, tau)
     assert got[1] is None and ref[1] is None
     assert np.array_equal(got[0].coeffs, ref[0])
     # at cfl 0.4 every plan here blows up, at the same step
-    got = _evolve_outcome(scheme, mesh, k, u0, 1203.4 * 0.4 / n, 0.4 / n)
+    got = _evolve_outcome(scheme, u0, 1203.4 * 0.4 / n, 0.4 / n)
     ref = _fused_checking_every_chunk(scheme, mesh, k, u0, 1203.4 * 0.4 / n, 0.4 / n)
     assert got[0] is None and got[1] == ref[1] is not None
 
@@ -906,7 +906,7 @@ def test_stepping_applies_the_gather_only_where_no_window_fits(monkeypatch):
             k = scheme.order - 1
             u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, k))
             tau = benchmark_tau(scheme.order, 1, n)
-            assert evolve(scheme, mesh, k, u0, 43.4 * tau, tau).path == "stepping"
+            assert evolve(scheme, u0, 43.4 * tau, tau).path == "stepping"
     # in 2D every chunk and step of a declined Fourier route applies the
     # increments: 9.4 steps are 2 chunks, 1 single step and the shortened one
     applies = []
@@ -920,7 +920,7 @@ def test_stepping_applies_the_gather_only_where_no_window_fits(monkeypatch):
     mesh = build_mesh_2d(5, 4)
     u0 = DGSpace(mesh, 2).random(3)
     tau = benchmark_tau(3, 2, 5)
-    assert evolve(taylor_scheme(3), mesh, 2, u0, 9.4 * tau, tau).path == "stepping"
+    assert evolve(taylor_scheme(3), u0, 9.4 * tau, tau).path == "stepping"
     assert len(applies) == 4
 
 
@@ -1005,7 +1005,7 @@ def test_all_reduced_stage_plan_rejects_k0():
         with pytest.raises(UnsupportedDegreeError):
             step(planned, op, red, u, 1e-3, form=form)
     with pytest.raises(UnsupportedDegreeError):
-        evolve(planned, mesh, 0, u, 0.01, 1e-3)
+        evolve(planned, u, 0.01, 1e-3)
     with pytest.raises(UnsupportedDegreeError):
         EvolutionMap(planned, op, red, 1e-3)
 
@@ -1022,7 +1022,7 @@ def test_only_a_reduced_inner_stage_needs_k1(plan, reduced_inner):
     u = op.space.random(0)
     if reduced_inner:
         with pytest.raises(UnsupportedDegreeError):
-            evolve(scheme, mesh, 0, u, 0.01, 1e-3)
+            evolve(scheme, u, 0.01, 1e-3)
         with pytest.raises(UnsupportedDegreeError):
             EvolutionMap(scheme, op, red, 1e-3)
         return
@@ -1030,8 +1030,8 @@ def test_only_a_reduced_inner_stage_needs_k1(plan, reduced_inner):
     for form in ("compact", "butcher"):
         got = step(scheme, op, red, u, 1e-3, form=form)
         assert (got - step(standard, op, red, u, 1e-3, form=form)).norm() == 0.0
-    got = evolve(scheme, mesh, 0, u, 0.0105, 1e-3)
-    assert (got.u - evolve(standard, mesh, 0, u, 0.0105, 1e-3).u).norm() == 0.0
+    got = evolve(scheme, u, 0.0105, 1e-3)
+    assert (got.u - evolve(standard, u, 0.0105, 1e-3).u).norm() == 0.0
 
 
 def test_first_order_sda_is_forward_euler_at_k0():
@@ -1046,8 +1046,8 @@ def test_first_order_sda_is_forward_euler_at_k0():
         tau = 1e-3
         euler = u + tau * op.apply(u)
         assert (step(sda1, op, red, u, tau) - euler).norm() == 0.0
-        got = evolve(sda1, mesh, 0, u, 0.0105, tau)
-        ref = evolve(taylor_scheme(1), mesh, 0, u, 0.0105, tau)
+        got = evolve(sda1, u, 0.0105, tau)
+        ref = evolve(taylor_scheme(1), u, 0.0105, tau)
         assert got.path == ref.path and (got.u - ref.u).norm() == 0.0
 
 
@@ -1094,21 +1094,21 @@ def test_blowup_parity_with_stepping():
     mesh = build_mesh_1d(64)
     u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, k))
     tau = 0.3 / 64
-    got = _evolve_outcome(sda3, mesh, k, u0, 2000 * tau, tau)
+    got = _evolve_outcome(sda3, u0, 2000 * tau, tau)
     ref = _stepping_loop(sda3, mesh, k, u0, 2000 * tau, tau)
     assert got[0] is None and got[1] == ref[1] is not None
 
     # a non-finite initial state is flagged at the first step
     bad = u0.copy()
     bad.coeffs[5, 1] = np.nan
-    assert _evolve_outcome(sda3, mesh, k, bad, 10 * tau, tau) == (None, 1)
+    assert _evolve_outcome(sda3, bad, 10 * tau, tau) == (None, 1)
     assert _stepping_loop(sda3, mesh, k, bad, 10 * tau, tau) == (None, 1)
 
     # above the 0.191 limit but with bounded growth: the Fourier route is
     # taken and, like stepping, does not flag
     mesh = build_mesh_1d(40)
     u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, k))
-    res = evolve(sda3, mesh, k, u0, 1.0, 0.22 / 40)
+    res = evolve(sda3, u0, 1.0, 0.22 / 40)
     assert res.path == "fourier" and res.u.norm() > 10.0 * u0.norm()
     assert _stepping_loop(sda3, mesh, k, u0, 1.0, 0.22 / 40)[1] is None
 
@@ -1128,7 +1128,7 @@ def test_accuracy_table_blowup_parity(monkeypatch):
         for n in (20, 40):
             mesh = build_mesh_1d(n)
             u0 = project(problem.value, DGSpace(mesh, k))
-            got = _evolve_outcome(scheme, mesh, k, u0, 1.0, 0.015)
+            got = _evolve_outcome(scheme, u0, 1.0, 0.015)
             ref = _stepping_loop(scheme, mesh, k, u0, 1.0, 0.015)
             assert got[1] == ref[1]
 
@@ -1184,7 +1184,7 @@ def test_mixed_plan_evolve_matches_the_butcher_stepping_loop(kind, r, plan, step
     scheme = SchemeSpec(r, plan)
     u0 = DGSpace(mesh, k).random(3 * r)
     tau = benchmark_tau(r, mesh.dim, 9)
-    res = evolve(scheme, mesh, k, u0, 30.4 * tau, tau)
+    res = evolve(scheme, u0, 30.4 * tau, tau)
     assert res.path == ("stepping" if kind == "perturbed" else "fourier")
     assert len(step_calls) == 0 and res.n_steps == 31
     ref, flagged = _stepping_loop(scheme, mesh, k, u0, 30.4 * tau, tau, form="butcher")
@@ -1245,7 +1245,7 @@ def test_a_step_size_that_takes_no_step_builds_no_map(monkeypatch):
     for mesh in (build_mesh_1d(12), build_mesh_1d(12, 0.15, seed=3), build_mesh_2d(4, 4)):
         del calls[:]
         u0 = DGSpace(mesh, 2).random(1)
-        res = evolve(taylor_scheme(3), mesh, 2, u0, 0.004, 0.01)
+        res = evolve(taylor_scheme(3), u0, 0.004, 0.01)
         assert res.n_steps == 1 and res.shortened_last_step and len(calls) == 1
 
 
