@@ -731,44 +731,89 @@ def certify_below(op, bound):
     """True when bound * I - op is positive definite: every eigenvalue of op is below bound.
 
     op must be a symmetric BlockOperator; a 2D one is never certified.
+    The decision is whether shift_solver(op, bound) factors.
+    """
+    return shift_solver(op, bound) is not None
+
+
+def shift_solver(op, bound):
+    """A solver of (bound * I - op) y = b on flat coefficients; None unless that matrix is
+    positive definite.
+
+    op must be a symmetric BlockOperator; for a 2D one the result is None.
     A = bound * I - op is periodic block tridiagonal over the super-blocks
     of BlockOperator._ring, whose padding unknowns get a unit diagonal and
     no coupling.  Block cyclic reduction (Buzbee, Golub & Nielson, SINUM
     7, 1970) eliminates the odd super-blocks of the ring at once: one
-    batched np.linalg.cholesky of their diagonal blocks, then their Schur
+    batched np.linalg.cholesky L of their diagonal blocks, then their Schur
     complement onto the even ones, which form the next ring, until one
     block is left.  A is positive definite exactly when every pivot block
     is (Sylvester's law of inertia applied to the Schur complements), and
     one that is not makes cholesky raise: a LinAlgError, or a pivot that
-    is not finite, means "not certified".  log2(m) levels, O(N) work.
+    is not finite, means None.  log2(m) levels, O(N) work.
+
+    Each level keeps inv(L) and w = inv(L) C, C the odd blocks' couplings
+    to their even neighbours, so a solve retraces the levels: forward,
+    z = inv(L) b_odd and b_even -= w^T z; the last block; back,
+    y_odd = inv(L)^T (z - w y_even).  b maps into the ring's layout with
+    zero padding.  One solve is O(N), with no factorization.
     """
     ring = op._ring if op.space.dim == 1 else None
     if ring is None or not np.isfinite(bound):
-        return False
+        return None
     d, u, pad = ring
     m, s, _ = d.shape
     d = np.where(pad, 1.0, bound)[..., None] * np.eye(s) - d
     u = -u
+    levels = []
     try:
         while m > 1:
             h = m // 2
             factor = np.linalg.cholesky(d[1:2 * h:2])
             if not np.isfinite(factor).all():
-                return False
+                return None
             # odd j: w = factor^-1 (A_{j,j-1} | A_{j,j+1}); w^T w updates j -+ 1 and joins them
-            w = np.linalg.inv(factor) @ np.concatenate(
-                [u[0:2 * h:2].transpose(0, 2, 1), u[1:2 * h:2]], axis=2)
+            inv = np.linalg.inv(factor)
+            del factor          # before g: the kept levels then add nothing to the peak memory
+            w = inv @ np.concatenate([u[0:2 * h:2].transpose(0, 2, 1), u[1:2 * h:2]], axis=2)
             g = w.transpose(0, 2, 1) @ w
+            right = np.arange(1, h + 1) % (m - h)       # even j + 1 in the next ring
             d = d[0::2]
             d[:h] -= g[:, :s, :s]
-            d[np.arange(1, h + 1) % (m - h)] -= g[:, s:, s:]
+            d[right] -= g[:, s:, s:]
             u = np.concatenate([-g[:, :s, s:], u[2 * h:]])
+            levels.append((inv, w, right))
             m -= h
         # the last block: its wrap couples it to itself
-        factor = np.linalg.cholesky(d[0] + u[0] + u[0].T)
+        last = np.linalg.cholesky(d[0] + u[0] + u[0].T)
     except np.linalg.LinAlgError:
-        return False
-    return bool(np.isfinite(factor).all())
+        return None
+    if not np.isfinite(last).all():
+        return None
+
+    def solve(b):
+        r = np.zeros(pad.shape)
+        r[~pad] = b
+        zs = []
+        for inv, w, right in levels:
+            h = len(inv)
+            z = (inv @ r[1:2 * h:2, :, None])[..., 0]
+            t = (z[:, None, :] @ w)[:, 0]
+            r = r[0::2]
+            r[:h] -= t[:, :s]
+            r[right] -= t[:, s:]
+            zs.append(z)
+        y = np.linalg.solve(last.T, np.linalg.solve(last, r[0]))[None]
+        for (inv, w, right), z in zip(reversed(levels), reversed(zs)):
+            h = len(inv)
+            z = z - (w @ np.concatenate([y[:h], y[right]], axis=1)[..., None])[..., 0]
+            out = np.empty((len(y) + h, s))
+            out[0::2] = y
+            out[1::2] = (z[:, None, :] @ inv)[:, 0]
+            y = out
+        return y[~pad]
+
+    return solve
 
 
 #: Lanczos: stopping residual relative to the Ritz spread, and step cap

@@ -15,9 +15,11 @@ import numpy as np
 from .mesh import build_mesh_1d, build_mesh_2d
 from .operators import (
     DENSE_CAP,
+    POWER_SEED,
     certify_below,
     half_spectrum,
     max_row_sum,
+    shift_solver,
     stage_operators,
     symbol_norm,
     symbol_powers,
@@ -30,6 +32,10 @@ DELTA_FLOOR = 1e-16
 NORM_RESOLUTION = 1e-13
 #: growth_excess: relative width of a certified growth bracket
 BRACKET_RTOL = 1e-9
+#: growth_excess: a bracket with hi <= lo (1 + INVERSE_START) runs inverse iteration
+#: at its certified hi, for at most INVERSE_MAX_STEPS solves
+INVERSE_START = 1e-3
+INVERSE_MAX_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -92,11 +98,14 @@ def growth_excess(emap, m=1):
     above) and the Gershgorin bound of S_m, at geometric midpoints, down to
     a width of BRACKET_RTOL * hi + NORM_RESOLUTION: the certified upper
     end hi is the excess (route "bracket"; LinAlgError if no upper end
-    certifies).  Above
-    the cap, Lanczos on S_m (top_eigenvalue, route "lanczos";
-    PowerIterationError if it does not converge).  operator_norm's
-    "dense_svd" and "power_iteration" methods are the cross-checks of
-    these routes.
+    certifies).  Once hi <= lo (1 + INVERSE_START), inverse iteration at
+    the shift hi raises lo to a Rayleigh quotient theta, and a quotient
+    that stalls has one certificate tried at lo + width / 2; then
+    bisection goes on.  Each certified hi gets at most one such phase, so
+    the loop ends.  Above the cap, Lanczos on S_m (top_eigenvalue, route
+    "lanczos"; PowerIterationError if it does not converge).
+    operator_norm's "dense_svd" and "power_iteration" methods are the
+    cross-checks of these routes.
     """
     if emap.is_circulant:
         g = symbol_powers(emap, half_spectrum(emap.space.mesh.cells), m)
@@ -112,8 +121,16 @@ def growth_excess(emap, m=1):
     lo = NORM_RESOLUTION
     hi = max_row_sum(s_m)
     certified = False
+    refined = None          # the hi of the last inverse phase; only a certified hi has a solver
     while hi - lo > BRACKET_RTOL * hi + NORM_RESOLUTION:
         mid = math.sqrt(lo * hi)
+        if certified and hi != refined and hi <= lo * (1.0 + INVERSE_START):
+            refined, width = hi, BRACKET_RTOL * hi + NORM_RESOLUTION
+            theta, stalled = _inverse_iteration(s_m, hi, width)
+            lo = max(lo, theta)
+            if hi - lo <= width:
+                break
+            mid = lo + width / 2 if stalled else math.sqrt(lo * hi)
         if certify_below(s_m, mid):
             hi, certified = mid, True
         else:
@@ -121,6 +138,31 @@ def growth_excess(emap, m=1):
     if not (certified or certify_below(s_m, hi)):
         raise np.linalg.LinAlgError(f"growth bracket: its upper end {hi!r} does not certify")
     return hi, "bracket"
+
+
+def _inverse_iteration(s_m, hi, width):
+    """(theta, stalled): a Rayleigh quotient of s_m from inverse iteration at a certified hi.
+
+    hi I - s_m is positive definite, so the dominant eigenvector of its
+    inverse is that of the top eigenvalue of s_m, which theta never exceeds
+    in exact arithmetic (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
+    Each step is one solve y = (hi I - s_m)^-1 x from a unit x (a
+    POWER_SEED start vector first); the quotient of y is hi - x.y / y.y,
+    so no step needs a matvec.  stalled: theta rose by at most width / 4
+    in a step; else INVERSE_MAX_STEPS ran out (theta = -inf after no step).
+    """
+    solve = shift_solver(s_m, hi)
+    x = np.random.Generator(np.random.PCG64(POWER_SEED)).standard_normal(s_m.n_dofs)
+    x /= np.linalg.norm(x)
+    theta = -math.inf
+    for _ in range(INVERSE_MAX_STEPS):
+        y = solve(x)
+        yy = float(y @ y)
+        step = hi - float(x @ y) / yy
+        if step - theta <= width / 4:
+            return step, True
+        theta, x = step, y / math.sqrt(yy)
+    return theta, False
 
 
 def _floor_certified(g):

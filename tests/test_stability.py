@@ -13,6 +13,7 @@ from rkdglab.operators import (
     assemble_upwind,
     certify_below,
     operator_norm,
+    shift_solver,
     top_eigenvalue,
 )
 from rkdglab.stability import (
@@ -492,20 +493,87 @@ def test_growth_routes_agree_with_dense_svd_on_perturbed_meshes(m):
     assert routes == {"certificate", "bracket"}
 
 
-@pytest.mark.parametrize("n, k, r, variant", [(256, 2, 3, "standard"), (200, 3, 4, "sdA")])
+#: the benchmark's two perturbed-mesh points below the cap: (N, k, r, variant) at cfl 0.1
+BRACKET_POINTS = [(256, 2, 3, "standard"), (200, 3, 4, "sdA")]
+
+
+def _count_factorizations(monkeypatch, limit=100):
+    """Count shift_solver calls (certify_below's too); raise past limit, so a bracket that
+    does not end fails."""
+    calls = []
+    factor = operators.shift_solver
+
+    def counted(op, bound):
+        calls.append(bound)
+        if len(calls) > limit:
+            raise AssertionError(f"more than {limit} factorizations")
+        return factor(op, bound)
+
+    monkeypatch.setattr(operators, "shift_solver", counted)
+    monkeypatch.setattr(stability, "shift_solver", counted)
+    return calls
+
+
+def _holds_the_top(point, top):
+    return top - 1e-15 <= point.delta <= top + BRACKET_RTOL * top + NORM_RESOLUTION + 1e-15
+
+
+@pytest.mark.parametrize("n, k, r, variant", BRACKET_POINTS)
 def test_bracket_route_holds_the_top_eigenvalue(n, k, r, variant, monkeypatch):
-    # the benchmark's two perturbed-mesh points below the cap: bisection on
-    # certificates builds no dense matrix; the pin is eigvalsh of the dense S_1
+    # bisection on certificates, then inverse iteration at a certified
+    # shift, builds no dense matrix; the pin is eigvalsh of the dense S_1.
+    # The cost pin: bisection alone made 35-36 factorizations per point
     scheme = taylor_scheme(r, variant)
     meshes = [build_mesh_1d(n, 0.15, seed=seed) for seed in range(6)]
     tops = [np.linalg.eigvalsh(excess_operator(evolution_map(scheme, mesh, k, 0.1)).as_dense())[-1]
             for mesh in meshes]
     monkeypatch.setattr(BlockOperator, "as_dense", _no_dense)
     monkeypatch.setattr(EvolutionMap, "as_dense", _no_dense)
+    calls = _count_factorizations(monkeypatch)
     for seed, (mesh, top) in enumerate(zip(meshes, tops)):
+        calls.clear()
         point = delta(scheme, mesh, k, 0.1)
         assert point.route == "bracket", seed
-        assert top - 1e-15 <= point.delta <= top + BRACKET_RTOL * top + NORM_RESOLUTION + 1e-15, seed
+        assert _holds_the_top(point, top), seed
+        assert len(calls) <= 20, (seed, len(calls))
+
+
+_inverse_iteration = stability._inverse_iteration
+
+
+def _low_stalled_quotient(s_m, hi, width):
+    # a quotient that stalls 1e-6 below the top: its certificate at
+    # lo + width / 2 fails, and bisection has to go on
+    theta, _ = _inverse_iteration(s_m, hi, width)
+    return theta * (1.0 - 1e-6), True
+
+
+@pytest.mark.parametrize("fallback", ["no inverse steps", "low stalled quotient"])
+def test_bracket_without_inverse_iteration_still_holds_the_top(fallback, monkeypatch):
+    # the bench points (mesh seed 0) and the meshes of
+    # test_growth_routes_agree_with_dense_svd_on_perturbed_meshes
+    cases = [(taylor_scheme(r, variant), build_mesh_1d(n, 0.15, seed=0), k, 0.1, 1)
+             for n, k, r, variant in BRACKET_POINTS]
+    cases += [(taylor_scheme(r, variant), build_mesh_1d(24, 0.15, seed=seed), k, cfl, m)
+              for r, k, variant in ((3, 2, "standard"), (4, 3, "sdA")) for seed in (4, 9)
+              for cfl in (0.05, 0.1, 0.15, 0.2) for m in (1, 2)]
+    if fallback == "no inverse steps":
+        monkeypatch.setattr(stability, "INVERSE_MAX_STEPS", 0)
+    else:
+        monkeypatch.setattr(stability, "_inverse_iteration", _low_stalled_quotient)
+    calls = _count_factorizations(monkeypatch)
+    brackets = 0
+    for scheme, mesh, k, cfl, m in cases:
+        emap = evolution_map(scheme, mesh, k, cfl)
+        top = np.linalg.eigvalsh(excess_operator(emap, m).as_dense())[-1]
+        calls.clear()
+        point = delta(scheme, mesh, k, cfl, m)
+        if point.route == "bracket":
+            brackets += 1
+            assert _holds_the_top(point, top), (mesh.cells, k, cfl, m)
+        else:
+            assert point.route == "certificate" and top < NORM_RESOLUTION
+    assert brackets >= 2 + 16
 
 
 def test_excess_operator_is_the_gram_excess_of_the_m_step_map():
@@ -527,6 +595,17 @@ CERTIFICATE_CASES = [(5, 2, 2), (7, 2, 3), (4, 2, 2), (3, 1, 2), (6, 2, 0), (11,
                      (41, 4, 1), (700, 1, 1), (1009, 1, 2)]
 
 
+def _certificate_operators():
+    """(op, dense, top) for each of CERTIFICATE_CASES."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    for n, p, b in CERTIFICATE_CASES:
+        space = DGSpace(build_mesh_1d(n, 0.2, seed=n), p - 1)
+        e = BlockOperator(space, {(-j,): 0.3 * rng.standard_normal((n, p, p)) for j in range(b + 1)})
+        sym = e + e.transpose() + e.transpose() @ e
+        dense = sym.as_dense()
+        yield sym, dense, np.linalg.eigvalsh(dense)[-1]
+
+
 def _dense_cholesky_passes(a):
     try:
         np.linalg.cholesky(a)
@@ -537,14 +616,8 @@ def _dense_cholesky_passes(a):
 
 def test_certificate_brackets_the_top_eigenvalue():
     # each decision at top -+ 1e-9 is that of the dense Cholesky of bound I - op
-    rng = np.random.Generator(np.random.PCG64(5))
     parities = set()
-    for n, p, b in CERTIFICATE_CASES:
-        space = DGSpace(build_mesh_1d(n, 0.2, seed=n), p - 1)
-        e = BlockOperator(space, {(-j,): 0.3 * rng.standard_normal((n, p, p)) for j in range(b + 1)})
-        sym = e + e.transpose() + e.transpose() @ e
-        dense = sym.as_dense()
-        top = np.linalg.eigvalsh(dense)[-1]
+    for (n, p, b), (sym, dense, top) in zip(CERTIFICATE_CASES, _certificate_operators()):
         for bound, certified in ((top - 1e-9, False), (top + 1e-9, True)):
             assert _dense_cholesky_passes(bound * np.eye(n * p) - dense) == certified
             # shifted by top + 1 the bound is negative; the padding keeps its unit diagonal
@@ -557,6 +630,20 @@ def test_certificate_brackets_the_top_eigenvalue():
             size, level = size - size // 2, level + 1
     deepest = max(level for level, _ in parities)
     assert parities >= {(level, parity) for level in range(deepest) for parity in (0, 1)}
+
+
+def test_shift_solver_is_the_dense_solve():
+    # rings of one and two super-blocks, padding and the periodic wrap: the
+    # solve of (bound I - op) y = b retraces the certificate's reduction
+    rng = np.random.Generator(np.random.PCG64(7))
+    for (n, p, b), (sym, dense, top) in zip(CERTIFICATE_CASES, _certificate_operators()):
+        rhs = rng.standard_normal(n * p)
+        ref = np.linalg.solve((top + 1.0) * np.eye(n * p) - dense, rhs)
+        # shifted by top + 1 the bound is 0; the padding keeps its unit diagonal
+        for shift in (0.0, top + 1.0):
+            got = shift_solver(sym + -shift * np.eye(p), top + 1.0 - shift)(rhs)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref), (n, p, b, shift)
+        assert shift_solver(sym, top - 1e-9) is None
 
 
 def test_certificate_sees_the_periodic_wrap():
