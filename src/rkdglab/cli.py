@@ -270,7 +270,7 @@ def run(values, out_stream=None):
                 if pt.flagged:
                     failed_rows += 1
                     notes.append(f"error: {pt.scheme} {pt.variant} N={pt.n} m={pt.m} "
-                                 f"cfl={pt.cfl:.6g}: growth is not finite")
+                                 f"cfl={pt.cfl:.6g}: {pt.error}")
                 rows.append(
                     f"{pt.scheme},{pt.variant},{pt.dim},{pt.n},{pt.m},"
                     f"{pt.cfl:.6g},{_fmt(pt.delta, '.5e')},{_fmt(pt.delta, '.17g')}"

@@ -6,7 +6,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BlowUpError
-from .mesh import build_mesh_1d, build_mesh_2d
+from .mesh import build_mesh
 from .operators import DGSpace, eval_grid, grid_values, project, quadrature_grid, quadrature_points
 from .schemes import evolve
 
@@ -60,14 +60,6 @@ class ProblemSpec:
         # singular sinpow derivatives need denser error quadrature
         nq = quadrature_points(k)
         return max(16, nq) if self.flat is not None else nq
-
-
-def build_problem_mesh(problem, n, perturb=0.0, seed=0):
-    if problem.dim == 1:
-        return build_mesh_1d(n, perturb_fraction=perturb, seed=seed)
-    if perturb:
-        raise ValueError(f"2D meshes are uniform: perturb must be 0, got {perturb}")
-    return build_mesh_2d(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +137,7 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
         raise ValueError(f"refinement N values must be distinct, got {tuple(n_list)}")
     results = [[] for _ in schemes]     # per scheme, per N: (dofs, error, BlowUpError or None)
     for n in n_list:
-        mesh = build_problem_mesh(problem, n, perturb=perturb, seed=seed)
+        mesh = build_mesh(problem.dim, n, perturb, seed)
         starts, grids = {}, {}
         for (scheme, k), out in zip(schemes, results):
             nq = n_quad if n_quad is not None else problem.error_quadrature(k)

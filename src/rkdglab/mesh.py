@@ -134,3 +134,12 @@ def build_mesh_1d(n, perturb_fraction=0.0, seed=0, beta=1.0):
 def build_mesh_2d(nx, ny, beta_x=1.0, beta_y=1.0):
     """Build a uniform periodic 2D Cartesian mesh of [0, 1]^2."""
     return Mesh2D(nx=nx, ny=ny, beta_x=beta_x, beta_y=beta_y)
+
+
+def build_mesh(dim, n, perturb=0.0, seed=0):
+    """The N-cell 1D mesh build_mesh_1d(n, perturb, seed), or at dim 2 the uniform N x N grid."""
+    if dim == 1:
+        return build_mesh_1d(n, perturb_fraction=perturb, seed=seed)
+    if perturb:
+        raise ValueError(f"2D meshes are uniform: perturb must be 0, got {perturb}")
+    return build_mesh_2d(n, n)

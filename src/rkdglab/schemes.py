@@ -92,10 +92,13 @@ class SchemeSpec:
     stages = property(lambda self: self.order)
     alphas = property(lambda self: tuple(1.0 / math.factorial(i) for i in range(self.order + 1)))
     tableau = property(lambda self: BUILTIN_TABLEAUS.get(self.order))
+    #: whether an inner stage reads the reduced operator, and whether the inner stages differ
+    reads_reduced = property(lambda self: any(self.stage_plan[:-1]))
+    mixed = property(lambda self: len(set(self.stage_plan[:-1])) > 1)
 
     @property
     def variant(self):
-        if _is_mixed(self.stage_plan):
+        if self.mixed:
             return "".join("R" if flag else "F" for flag in self.stage_plan[:-1])
         return "sdA" if self.stage_plan[0] else "standard"     # r = 1 reads its one flag
 
@@ -137,14 +140,9 @@ def energy_coefficients(alphas):
     return EnergyCoefficients(beta=beta, gamma=gamma)
 
 
-def _is_mixed(flags):
-    """True when the inner stages use different operators (the last flag is inert)."""
-    return len(set(flags[:-1])) > 1
-
-
 def _check_degree(scheme, space):
-    """A reduced inner stage needs k >= 1; the inert last flag is not read."""
-    if space.degree == 0 and any(scheme.stage_plan[:-1]):
+    """A reduced inner stage needs k >= 1."""
+    if space.degree == 0 and scheme.reads_reduced:
         raise UnsupportedDegreeError("reduced-stage variant needs k >= 1")
 
 
@@ -209,16 +207,16 @@ def step(scheme, full_op, reduced_op, u, tau, form="compact"):
     _check_degree(scheme, u.space)
     if form not in ("butcher", "compact"):
         raise ValueError(f"unknown stepping form {form!r}")
-    flags = scheme.stage_plan
     if form == "butcher" and scheme.tableau is None:
         raise ValueError(f"no built-in tableau for order {scheme.order}: use the compact form")
-    if form == "compact" and _is_mixed(flags):
+    if form == "compact" and scheme.mixed:
         raise ValueError("compact form requires a uniform stage plan")
     if tau == 0.0:
         return u.copy()
 
     if form == "butcher":
         tab = scheme.tableau
+        ops = [reduced_op if flag else full_op for flag in scheme.stage_plan]
         applied, out = [], u.coeffs.copy()
         for i in range(tab.stages):
             ui = u.coeffs
@@ -226,13 +224,13 @@ def step(scheme, full_op, reduced_op, u, tau, form="compact"):
                 if tab.a[i][j] != 0.0:
                     ui = ui + tau * tab.a[i][j] * applied[j]
             if i < tab.stages - 1:          # the last stage's apply is never read
-                applied.append((reduced_op if flags[i] else full_op).apply_array(ui))
+                applied.append(ops[i].apply_array(ui))
             if tab.b[i] != 0.0:             # a full inner stage has applied full_op already
-                full_ui = applied[i] if i < len(applied) and not flags[i] else full_op.apply_array(ui)
-                out = out + tau * tab.b[i] * full_ui
+                reuse = i < len(applied) and ops[i] is full_op
+                out = out + tau * tab.b[i] * (applied[i] if reuse else full_op.apply_array(ui))
         return GridFunction(u.space, out)
 
-    inner = reduced_op if flags[0] else full_op
+    inner = reduced_op if scheme.reads_reduced else full_op
     alphas = scheme.alphas
     s = scheme.stages
     v = alphas[s] * u.coeffs
@@ -541,8 +539,7 @@ class EvolutionMap:
     """
 
     def __init__(self, scheme, full_op, reduced_op, tau):
-        self.flags = scheme.stage_plan
-        if _is_mixed(self.flags) and scheme.tableau is None:
+        if scheme.mixed and scheme.tableau is None:
             raise ValueError("a mixed stage plan needs a tableau")
         _check_degree(scheme, full_op.space)
         self.scheme = scheme
@@ -570,15 +567,15 @@ class EvolutionMap:
             return op.norm_symbols(rows) if angles is None else op.symbols(angles)
 
         full = symbols(self.full_op)
-        return full, symbols(self.reduced_op) if any(self.flags[:-1]) else full
+        return full, symbols(self.reduced_op) if self.scheme.reads_reduced else full
 
     def increment_of(self, full, reduced):
         """E from the full and the reduced operator: operators or symbol stacks alike."""
-        ops = [reduced if flag else full for flag in self.flags]
-        if _is_mixed(self.flags):
+        if self.scheme.mixed:
+            ops = [reduced if flag else full for flag in self.scheme.stage_plan]
             return _butcher_increment(self.scheme.tableau, self.tau, full, ops)
-        eye = np.eye(self.space.n_modes)
-        return symbol_increment(self.scheme.alphas, self.tau, full, ops[0], eye)
+        inner = reduced if self.scheme.reads_reduced else full
+        return symbol_increment(self.scheme.alphas, self.tau, full, inner, np.eye(self.space.n_modes))
 
     @cached_property
     def increment(self):

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import build_mesh_1d, build_mesh_2d
+from .mesh import build_mesh
 from .operators import (
     DENSE_CAP,
     POWER_SEED,
@@ -53,10 +53,6 @@ class StabilityPoint:
     route: Optional[str] = None
     #: the LinAlgError message of a flagged point
     error: Optional[str] = None
-
-
-def _mesh_for(dim, n):
-    return build_mesh_1d(n) if dim == 1 else build_mesh_2d(n, n)
 
 
 def _step_map(scheme, operators, cfl):
@@ -219,7 +215,7 @@ def cfl_sweep(scheme, k, dim, n_list, m, cfl_grid):
         raise ValueError(f"sweep N values must be distinct, got {tuple(n_list)}")
     points = []
     for n in n_list:
-        operators = stage_operators(_mesh_for(dim, n), k)
+        operators = stage_operators(build_mesh(dim, n), k)
         for cfl in cfl_grid:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -260,19 +256,20 @@ def _cfl_stable(scheme, k):
     """stable(c, rows): per row of _CFL_HALF, whether rho(G(c, theta)) <= 1 + CFL_GROWTH_TOL.
 
     G is the one-step symbol on the uniform CFL_ANGLES-cell mesh at
-    tau = c h, read from the stage operators' kept symbols as cfl_sweep
-    reads them.  A plan whose inner stages all read the full operator S
-    has G = R(tau S) with R(z) = sum_i alpha_i z^i, whose eigenvalues
-    R(tau lambda) come from the eigenvalues lambda of S, found once.  Any
-    other plan's G is no polynomial in one symbol: it is formed
+    _step_map's tau = c h, read from the stage operators' kept symbols as
+    cfl_sweep reads them.  A plan whose inner stages all read the full
+    operator S has G = R(tau S) with R(z) = sum_i alpha_i z^i, whose
+    eigenvalues R(tau lambda) come from the eigenvalues lambda of S, found
+    once.  Any other plan's G is no polynomial in one symbol: it is formed
     (EvolutionMap.norm_symbols) and decided by _spectrum_inside at every c.
     """
-    operators = stage_operators(build_mesh_1d(CFL_ANGLES), k)
-    if not any(scheme.stage_plan[:-1]):
+    operators = stage_operators(build_mesh(1, CFL_ANGLES), k)
+    if not scheme.reads_reduced:
         eigs = np.linalg.eigvals(operators[0].norm_symbols(_CFL_HALF))
 
         def stable(c, rows):
-            g_eigs = np.polynomial.polynomial.polyval(c / CFL_ANGLES * eigs[rows], scheme.alphas)
+            tau = _step_map(scheme, operators, c).tau
+            g_eigs = np.polynomial.polynomial.polyval(tau * eigs[rows], scheme.alphas)
             return np.abs(g_eigs).max(axis=1) <= 1.0 + CFL_GROWTH_TOL
         return stable
 

@@ -446,7 +446,8 @@ def test_longest_regularity_run_is_within_the_step_bound():
 
 def test_non_finite_growth_row_is_named_without_numpy_warnings():
     # a huge cfl overflows the one-step symbols: the row is a flagged nan
-    # row, stderr names it before the count, and no RuntimeWarning leaks
+    # row, stderr names it and its error before the count, and no
+    # RuntimeWarning leaks
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rkdglab.__file__)))
     for argv, row in [(["--r", "3", "--k", "2", "--N", "16", "--cfl", "1e300"],
                        "RK3DG2,standard,1,16,1,1e+300"),
@@ -457,5 +458,5 @@ def test_non_finite_growth_row_is_named_without_numpy_warnings():
         assert out.returncode == 1
         assert "RuntimeWarning" not in out.stderr
         assert out.stderr == (f"error: {scheme} {variant} N={n} m={m} cfl={cfl}: "
-                              "growth is not finite\nerror: 1 failed row(s)\n")
+                              "symbols are not finite\nerror: 1 failed row(s)\n")
         assert out.stdout.splitlines()[-1] == f"{row},nan,nan"

@@ -6,14 +6,13 @@ from rkdglab.errors import BlowUpError
 from rkdglab.experiments import (
     ProblemSpec,
     accuracy_table,
-    build_problem_mesh,
     l2_error,
     benchmark_tau,
     regularity_problem,
     regularity_study,
     resolve_timestep,
 )
-from rkdglab.mesh import build_mesh_1d
+from rkdglab.mesh import build_mesh, build_mesh_1d
 from rkdglab.operators import DGSpace, eval_grid, project, quadrature_grid
 from rkdglab.schemes import evolve, taylor_scheme
 
@@ -248,7 +247,7 @@ def _rows_one_at_a_time(schemes, problem, n_list, timestep="benchmark", perturb=
     out = []
     for scheme, k in schemes:
         for n in n_list:
-            mesh = build_problem_mesh(problem, n, perturb=perturb, seed=seed)
+            mesh = build_mesh(problem.dim, n, perturb, seed)
             space = DGSpace(mesh, k)
             nq = problem.error_quadrature(k)
             u0 = project(problem.value, space, n_points=nq)
@@ -293,8 +292,8 @@ def test_accuracy_table_sets_up_each_mesh_degree_and_error_rule_once(monkeypatch
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(experiments, "build_mesh_1d",
-                        counting("mesh", experiments.build_mesh_1d, lambda n, *a: n))
+    monkeypatch.setattr(experiments, "build_mesh",
+                        counting("mesh", experiments.build_mesh, lambda dim, n, *a: n))
     monkeypatch.setattr(experiments, "project",
                         counting("project", experiments.project,
                                  lambda f, space, *a: (space.mesh.n_cells, space.degree)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rkdglab.errors import InvalidMeshError, InvalidPerturbationError, InvalidSpeedError
-from rkdglab.mesh import Mesh1D, build_mesh_1d, build_mesh_2d
+from rkdglab.mesh import Mesh1D, build_mesh, build_mesh_1d, build_mesh_2d
 from rkdglab.operators import DGSpace
 
 
@@ -60,6 +60,14 @@ def test_mesh_2d_rejects_bad_speeds():
         build_mesh_2d(4, 4, 0.0, 1.0)
     with pytest.raises(InvalidMeshError):
         build_mesh_2d(1, 4)
+
+
+def test_build_mesh_is_the_1d_or_the_square_mesh():
+    assert build_mesh(1, 12) == build_mesh_1d(12)
+    assert build_mesh(1, 12, 0.2, 5) == build_mesh_1d(12, perturb_fraction=0.2, seed=5)
+    assert build_mesh(2, 6) == build_mesh_2d(6, 6)
+    with pytest.raises(ValueError, match="2D meshes are uniform: perturb must be 0, got 0.1"):
+        build_mesh(2, 6, 0.1)
 
 
 def test_mesh_equality_and_hash():

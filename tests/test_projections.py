@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,30 @@ def test_pi_star_gauss_radau_closeness_order():
         diffs.append((p - gauss_radau(field.value, space)).norm())
     order = np.log2(diffs[-2] / diffs[-1])
     assert abs(order - (k + 2)) <= 0.15
+
+
+@pytest.mark.parametrize("r, k, variant, q", [(3, 2, "sdA", 2), (4, 1, "standard", 1),
+                                             (4, 1, "standard", 2)])
+def test_pi_star_below_the_stage_count_is_the_dense_solve(r, k, variant, q):
+    # q < r: the right-hand side carries the tail
+    # tau^q sum_{i=q+1..r} alpha_i (tau L)^(i-q-1) P deriv(q), P the
+    # Gauss-Radau projection, and (I + sum_{i=1..r-1} alpha_{i+1} (tau L)^i) v
+    # equals it
+    field = ProblemSpec(dim=1)
+    mesh = build_mesh_1d(12)
+    space = DGSpace(mesh, k)
+    op, red = _ops(mesh, k)
+    inner = red if variant == "sdA" else op
+    tau = 0.05 / 12
+    alpha = [1.0 / math.factorial(i) for i in range(r + 1)]
+    power = [np.linalg.matrix_power(tau * inner.as_dense(), i) for i in range(r)]
+    radau = [gauss_radau(field.deriv(i), space).coeffs.ravel() for i in range(q + 1)]
+    rhs = sum(tau ** (i - 1) * alpha[i] * radau[i - 1] for i in range(1, q + 1))
+    rhs = rhs + tau ** q * sum(alpha[i] * power[i - q - 1] @ radau[q] for i in range(q + 1, r + 1))
+    t = sum(alpha[i + 1] * power[i] for i in range(1, r))
+    expected = np.linalg.solve(np.eye(space.n_dofs) + t, rhs)
+    p = pi_star(field, taylor_scheme(r, variant), inner, tau, q)
+    assert np.linalg.norm(p.coeffs.ravel() - expected) <= 1e-11 * np.linalg.norm(expected)
 
 
 def test_pi_star_rejects_bad_q():

@@ -6,7 +6,7 @@ import pytest
 from rkdglab import operators, stability
 from rkdglab.cli import DEFAULT_CFL_GRID
 from rkdglab.errors import PowerIterationError, UnsupportedDegreeError
-from rkdglab.mesh import build_mesh_1d, build_mesh_2d
+from rkdglab.mesh import build_mesh, build_mesh_1d, build_mesh_2d
 from rkdglab.operators import (
     BlockOperator,
     DGSpace,
@@ -138,7 +138,7 @@ def test_cfl_sweep_builds_each_mesh_once(dim, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(stability, "_mesh_for", counted("mesh", stability._mesh_for))
+    monkeypatch.setattr(stability, "build_mesh", counted("mesh", stability.build_mesh))
     monkeypatch.setattr(operators, "assemble_upwind", counted("assemble", operators.assemble_upwind))
     monkeypatch.setattr(BlockOperator, "symbols", counted("symbols", BlockOperator.symbols))
     n_list, grid = (8, 12), (0.05, 0.2, 0.35)
@@ -147,7 +147,7 @@ def test_cfl_sweep_builds_each_mesh_once(dim, monkeypatch):
         points = cfl_sweep(scheme, 2, dim, n_list, 2, grid)
         per_mesh_symbols = 2 if scheme.variant == "sdA" else 1
         assert counts == {"mesh": 2, "assemble": 2, "symbols": 2 * per_mesh_symbols}
-        singles = [delta(scheme, stability._mesh_for(dim, n), 2, cfl, 2)
+        singles = [delta(scheme, build_mesh(dim, n), 2, cfl, 2)
                    for n in n_list for cfl in grid]
         assert [repr(p) for p in points] == [repr(p) for p in singles]
 
@@ -216,6 +216,13 @@ def test_fourier_cfl_variants_agree_at_second_order(cfl_family):
     b = cfl_family[("sdA", 2)]
     assert a.found and b.found
     assert abs(a.value - b.value) <= 5e-4 * 2  # within bisection tolerance
+
+
+def test_fourier_cfl_stops_at_its_cap(monkeypatch):
+    # no Taylor scheme is stable up to CFL_MAX = 2; below RK2's 1/3 the cap
+    # is stable, and the first test settles the search
+    monkeypatch.setattr(stability, "CFL_MAX", 0.05)
+    assert fourier_cfl(taylor_scheme(2), 1) == stability.FourierCfl(0.05, True)
 
 
 def _eigvals_per_round_radii(scheme, k, c):
@@ -370,7 +377,7 @@ def _full_spectrum_tops(op, m):
 def test_half_spectrum_symbol_norm_is_the_full_spectrum_norm(dim, n):
     # repr-equal over the default CFL grid; the half spectrum alone misses
     # the last bit at some points, which the mirror recheck restores
-    mesh = stability._mesh_for(dim, n)
+    mesh = build_mesh(dim, n)
     misses = 0
     for r in (2, 3, 4, 5):
         ops = operators.stage_operators(mesh, r - 1)
@@ -392,7 +399,7 @@ def test_symbol_floor_certificate_keeps_the_svd_delta(dim, n):
     # the certificate holds exactly where the SVD route prints the floor, and
     # the printed delta is the SVD route's, repr for repr; each mesh has
     # points on both sides of the certificate
-    mesh = stability._mesh_for(dim, n)
+    mesh = build_mesh(dim, n)
     certified = set()
     for r in (2, 3, 4, 5):
         ops = operators.stage_operators(mesh, r - 1)
@@ -417,7 +424,7 @@ def test_a_uniform_growth_point_forms_its_symbol_stack_once(dim, monkeypatch):
     # a certified point reads the map's symbols once, the half spectrum; any
     # other point reads them once more, for the mirror partners alone.  At
     # m = 2 each stack read is raised to its power once, the half stack too
-    mesh = stability._mesh_for(dim, 8)
+    mesh = build_mesh(dim, 8)
     half = operators.half_spectrum(mesh.cells)
     ops = operators.stage_operators(mesh, 2)
     reads, powers, certified = [], [], []
@@ -745,7 +752,7 @@ def test_stability_point_records_its_route():
 
 
 def test_linalg_error_in_the_certificate_means_not_certified(monkeypatch):
-    monkeypatch.setattr(stability, "_mesh_for", lambda dim, n: build_mesh_1d(n, 0.15, seed=4))
+    monkeypatch.setattr(stability, "build_mesh", lambda dim, n: build_mesh_1d(n, 0.15, seed=4))
     scheme = taylor_scheme(3)
     clean = cfl_sweep(scheme, 2, 1, (24,), 1, (0.05, 0.15))
     assert [p.route for p in clean] == ["certificate", "bracket"]
