@@ -32,6 +32,8 @@ class ProblemSpec:
     final_time: float = 1.0
 
     def __post_init__(self):
+        if self.dim not in (1, 2):
+            raise ValueError(f"problems are 1D or 2D: dim must be 1 or 2, got {self.dim}")
         if self.flat is not None and self.flat < 2:
             raise ValueError("sinpow data needs a regularity parameter >= 2")
 

@@ -138,6 +138,8 @@ def build_mesh_2d(nx, ny, beta_x=1.0, beta_y=1.0):
 
 def build_mesh(dim, n, perturb=0.0, seed=0):
     """The N-cell 1D mesh build_mesh_1d(n, perturb, seed), or at dim 2 the uniform N x N grid."""
+    if dim not in (1, 2):
+        raise InvalidMeshError(f"meshes are 1D or 2D: dim must be 1 or 2, got {dim}")
     if dim == 1:
         return build_mesh_1d(n, perturb_fraction=perturb, seed=seed)
     if perturb:

@@ -193,6 +193,49 @@ def _butcher_increment(tableau, tau, full, stage_ops):
     return total(tableau.b, [through(full, v) for v in incs])
 
 
+def _c_terms(x):
+    """{power of c: coefficient} of a _CPoly, or of a constant."""
+    return x.terms if isinstance(x, _CPoly) else {0: x}
+
+
+class _CPoly:
+    """sum_i c^i terms[i]: a polynomial in c whose coefficients are scalars or symbol stacks.
+
+    p + x, x + p, p * x and x @ p act as on polynomials (* and @ multiply
+    the coefficients), x a polynomial or a constant.  That is all that
+    symbol_increment and _butcher_increment ask: with tau = _CPoly({1: h})
+    they return E(c h) by its coefficients in c.
+    """
+
+    __array_ufunc__ = None          # an ndarray operand defers to the reflected operators
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    @staticmethod
+    def _sum(terms):
+        """The _CPoly of (power, coefficient) pairs, summed by power."""
+        out = {}
+        for i, x in terms:
+            out[i] = out[i] + x if i in out else x
+        return _CPoly(out)
+
+    def __add__(self, other):
+        return self._sum([*self.terms.items(), *_c_terms(other).items()])
+
+    __radd__ = __add__
+
+    def _times(self, other, times):
+        return self._sum((i + j, times(x, y)) for i, x in self.terms.items()
+                         for j, y in _c_terms(other).items())
+
+    def __mul__(self, other):
+        return self._times(other, lambda x, y: x * y)
+
+    def __rmatmul__(self, other):
+        return self._times(other, lambda x, y: y @ x)
+
+
 def step(scheme, full_op, reduced_op, u, tau, form="compact"):
     """One time step of size tau.
 
@@ -569,13 +612,18 @@ class EvolutionMap:
         full = symbols(self.full_op)
         return full, symbols(self.reduced_op) if self.scheme.reads_reduced else full
 
-    def increment_of(self, full, reduced):
-        """E from the full and the reduced operator: operators or symbol stacks alike."""
+    def increment_of(self, full, reduced, tau=None):
+        """E from the full and the reduced operator: operators or symbol stacks alike.
+
+        tau is the map's own step unless given (a _CPoly step gives E by its
+        coefficients in c).
+        """
+        tau = self.tau if tau is None else tau
         if self.scheme.mixed:
             ops = [reduced if flag else full for flag in self.scheme.stage_plan]
-            return _butcher_increment(self.scheme.tableau, self.tau, full, ops)
+            return _butcher_increment(self.scheme.tableau, tau, full, ops)
         inner = reduced if self.scheme.reads_reduced else full
-        return symbol_increment(self.scheme.alphas, self.tau, full, inner, np.eye(self.space.n_modes))
+        return symbol_increment(self.scheme.alphas, tau, full, inner, np.eye(self.space.n_modes))
 
     @cached_property
     def increment(self):
@@ -601,6 +649,15 @@ class EvolutionMap:
         rows indexes the cell axes, as in BlockOperator.norm_symbols.
         """
         return np.eye(self.space.n_modes) + self.increment_of(*self.stage_symbols(rows=rows))
+
+    def increment_coefficients(self, rows=...):
+        """[W_1, .., W_s]: at step c tau the increment of norm_symbols(rows) is sum_i c^i W_i.
+
+        increment_of at the step _CPoly({1: tau}), so every plan takes the
+        one recursion it takes at a numeric step.
+        """
+        e = self.increment_of(*self.stage_symbols(rows=rows), tau=_CPoly({1: self.tau}))
+        return [e.terms[i] for i in range(1, self.scheme.stages + 1)]
 
     def as_dense(self):
         return dense_from_matvec(self.apply_array, self.space)

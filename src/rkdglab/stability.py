@@ -256,26 +256,36 @@ def _cfl_stable(scheme, k):
     """stable(c, rows): per row of _CFL_HALF, whether rho(G(c, theta)) <= 1 + CFL_GROWTH_TOL.
 
     G is the one-step symbol on the uniform CFL_ANGLES-cell mesh at
-    _step_map's tau = c h, read from the stage operators' kept symbols as
-    cfl_sweep reads them.  A plan whose inner stages all read the full
-    operator S has G = R(tau S) with R(z) = sum_i alpha_i z^i, whose
-    eigenvalues R(tau lambda) come from the eigenvalues lambda of S, found
-    once.  Any other plan's G is no polynomial in one symbol: it is formed
-    (EvolutionMap.norm_symbols) and decided by _spectrum_inside at every c.
+    tau = c h, h the step of the one map _step_map builds per search (at
+    c = 1), read from the stage operators' kept symbols as cfl_sweep reads
+    them.  A plan whose inner stages all read the full operator S has
+    G = R(tau S) with R(z) = sum_i alpha_i z^i, whose eigenvalues
+    R(tau lambda) come from the eigenvalues lambda of S, found once.  Any
+    other plan's G is no polynomial in one symbol, but it is one in c:
+    G(c) = I + sum_i c^i W_i, whose coefficients (that map's
+    increment_coefficients) are formed once on _CFL_HALF.  Each c evaluates
+    G at the rows by Horner's rule, with no matrix product, and decides it
+    by _spectrum_inside.
     """
     operators = stage_operators(build_mesh(1, CFL_ANGLES), k)
+    unit = _step_map(scheme, operators, 1.0)
+    h = unit.tau
     if not scheme.reads_reduced:
         eigs = np.linalg.eigvals(operators[0].norm_symbols(_CFL_HALF))
 
         def stable(c, rows):
-            tau = _step_map(scheme, operators, c).tau
-            g_eigs = np.polynomial.polynomial.polyval(tau * eigs[rows], scheme.alphas)
+            g_eigs = np.polynomial.polynomial.polyval(c * h * eigs[rows], scheme.alphas)
             return np.abs(g_eigs).max(axis=1) <= 1.0 + CFL_GROWTH_TOL
         return stable
 
+    coeffs = unit.increment_coefficients(_CFL_HALF)
+    eye = np.eye(k + 1)
+
     def stable(c, rows):
-        g = _step_map(scheme, operators, c).norm_symbols(rows)
-        return _spectrum_inside(g, 1.0 + CFL_GROWTH_TOL)
+        g = coeffs[-1][rows]
+        for w in coeffs[-2::-1]:
+            g = w[rows] + c * g
+        return _spectrum_inside(eye + c * g, 1.0 + CFL_GROWTH_TOL)
     return stable
 
 
@@ -324,9 +334,12 @@ def fourier_cfl(scheme, k):
 
     Bisection on c for max_theta rho(G(c, theta)) <= 1 + CFL_GROWTH_TOL,
     with G the one-step symbol of the scheme on the uniform CFL_ANGLES-cell
-    mesh at tau = c h, whose frequencies are the sampled angles (see
-    _cfl_stable).  The growth tolerance admits the slow eigenvalue drift of
-    the weakly stable schemes while pinning the sharp blow-up threshold.
+    mesh at tau = c h, whose frequencies are the sampled angles.  What does
+    not depend on c is formed once per search (_cfl_stable: the eigenvalues
+    of the full symbol, or the coefficients of G in c), so a bisection step
+    evaluates a polynomial in c and forms no symbol.  The growth tolerance
+    admits the slow eigenvalue drift of the weakly stable schemes while
+    pinning the sharp blow-up threshold.
     """
     if k < 1 or scheme.order < 2:
         raise ValueError("Fourier CFL computed for k >= 1, r >= 2")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rkdglab import experiments
-from rkdglab.errors import BlowUpError
+from rkdglab.errors import BlowUpError, InvalidMeshError
 from rkdglab.experiments import (
     ProblemSpec,
     accuracy_table,
@@ -34,6 +34,15 @@ FROZEN_2D = {
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(dim=1, flat=1)
+    ProblemSpec(dim=2)
+    for dim in (0, 3):
+        with pytest.raises(ValueError, match=f"dim must be 1 or 2, got {dim}"):
+            ProblemSpec(dim=dim)
+    # past the constructor, a 3D problem still must not run on the 2D mesh
+    spec = ProblemSpec(dim=2, final_time=0.1)
+    object.__setattr__(spec, "dim", 3)
+    with pytest.raises(InvalidMeshError, match="dim must be 1 or 2, got 3"):
+        accuracy_table([(taylor_scheme(2), 1)], spec, (4, 8))
 
 
 def test_sine_derivative_registry():

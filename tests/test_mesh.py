@@ -68,6 +68,9 @@ def test_build_mesh_is_the_1d_or_the_square_mesh():
     assert build_mesh(2, 6) == build_mesh_2d(6, 6)
     with pytest.raises(ValueError, match="2D meshes are uniform: perturb must be 0, got 0.1"):
         build_mesh(2, 6, 0.1)
+    for dim in (0, 3):
+        with pytest.raises(InvalidMeshError, match=f"dim must be 1 or 2, got {dim}"):
+            build_mesh(dim, 6)
 
 
 def test_mesh_equality_and_hash():

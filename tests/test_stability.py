@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from rkdglab import operators, stability
 from rkdglab.cli import DEFAULT_CFL_GRID
-from rkdglab.errors import PowerIterationError, UnsupportedDegreeError
+from rkdglab.errors import InvalidMeshError, PowerIterationError, UnsupportedDegreeError
 from rkdglab.mesh import build_mesh, build_mesh_1d, build_mesh_2d
 from rkdglab.operators import (
     BlockOperator,
@@ -80,6 +81,9 @@ def test_cfl_sweep_single_point_and_order():
         cfl_sweep(scheme, 2, 1, (), 1, (0.1,))
     with pytest.raises(ValueError, match="distinct"):
         cfl_sweep(scheme, 2, 1, (16, 32, 16), 1, (0.1,))
+    # a dimension other than 1 or 2 has no mesh: it must not fall through to the 2D one
+    with pytest.raises(InvalidMeshError, match="dim must be 1 or 2, got 3"):
+        cfl_sweep(taylor_scheme(2), 1, 3, (4,), 1, (0.1,))
 
 
 def test_cfl_sweep_flags_numerical_failures_only(monkeypatch):
@@ -228,22 +232,31 @@ def test_fourier_cfl_stops_at_its_cap(monkeypatch):
 def _eigvals_per_round_radii(scheme, k, c):
     """Spectral radii of the one-step symbol G at the sampled angles of [0, pi], G formed at c."""
     op, red = operators.stage_operators(build_mesh_1d(stability.CFL_ANGLES), k)
-    full = op.symbols(operators.fft_angles(op.space)[: stability.CFL_ANGLES // 2 + 1])
+    angles = operators.fft_angles(op.space)[: stability.CFL_ANGLES // 2 + 1]
     emap = EvolutionMap(scheme, op, red, c / stability.CFL_ANGLES)
-    return np.abs(np.linalg.eigvals(np.eye(k + 1) + emap.increment_of(full, full))).max(axis=1)
+    g = np.eye(k + 1) + emap.increment_of(op.symbols(angles), red.symbols(angles))
+    return np.abs(np.linalg.eigvals(g)).max(axis=1)
 
 
-@pytest.mark.parametrize("r", range(2, 9))
-def test_eigen_once_radii_match_per_round_eigvals(r):
+#: (scheme, CFL number) of every plan whose decisions are checked against eigvals
+_DECISION_CASES = ([(taylor_scheme(r, v), float(FROZEN_CFL[v][r - 2]))
+                    for v in ("standard", "sdA") for r in range(2, 9)]
+                   + [(SchemeSpec(3, (False, True, False)), 0.2197265625),
+                      (SchemeSpec(3, (True, False, False)), 0.23828125)])
+
+
+@pytest.mark.parametrize("scheme, cfl", _DECISION_CASES,
+                         ids=[f"{s.variant}-r{s.order}" for s, _ in _DECISION_CASES])
+def test_eigen_once_radii_match_per_round_eigvals(scheme, cfl):
     # a standard plan decides from the full symbol's eigenvalues, found
-    # once; the per-round eigenvalues of G are the reference, on both sides
-    # of the CFL number
-    scheme = taylor_scheme(r)
-    stable = stability._cfl_stable(scheme, r - 1)
-    cfl = float(FROZEN_CFL["standard"][r - 2])
+    # once, any other plan from G(c) evaluated on its coefficients in c; the
+    # per-round eigenvalues of G, formed from symbols at explicit angles,
+    # are the reference, on both sides of the CFL number
+    k = scheme.order - 1
+    stable = stability._cfl_stable(scheme, k)
     decided = []
     for c in (0.05, 0.2, 0.35, 1.0, 2.0, cfl, cfl + 5e-4):
-        ref = _eigvals_per_round_radii(scheme, r - 1, c) <= 1.0 + stability.CFL_GROWTH_TOL
+        ref = _eigvals_per_round_radii(scheme, k, c) <= 1.0 + stability.CFL_GROWTH_TOL
         got = stable(c, stability._CFL_HALF)
         assert got.shape == (stability.CFL_ANGLES // 2 + 1,)
         assert np.array_equal(got, ref), c
@@ -337,35 +350,53 @@ def test_schur_cohn_rejects_rows_that_are_not_finite_and_radii_not_above_zero():
             assert not stability._spectrum_inside(g[finite], radius).any()
 
 
-@pytest.mark.parametrize("scheme", [taylor_scheme(3, "sdA"), SchemeSpec(3, (False, True, False))],
-                         ids=["sdA", "mixed"])
+#: every plan of r = 3 and 4 whose inner stages read the reduced operator
+_REDUCED_PLANS = [SchemeSpec(r, flags + (False,)) for r in (3, 4)
+                  for flags in itertools.product((False, True), repeat=r - 1) if any(flags)]
+
+
+@pytest.mark.parametrize("scheme", _REDUCED_PLANS, ids=[s.variant for s in _REDUCED_PLANS])
 def test_fourier_cfl_reads_g_from_the_kept_symbols(scheme, monkeypatch):
-    # a plan with reduced inner stages forms G by EvolutionMap.norm_symbols at
-    # every c it tests, 2.0 and the 12 bisection midpoints down to 5e-4, from
-    # symbols each operator forms once; no map is built at tau = 0
-    built, read, formed = [], [], []
-    init, norm_symbols, symbols = EvolutionMap.__init__, EvolutionMap.norm_symbols, BlockOperator.symbols
+    # a plan with reduced inner stages forms the coefficients of G(c) in c
+    # once per search, from symbols each operator forms once, through the one
+    # map that _step_map builds at c = 1; no round builds a map or reads
+    # EvolutionMap.norm_symbols
+    k = scheme.order - 1
+    built, read, formed, stacks = [], [], [], []
+    init, symbols = EvolutionMap.__init__, BlockOperator.symbols
+    coefficients = EvolutionMap.increment_coefficients
 
     def counted_init(self, scheme, full_op, reduced_op, tau):
         built.append(tau)
         init(self, scheme, full_op, reduced_op, tau)
 
-    def counted_norm_symbols(self, rows=...):
-        read.append(self.tau)
-        return norm_symbols(self, rows)
-
     def counted_symbols(self, angles):
         formed.append(id(self))
         return symbols(self, angles)
 
-    monkeypatch.setattr(EvolutionMap, "__init__", counted_init)
-    monkeypatch.setattr(EvolutionMap, "norm_symbols", counted_norm_symbols)
-    monkeypatch.setattr(BlockOperator, "symbols", counted_symbols)
-    assert fourier_cfl(scheme, 2).found
-    assert 0.0 not in built
-    assert set(read) == set(built) and len(set(read)) == 13
-    assert 2.0 / stability.CFL_ANGLES in read
+    def counted_coefficients(self, rows=...):
+        stacks.append(self.tau)
+        return coefficients(self, rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EvolutionMap, "__init__", counted_init)
+        patch.setattr(EvolutionMap, "norm_symbols", lambda self, rows=...: read.append(rows))
+        patch.setattr(BlockOperator, "symbols", counted_symbols)
+        patch.setattr(EvolutionMap, "increment_coefficients", counted_coefficients)
+        assert fourier_cfl(scheme, k).found
+    assert built == stacks == [1.0 / stability.CFL_ANGLES]
+    assert read == []
     assert len(formed) == len(set(formed)) == 2
+    # the G(c) that decides a round is the map's kept one-step symbol
+    ops = operators.stage_operators(build_mesh_1d(stability.CFL_ANGLES), k)
+    stable = stability._cfl_stable(scheme, k)
+    decided = []
+    monkeypatch.setattr(stability, "_spectrum_inside", lambda g, radius: decided.append(g))
+    for c in (0.01, 0.1, 0.5, 2.0):
+        stable(c, stability._CFL_HALF)
+        ref = stability._step_map(scheme, ops, c).norm_symbols(stability._CFL_HALF)
+        err = np.abs(decided[-1] - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+        assert err.max() <= 1e-13, c
 
 
 def _full_spectrum_tops(op, m):
