@@ -69,7 +69,7 @@ KEY_SPECS = {
     "timestep": (_keyword_or("benchmark", float), "benchmark", ((">", 0), ("<", math.inf))),
     "flat_mode": (_choice(("r", "r+1"), "flat_mode must be 'r' or 'r+1'"), "r", ()),
     "output": (str, "-", ()),
-    "quad_points": (_keyword_or("auto", int), "auto", ((">=", 1),)),
+    "quad_points": (_keyword_or("auto", int), "auto", ((">=", 1), ("<=", 100))),
 }
 
 #: the keys each command reads besides command and output; giving any

@@ -1,9 +1,9 @@
 """Stability diagnostics: growth metric over CFL sweeps and Fourier CFL numbers.
 
 The growth metric is delta = max(||K^m||_2^2 - 1, 1e-16) for the one-step
-evolution matrix K assembled in the orthonormal modal basis, with
-tau = cfl / (dim * N).  The floor marks numerically exact
-non-expansiveness; values of ||K^m||^2 - 1 below the measurement
+evolution map K in the orthonormal modal basis, tau = cfl / (dim * N), read
+from K's blocks or symbols, never a dense K.  The floor marks numerically
+exact non-expansiveness; values of ||K^m||^2 - 1 below the measurement
 resolution of the norm computation are snapped to the floor.
 """
 import math
@@ -16,7 +16,6 @@ from .mesh import build_mesh
 from .operators import (
     DENSE_CAP,
     POWER_SEED,
-    certify_below,
     half_spectrum,
     max_row_sum,
     shift_solver,
@@ -85,23 +84,23 @@ def growth_excess(emap, m=1):
     """(||K^m||_2^2 - 1, route) for an evolution map K.
 
     A circulant map forms G^m once on the half spectrum (route "symbol":
-    _floor_certified, else symbol_norm).  Any other map reads the
-    excess as the top eigenvalue of S_m (excess_operator): first a floor
-    certificate, certify_below(S_m, NORM_RESOLUTION), which proves the
-    excess below the resolution in O(N) (route "certificate", excess 0).
-    Failing that, up to DENSE_CAP unknowns, bisection on certify_below
-    between NORM_RESOLUTION (the failed certificate puts the top there or
-    above) and the Gershgorin bound of S_m, at geometric midpoints, down to
-    a width of BRACKET_RTOL * hi + NORM_RESOLUTION: the certified upper
-    end hi is the excess (route "bracket"; LinAlgError if no upper end
-    certifies).  Once hi <= lo (1 + INVERSE_START), inverse iteration at
-    the shift hi raises lo to a Rayleigh quotient theta, and a quotient
-    that stalls has one certificate tried at lo + width / 2; then
-    bisection goes on.  Each certified hi gets at most one such phase, so
-    the loop ends.  Above the cap, Lanczos on S_m (top_eigenvalue, route
-    "lanczos"; PowerIterationError if it does not converge).
-    operator_norm's "dense_svd" and "power_iteration" methods are the
-    cross-checks of these routes.
+    _floor_certified, else symbol_norm).  Any other map reads the excess
+    as the top eigenvalue of S_m (excess_operator), and its one certificate
+    is shift_solver, a solver of bound I - S_m that exists exactly when
+    bound is above that top.  First shift_solver(S_m, NORM_RESOLUTION)
+    proves the excess below the resolution in O(N) (route "certificate",
+    excess 0).  Failing that, up to DENSE_CAP unknowns, bisection on
+    shift_solver between NORM_RESOLUTION and the Gershgorin bound of S_m,
+    at geometric midpoints, down to a width of BRACKET_RTOL * hi +
+    NORM_RESOLUTION: the certified upper end hi, kept with its solver, is
+    the excess (route "bracket"; LinAlgError if no upper end certifies).
+    Once hi <= lo (1 + INVERSE_START), inverse iteration with that solver
+    raises lo to a Rayleigh quotient theta, and a quotient that stalls has
+    one certificate tried at lo + width / 2; then bisection goes on.  Each
+    certified hi gets at most one such phase, so the loop ends.  Above the
+    cap, Lanczos on S_m (top_eigenvalue, route "lanczos";
+    PowerIterationError if it does not converge).  operator_norm's
+    "dense_svd" and "power_iteration" methods cross-check these routes.
     """
     if emap.is_circulant:
         g = symbol_powers(emap, half_spectrum(emap.space.mesh.cells), m)
@@ -110,45 +109,46 @@ def growth_excess(emap, m=1):
         nrm = symbol_norm(emap, m, g)
         return nrm * nrm - 1.0, "symbol"
     s_m = excess_operator(emap, m)
-    if certify_below(s_m, NORM_RESOLUTION):
+    if shift_solver(s_m, NORM_RESOLUTION) is not None:
         return 0.0, "certificate"
     if emap.n_dofs > DENSE_CAP:
         return top_eigenvalue(s_m), "lanczos"
     lo = NORM_RESOLUTION
     hi = max_row_sum(s_m)
-    certified = False
-    refined = None          # the hi of the last inverse phase; only a certified hi has a solver
+    solve = None            # the solver of hi I - S_m, once a probe has certified hi
+    refined = None          # the hi of the last inverse phase
     while hi - lo > BRACKET_RTOL * hi + NORM_RESOLUTION:
         mid = math.sqrt(lo * hi)
-        if certified and hi != refined and hi <= lo * (1.0 + INVERSE_START):
+        if solve is not None and hi != refined and hi <= lo * (1.0 + INVERSE_START):
             refined, width = hi, BRACKET_RTOL * hi + NORM_RESOLUTION
-            theta, stalled = _inverse_iteration(s_m, hi, width)
+            theta, stalled = _inverse_iteration(solve, s_m.n_dofs, hi, width)
             lo = max(lo, theta)
             if hi - lo <= width:
                 break
             mid = lo + width / 2 if stalled else math.sqrt(lo * hi)
-        if certify_below(s_m, mid):
-            hi, certified = mid, True
+        probe = shift_solver(s_m, mid)
+        if probe is not None:
+            hi, solve = mid, probe
         else:
             lo = mid
-    if not (certified or certify_below(s_m, hi)):
+    if solve is None and shift_solver(s_m, hi) is None:
         raise np.linalg.LinAlgError(f"growth bracket: its upper end {hi!r} does not certify")
     return hi, "bracket"
 
 
-def _inverse_iteration(s_m, hi, width):
-    """(theta, stalled): a Rayleigh quotient of s_m from inverse iteration at a certified hi.
+def _inverse_iteration(solve, n, hi, width):
+    """(theta, stalled): a Rayleigh quotient of S_m by inverse iteration with solve.
 
-    hi I - s_m is positive definite, so the dominant eigenvector of its
-    inverse is that of the top eigenvalue of s_m, which theta never exceeds
+    solve is the shift_solver of S_m at a certified hi, on n unknowns.
+    hi I - S_m is positive definite, so the dominant eigenvector of its
+    inverse is that of the top eigenvalue of S_m, which theta never exceeds
     in exact arithmetic (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
-    Each step is one solve y = (hi I - s_m)^-1 x from a unit x (a
+    Each step is one solve y = (hi I - S_m)^-1 x from a unit x (a
     POWER_SEED start vector first); the quotient of y is hi - x.y / y.y,
     so no step needs a matvec.  stalled: theta rose by at most width / 4
     in a step; else INVERSE_MAX_STEPS ran out (theta = -inf after no step).
     """
-    solve = shift_solver(s_m, hi)
-    x = np.random.Generator(np.random.PCG64(POWER_SEED)).standard_normal(s_m.n_dofs)
+    x = np.random.Generator(np.random.PCG64(POWER_SEED)).standard_normal(n)
     x /= np.linalg.norm(x)
     theta = -math.inf
     for _ in range(INVERSE_MAX_STEPS):
@@ -162,8 +162,8 @@ def _inverse_iteration(s_m, hi, width):
 
 
 def _floor_certified(g):
-    """certify_below's test on a finite stack g = G^m: whether every (1 + NORM_RESOLUTION) I - g^H g
-    has a Cholesky factor."""
+    """shift_solver's floor test on a finite stack g = G^m: whether every
+    (1 + NORM_RESOLUTION) I - g^H g has a Cholesky factor."""
     try:
         return bool(np.isfinite(np.linalg.cholesky(
             (1.0 + NORM_RESOLUTION) * np.eye(g.shape[-1]) - np.conj(g).swapaxes(-1, -2) @ g)).all())

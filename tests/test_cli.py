@@ -285,7 +285,11 @@ def test_sda_with_k0_is_a_config_error(capsys):
     (["stability", "--r", "2", "--m", "0"], "m must be >= 1, got m = 0"),
     (["accuracy", "--r", "2", "--perturb", "0.5"], "perturb must be >= 0 and < 0.5, got perturb = 0.5"),
     (["accuracy", "--r", "2", "--perturb", "-0.1"], "perturb must be >= 0 and < 0.5, got perturb = -0.1"),
-    (["accuracy", "--r", "2", "--quad-points", "0"], "quad_points must be >= 1, got quad_points = 0"),
+    (["accuracy", "--r", "2", "--quad-points", "0"],
+     "quad_points must be >= 1 and <= 100, got quad_points = 0"),
+    # leggauss(100000) would ask for an 80 GB companion matrix
+    (["accuracy", "--r", "2", "--quad-points", "101"],
+     "quad_points must be >= 1 and <= 100, got quad_points = 101"),
     (["accuracy", "--r", "2", "--timestep", "0"], "timestep must be > 0 and < inf, got timestep = 0.0"),
     (["accuracy", "--r", "2", "--timestep", "-0.01"],
      "timestep must be > 0 and < inf, got timestep = -0.01"),
@@ -311,7 +315,7 @@ def test_sda_with_k0_is_a_config_error(capsys):
      "N must not repeat a value, got N = 8 more than once"),
     (["stability", "--r", "2", "--N", "8,16,8"],
      "N must not repeat a value, got N = 8 more than once"),
-], ids=["N1", "N1-2d", "m0", "perturb-high", "perturb-negative", "quad0", "timestep0",
+], ids=["N1", "N1-2d", "m0", "perturb-high", "perturb-negative", "quad0", "quad101", "timestep0",
         "timestep-negative", "timestep-inf", "T-negative", "cfl-negative", "r0", "dim3",
         "seed-negative", "perturb-stability", "perturb-2d-accuracy", "perturb-2d-regularity",
         "N-repeated", "N-repeated-2d", "N-repeated-regularity", "N-repeated-stability"])

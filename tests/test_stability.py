@@ -12,7 +12,6 @@ from rkdglab.operators import (
     BlockOperator,
     DGSpace,
     assemble_upwind,
-    certify_below,
     operator_norm,
     shift_solver,
     top_eigenvalue,
@@ -536,8 +535,8 @@ BRACKET_POINTS = [(256, 2, 3, "standard"), (200, 3, 4, "sdA")]
 
 
 def _count_factorizations(monkeypatch, limit=100):
-    """Count shift_solver calls (certify_below's too); raise past limit, so a bracket that
-    does not end fails."""
+    """Count shift_solver calls, from stability or from a wrapper in operators; raise past
+    limit, so a bracket that does not end fails."""
     calls = []
     factor = operators.shift_solver
 
@@ -560,7 +559,8 @@ def _holds_the_top(point, top):
 def test_bracket_route_holds_the_top_eigenvalue(n, k, r, variant, monkeypatch):
     # bisection on certificates, then inverse iteration at a certified
     # shift, builds no dense matrix; the pin is eigvalsh of the dense S_1.
-    # The cost pin: bisection alone made 35-36 factorizations per point
+    # The cost pin: bisection alone made 35-36 factorizations per point, and
+    # the inverse phase solves with the solver its certified shift kept
     scheme = taylor_scheme(r, variant)
     meshes = [build_mesh_1d(n, 0.15, seed=seed) for seed in range(6)]
     tops = [np.linalg.eigvalsh(excess_operator(evolution_map(scheme, mesh, k, 0.1)).as_dense())[-1]
@@ -573,16 +573,17 @@ def test_bracket_route_holds_the_top_eigenvalue(n, k, r, variant, monkeypatch):
         point = delta(scheme, mesh, k, 0.1)
         assert point.route == "bracket", seed
         assert _holds_the_top(point, top), seed
-        assert len(calls) <= 20, (seed, len(calls))
+        assert len(calls) <= 17, (seed, len(calls))
+        assert len(set(calls)) == len(calls), (seed, calls)
 
 
 _inverse_iteration = stability._inverse_iteration
 
 
-def _low_stalled_quotient(s_m, hi, width):
+def _low_stalled_quotient(solve, n, hi, width):
     # a quotient that stalls 1e-6 below the top: its certificate at
     # lo + width / 2 fails, and bisection has to go on
-    theta, _ = _inverse_iteration(s_m, hi, width)
+    theta, _ = _inverse_iteration(solve, n, hi, width)
     return theta * (1.0 - 1e-6), True
 
 
@@ -660,7 +661,8 @@ def test_certificate_brackets_the_top_eigenvalue():
             assert _dense_cholesky_passes(bound * np.eye(n * p) - dense) == certified
             # shifted by top + 1 the bound is negative; the padding keeps its unit diagonal
             for shift in (0.0, top + 1.0):
-                assert certify_below(sym + -shift * np.eye(p), bound - shift) == certified, (n, p, b)
+                solve = shift_solver(sym + -shift * np.eye(p), bound - shift)
+                assert (solve is not None) == certified, (n, p, b)
         # ring sizes level by level: each level halves the ring, rounding up
         size, level = sym._ring[0].shape[0], 0
         while size > 1:
@@ -690,14 +692,14 @@ def test_certificate_sees_the_periodic_wrap():
     space = DGSpace(build_mesh_1d(50), 0)
     shift = BlockOperator(space, {(1,): np.ones((1, 1))})
     sym = shift + shift.transpose()
-    assert not certify_below(sym, 1.999)
-    assert certify_below(sym, 2.0 + 1e-9)
+    assert shift_solver(sym, 1.999) is None
+    assert shift_solver(sym, 2.0 + 1e-9) is not None
     # a band too wide for the mesh sums its aliased offsets: (T + T^T)^2 on
     # 4 cells has eigenvalues 4, 0, 4, 0; 2D operators are never certified
     narrow = BlockOperator(DGSpace(build_mesh_1d(4), 0), {(1,): np.ones((1, 1)), (-1,): np.ones((1, 1))})
-    assert certify_below(narrow @ narrow, 100.0)
-    assert not certify_below(narrow @ narrow, 4.0 - 1e-9)
-    assert not certify_below(assemble_upwind(build_mesh_2d(4, 4), 1), 100.0)
+    assert shift_solver(narrow @ narrow, 100.0) is not None
+    assert shift_solver(narrow @ narrow, 4.0 - 1e-9) is None
+    assert shift_solver(assemble_upwind(build_mesh_2d(4, 4), 1), 100.0) is None
 
 
 def test_known_failure_point_certifies_the_floor(monkeypatch):

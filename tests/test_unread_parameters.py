@@ -1,11 +1,16 @@
-"""Every parameter of every function in the package is read in its body.
+"""Every parameter of every function in the package is read in its body, and
+every private module-level name is read somewhere in the package.
 
 A parameter that no line reads makes each caller build and pass a value
 for nothing.  The scan covers nested functions and lambdas; a nested
 scope that rebinds the name as its own parameter does not count as a read.
 A method's self or cls is bound by the call, not passed, and is not scanned.
+A private (_-prefixed, not dunder) function, class or constant that no
+line of the package loads outside its own definition is dead code; a
+read from the tests does not keep it alive.
 """
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -69,3 +74,59 @@ def test_the_scan_sees_an_unread_parameter(tmp_path):
 def test_a_read_in_a_nested_scope_counts(tmp_path, source):
     (tmp_path / "m.py").write_text(source)
     assert _unread(tmp_path) == []
+
+
+def _private_definitions(tree):
+    """(name, node) for each private module-level function, class or constant of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _loads(node):
+    """Counter of the names loaded, or read as attributes, under node."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+
+def _unread_private(src=SRC):
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    loads = sum(map(_loads, trees.values()), collections.Counter())
+    out = []
+    for fname, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            if loads[name] == _loads(node)[name]:
+                out.append(f"{fname}:{node.lineno} {name}")
+    return out
+
+
+def test_every_private_name_is_read():
+    assert (SRC / "schemes.py").is_file()
+    assert _unread_private() == []
+
+
+def test_the_scan_sees_an_unread_private_name(tmp_path):
+    # a recursive call is its own definition's read; a read from another
+    # module, by name or as an attribute, counts
+    (tmp_path / "a.py").write_text(
+        "_USED = 1\n"
+        "_DEAD = 2\n"
+        "__dunder__ = 3\n"
+        "def _loop(n):\n"
+        "    return _loop(n - 1)\n"
+        "class _Shape:\n"
+        "    pass\n"
+        "def _helper():\n"
+        "    return _USED\n"
+    )
+    (tmp_path / "b.py").write_text("from . import a\nfrom .a import _helper\nX = a._Shape, _helper()\n")
+    assert _unread_private(tmp_path) == ["a.py:2 _DEAD", "a.py:4 _loop"]
