@@ -50,6 +50,8 @@ def _list_of(number):
     return lambda raw: tuple(number(tok) for tok in raw.split(","))
 
 
+DEFAULT_CFL_GRID = (0.025, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45)
+
 #: key -> (parser, default, range); "auto" defaults are resolved per command.
 #: A parser raises ValueError on a malformed value.  A range lists
 #: (comparison, bound) pairs that every number given for the key must satisfy.
@@ -64,7 +66,7 @@ KEY_SPECS = {
     "perturb": (float, 0.0, ((">=", 0), ("<", 0.5))),
     "seed": (int, 0, ((">=", 0),)),
     "m": (int, 1, ((">=", 1),)),
-    "cfl": (_list_of(float), "auto", ((">=", 0),)),
+    "cfl": (_list_of(float), DEFAULT_CFL_GRID, ((">=", 0),)),
     "T": (_keyword_or("auto", float), "auto", ((">=", 0), ("<", math.inf))),
     "timestep": (_keyword_or("benchmark", float), "benchmark", ((">", 0), ("<", math.inf))),
     "flat_mode": (_choice(("r", "r+1"), "flat_mode must be 'r' or 'r+1'"), "r", ()),
@@ -86,8 +88,6 @@ COMMAND_KEYS = {
 }
 
 _COMPARISONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
-
-DEFAULT_CFL_GRID = (0.025, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45)
 
 
 def _parse_value(key, raw):
@@ -157,8 +157,6 @@ def parse_config(text=None, overrides=None):
     repeated = [n for i, n in enumerate(values["N"]) if n in values["N"][:i]]
     if repeated:
         raise ConfigError(f"N must not repeat a value, got N = {repeated[0]} more than once")
-    if values["cfl"] == "auto":
-        values["cfl"] = DEFAULT_CFL_GRID
     if values["perturb"] and (command == "stability" or values["dim"] == 2):
         where = "stability meshes" if command == "stability" else "2D meshes"
         raise ConfigError(f"{where} are uniform: perturb must be 0, got perturb = {values['perturb']}")

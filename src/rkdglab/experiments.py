@@ -103,7 +103,7 @@ def resolve_timestep(rule, order, dim, n):
 class AccuracyRow:
     """One table row: scheme at resolution N with its error and EOC.
 
-    A flagged row blew up; blowup_step is the index of the step that did.
+    A flagged row blew up, at the step of index blowup_step.
     """
 
     scheme: str
@@ -113,8 +113,11 @@ class AccuracyRow:
     dofs: int
     l2_error: float
     eoc: Optional[float] = None
-    flagged: bool = False
     blowup_step: Optional[int] = None
+
+    @property
+    def flagged(self):
+        return self.blowup_step is not None
 
 
 def _read_only(a):
@@ -137,7 +140,7 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
     """
     if len(set(n_list)) < len(n_list):
         raise ValueError(f"refinement N values must be distinct, got {tuple(n_list)}")
-    results = [[] for _ in schemes]     # per scheme, per N: (dofs, error, BlowUpError or None)
+    results = [[] for _ in schemes]     # per scheme, per N: (dofs, error, blow-up step or None)
     for n in n_list:
         mesh = build_mesh(problem.dim, n, perturb, seed)
         starts, grids = {}, {}
@@ -151,7 +154,7 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
             try:
                 result = evolve(scheme, u0, problem.final_time, tau)
             except BlowUpError as exc:
-                out.append((u0.space.n_dofs, math.nan, exc))
+                out.append((u0.space.n_dofs, math.nan, exc.step_index))
                 continue
             if nq not in grids:
                 *points, w = quadrature_grid(u0.space, nq)
@@ -162,7 +165,7 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
     rows = []
     for (scheme, k), per_n in zip(schemes, results):
         prev = None
-        for n, (dofs, err, blowup) in zip(n_list, per_n):
+        for n, (dofs, err, blowup_step) in zip(n_list, per_n):
             eoc = None
             if prev is not None and np.isfinite(err) and np.isfinite(prev[1]) and err > 0:
                 eoc = math.log(prev[1] / err) / math.log(n / prev[0])
@@ -174,8 +177,7 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
                 dofs=dofs,
                 l2_error=err,
                 eoc=eoc,
-                flagged=blowup is not None,
-                blowup_step=None if blowup is None else blowup.step_index,
+                blowup_step=blowup_step,
             ))
             prev = (n, err)
     return rows

@@ -117,9 +117,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return GridFunction(self.space, -self.coeffs)
-
 
 def _check_same_space(u, v):
     if u.space != v.space:
@@ -204,11 +201,9 @@ class BlockOperator:
         return BlockOperator(self.space, blocks)
 
     def apply(self, u):
-        if isinstance(u, GridFunction):
-            if u.space != self.space:
-                raise IncompatibleSpacesError("operator and operand spaces differ")
-            return GridFunction(self.space, self.apply_array(u.coeffs))
-        return self.apply_array(u)
+        if u.space != self.space:
+            raise IncompatibleSpacesError("operator and operand spaces differ")
+        return GridFunction(self.space, self.apply_array(u.coeffs))
 
     def apply_array(self, c):
         """Apply to raw coefficients; a trailing batch axis is allowed.
@@ -324,8 +319,7 @@ class BlockOperator:
         group = np.repeat(np.arange(m), count)
         slot = np.arange(n) - np.repeat(np.cumsum(count) - count, count)
         d, u = np.zeros((2, m, q, p, q, p))
-        for (off,), blk in self.blocks.items():
-            to = (np.arange(n) + off) % n
+        for ((off,), blk), to in zip(self.blocks.items(), self._neighbour_cells().T):
             within = group[to] == group
             blk = np.broadcast_to(blk, (n, p, p))
             for out, c in ((d, within), (u, ~within & (off > 0))):
@@ -696,10 +690,13 @@ def symbol_norm(op, m, half):
     return float(np.linalg.svd(partners, compute_uv=False)[..., 0].max(initial=peak))
 
 
+def _start_vector(n):
+    """The POWER_SEED standard normal draw of n entries that every Krylov iteration starts from."""
+    return np.random.Generator(np.random.PCG64(POWER_SEED)).standard_normal(n)
+
+
 def _power_iteration_norm(op, m):
-    n = op.n_dofs
-    rng = np.random.Generator(np.random.PCG64(POWER_SEED))
-    v = rng.standard_normal(n)
+    v = _start_vector(op.n_dofs)
     v /= np.linalg.norm(v)
 
     def fwd(x):
@@ -833,7 +830,7 @@ def top_eigenvalue(op):
     the top Ritz pair.
     """
     n = op.n_dofs
-    w = np.random.Generator(np.random.PCG64(POWER_SEED)).standard_normal(n)
+    w = _start_vector(n)
     b = float(np.linalg.norm(w))
     basis = np.empty((min(LANCZOS_MAX_ITER, n), n))
     alpha, beta = [], []

@@ -293,7 +293,6 @@ class EvolveResult:
 
     u: GridFunction
     n_steps: int
-    t_final: float
     shortened_last_step: bool
     path: str
 
@@ -346,8 +345,7 @@ def evolve(scheme, u0, final_time, tau):
     """
     n_whole, remainder, shortened = step_plan(final_time, tau)
     full_op, reduced_op = stage_operators(u0.space.mesh, u0.space.degree)
-    meta = dict(n_steps=n_whole + (1 if shortened else 0), t_final=final_time,
-                shortened_last_step=shortened)
+    meta = dict(n_steps=n_whole + (1 if shortened else 0), shortened_last_step=shortened)
     sizes = ((tau, n_whole, False), (remainder, int(shortened), True))
     steps = [(EvolutionMap(scheme, full_op, reduced_op, dt), n, last) for dt, n, last in sizes if n]
     if not steps:                           # a zero final time

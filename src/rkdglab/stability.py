@@ -15,7 +15,7 @@ import numpy as np
 from .mesh import build_mesh
 from .operators import (
     DENSE_CAP,
-    POWER_SEED,
+    _start_vector,
     half_spectrum,
     max_row_sum,
     shift_solver,
@@ -46,12 +46,22 @@ class StabilityPoint:
     m: int
     cfl: float
     delta: float
-    flagged: bool = False
     #: how delta was computed (see growth_excess): "symbol", "certificate",
     #: "bracket" or "lanczos"; None for a flagged point
     route: Optional[str] = None
     #: the LinAlgError message of a flagged point
     error: Optional[str] = None
+
+    @property
+    def flagged(self):
+        """Whether the point failed: its delta is nan and error says why."""
+        return self.error is not None
+
+
+def _point(scheme, space, m, cfl, **measured):
+    """The StabilityPoint of scheme on space at (m, cfl): delta and route, or nan and error."""
+    return StabilityPoint(scheme=scheme.label(space.degree), variant=scheme.variant,
+                          dim=space.dim, n=space.mesh.cells[0], m=m, cfl=float(cfl), **measured)
 
 
 def _step_map(scheme, operators, cfl):
@@ -148,7 +158,7 @@ def _inverse_iteration(solve, n, hi, width):
     so no step needs a matvec.  stalled: theta rose by at most width / 4
     in a step; else INVERSE_MAX_STEPS ran out (theta = -inf after no step).
     """
-    x = np.random.Generator(np.random.PCG64(POWER_SEED)).standard_normal(n)
+    x = _start_vector(n)
     x /= np.linalg.norm(x)
     theta = -math.inf
     for _ in range(INVERSE_MAX_STEPS):
@@ -183,16 +193,8 @@ def _growth_point(emap, cfl, m):
         raise np.linalg.LinAlgError("growth is not finite")
     if abs(excess) < NORM_RESOLUTION:
         excess = 0.0
-    return StabilityPoint(
-        scheme=emap.scheme.label(emap.space.degree),
-        variant=emap.scheme.variant,
-        dim=emap.space.dim,
-        n=emap.space.mesh.cells[0],
-        m=m,
-        cfl=float(cfl),
-        delta=float(max(excess, DELTA_FLOOR)),
-        route=route,
-    )
+    return _point(emap.scheme, emap.space, m, cfl, delta=float(max(excess, DELTA_FLOOR)),
+                  route=route)
 
 
 def delta(scheme, mesh, k, cfl, m=1):
@@ -221,19 +223,20 @@ def cfl_sweep(scheme, k, dim, n_list, m, cfl_grid):
                 with np.errstate(over="ignore", invalid="ignore"):
                     points.append(_growth_point(_step_map(scheme, operators, cfl), cfl, m))
             except np.linalg.LinAlgError as err:
-                points.append(StabilityPoint(
-                    scheme=scheme.label(k), variant=scheme.variant, dim=dim, n=n, m=m,
-                    cfl=float(cfl), delta=math.nan, flagged=True, error=str(err),
-                ))
+                points.append(_point(scheme, operators[0].space, m, cfl, delta=math.nan,
+                                     error=str(err)))
     return points
 
 
 @dataclass(frozen=True)
 class FourierCfl:
-    """Maximal stable CFL number; found=False reports 0 with a weak-stability flag."""
+    """Maximal stable CFL number; 0 (not found) if none of CFL_BISECT_TOL or more is."""
 
     value: float
-    found: bool
+
+    @property
+    def found(self):
+        return self.value > 0
 
 
 #: fourier_cfl: sampled angles (cells of the uniform mesh), bisection width,
@@ -361,13 +364,11 @@ def fourier_cfl(scheme, k):
 
     lo, hi = 0.0, CFL_MAX
     if stable(hi):
-        return FourierCfl(value=hi, found=True)
+        return FourierCfl(hi)
     while hi - lo > CFL_BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if stable(mid):
             lo = mid
         else:
             hi = mid
-    if lo < CFL_BISECT_TOL:
-        return FourierCfl(value=0.0, found=False)
-    return FourierCfl(value=lo, found=True)
+    return FourierCfl(lo if lo >= CFL_BISECT_TOL else 0.0)

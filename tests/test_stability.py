@@ -225,7 +225,7 @@ def test_fourier_cfl_stops_at_its_cap(monkeypatch):
     # no Taylor scheme is stable up to CFL_MAX = 2; below RK2's 1/3 the cap
     # is stable, and the first test settles the search
     monkeypatch.setattr(stability, "CFL_MAX", 0.05)
-    assert fourier_cfl(taylor_scheme(2), 1) == stability.FourierCfl(0.05, True)
+    assert fourier_cfl(taylor_scheme(2), 1) == stability.FourierCfl(0.05)
 
 
 def _eigvals_per_round_radii(scheme, k, c):
@@ -328,7 +328,7 @@ _EIGVALS_CFL = [(2, 6, 0.0068359375), (2, 7, 0.00537109375), (2, 10, 0.002929687
 def test_fourier_cfl_resolves_eigenvalues_crowding_round_one(r, k, cfl):
     # at high degree sdA is stable only at small c, where the eigenvalues of
     # G crowd round z = 1; these are the numbers an eigvals search finds
-    assert fourier_cfl(taylor_scheme(r, "sdA"), k) == stability.FourierCfl(value=cfl, found=True)
+    assert fourier_cfl(taylor_scheme(r, "sdA"), k) == stability.FourierCfl(value=cfl)
 
 
 def test_schur_cohn_rejects_rows_that_are_not_finite_and_radii_not_above_zero():

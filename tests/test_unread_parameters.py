@@ -1,5 +1,6 @@
-"""Every parameter of every function in the package is read in its body, and
-every private module-level name is read somewhere in the package.
+"""Every parameter of every function in the package is read in its body,
+every private module-level name is read somewhere in the package, and
+every dataclass field is read somewhere in the project.
 
 A parameter that no line reads makes each caller build and pass a value
 for nothing.  The scan covers nested functions and lambdas; a nested
@@ -7,7 +8,9 @@ scope that rebinds the name as its own parameter does not count as a read.
 A method's self or cls is bound by the call, not passed, and is not scanned.
 A private (_-prefixed, not dunder) function, class or constant that no
 line of the package loads outside its own definition is dead code; a
-read from the tests does not keep it alive.
+read from the tests does not keep it alive.  A field of a package
+dataclass that no line of the package, the tests or the bench reads as an
+attribute is stored for nothing.
 """
 import ast
 import collections
@@ -15,7 +18,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "rkdglab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rkdglab"
 FUNCTIONS = (ast.FunctionDef, ast.Lambda)
 
 
@@ -130,3 +134,51 @@ def test_the_scan_sees_an_unread_private_name(tmp_path):
     )
     (tmp_path / "b.py").write_text("from . import a\nfrom .a import _helper\nX = a._Shape, _helper()\n")
     assert _unread_private(tmp_path) == ["a.py:2 _DEAD", "a.py:4 _loop"]
+
+
+def _is_dataclass(cls):
+    for deco in cls.decorator_list:
+        fn = deco.func if isinstance(deco, ast.Call) else deco
+        if (fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def _unread_fields(src=SRC, readers=(ROOT / "src", ROOT / "tests", ROOT / "bench")):
+    """Fields of the dataclasses under src that no .py file under readers reads as an attribute."""
+    reads = {node.attr for root in readers for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                out += [f"{path.name}:{field.lineno} {cls.name}.{field.target.id}"
+                        for field in cls.body if isinstance(field, ast.AnnAssign)
+                        and isinstance(field.target, ast.Name) and field.target.id not in reads]
+    return out
+
+
+def test_every_dataclass_field_is_read():
+    assert (SRC / "schemes.py").is_file()
+    assert _unread_fields() == []
+
+
+def test_the_scan_sees_an_unread_dataclass_field(tmp_path):
+    # a store is no read, and a plain class's annotations are no fields
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Row:\n"
+        "    used: int\n"
+        "    stored: int\n"
+        "@dataclasses.dataclass\n"
+        "class State:\n"
+        "    kept: float\n"
+        "class Plain:\n"
+        "    note: str\n"
+    )
+    (tmp_path / "use.py").write_text("def f(row, state):\n    state.stored = row.used\n")
+    assert _unread_fields(tmp_path / "pkg", [tmp_path]) == ["a.py:6 Row.stored", "a.py:9 State.kept"]
