@@ -15,12 +15,10 @@ from .operators import (
     GridFunction,
     assemble_upwind,
     jump_inner,
-    jump_seminorm,
     l2_inner,
     operator_norm,
     project,
     reduce_operator,
-    trace_norm,
 )
 from .projections import gauss_radau, lsz, pi_star, special_projection
 from .schemes import (

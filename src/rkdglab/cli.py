@@ -66,7 +66,7 @@ KEY_SPECS = {
     "perturb": (float, 0.0, ((">=", 0), ("<", 0.5))),
     "seed": (int, 0, ((">=", 0),)),
     "m": (int, 1, ((">=", 1),)),
-    "cfl": (_list_of(float), DEFAULT_CFL_GRID, ((">=", 0),)),
+    "cfl": (_list_of(float), DEFAULT_CFL_GRID, ((">=", 0), ("<", math.inf))),
     "T": (_keyword_or("auto", float), "auto", ((">=", 0), ("<", math.inf))),
     "timestep": (_keyword_or("benchmark", float), "benchmark", ((">", 0), ("<", math.inf))),
     "flat_mode": (_choice(("r", "r+1"), "flat_mode must be 'r' or 'r+1'"), "r", ()),
@@ -356,8 +356,8 @@ def main(argv=None):
         overrides = [(key, val) for key, val in vars(args).items()
                      if key in KEY_SPECS and val is not None]
         return run(parse_config(text, overrides))
-    except (ConfigError, SteppingLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, SteppingLimitError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

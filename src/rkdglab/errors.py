@@ -40,7 +40,7 @@ class CflTooLargeError(RuntimeError):
 class PowerIterationError(RuntimeError):
     """Power iteration failed to converge; carries the last iterate."""
 
-    def __init__(self, msg, last_estimate=None, last_vector=None):
+    def __init__(self, msg, last_estimate, last_vector):
         super().__init__(msg)
         self.last_estimate = last_estimate
         self.last_vector = last_vector
@@ -49,7 +49,7 @@ class PowerIterationError(RuntimeError):
 class BlowUpError(FloatingPointError):
     """Time stepping produced non-finite or astronomically large values."""
 
-    def __init__(self, msg, step_index=None):
+    def __init__(self, msg, step_index):
         super().__init__(msg)
         self.step_index = step_index
 

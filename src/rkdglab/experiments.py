@@ -99,7 +99,7 @@ def resolve_timestep(rule, order, dim, n):
     return float(rule)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccuracyRow:
     """One table row: scheme at resolution N with its error and EOC.
 

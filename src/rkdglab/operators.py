@@ -31,14 +31,16 @@ from .errors import (
 # discrete space and grid functions
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class DGSpace:
     """Broken polynomial space V_h^k on a periodic mesh."""
 
-    def __init__(self, mesh, degree):
-        if degree < 0:
+    mesh: object        # Mesh1D or Mesh2D
+    degree: int
+
+    def __post_init__(self):
+        if self.degree < 0:
             raise UnsupportedDegreeError("polynomial degree must be >= 0")
-        self.mesh = mesh
-        self.degree = degree
 
     @property
     def dim(self):
@@ -71,16 +73,6 @@ class DGSpace:
     def random(self, seed=0):
         rng = np.random.Generator(np.random.PCG64(seed))
         return GridFunction(self, rng.standard_normal(self.shape))
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, DGSpace)
-            and self.degree == other.degree
-            and self.mesh == other.mesh
-        )
-
-    def __hash__(self):
-        return hash((self.mesh, self.degree))
 
 
 @dataclass
@@ -456,34 +448,31 @@ def quadrature_points(k, n_points=None):
 
 
 def project(f, space=None, target="full", n_points=None):
-    """Cellwise L2 projection.
+    """Cellwise L2 projection onto V_h^k, masked by target to V_h^{k-1}
+    ("k_minus_1") or the top-degree complement ("perp").
 
-    f may be a callable (projected by Gauss quadrature with
-    max(10, k+4) points per direction unless overridden) or an existing
-    GridFunction, for which the projection is a mode mask.
+    f may be a callable (projected by Gauss quadrature with max(10, k+4)
+    points per direction unless overridden) or a GridFunction, copied.
     """
     if isinstance(f, GridFunction):
         space = f.space if space is None else space
         if space != f.space:
             raise IncompatibleSpacesError("projection target space differs from input")
-        if target == "full":
-            return f.copy()
-        mask = space.top_mode_mask()
-        coeffs = f.coeffs.copy()
-        if target == "k_minus_1":
-            coeffs[..., mask] = 0.0
-        elif target == "perp":
-            coeffs[..., ~mask] = 0.0
-        else:
-            raise ValueError(f"unknown projection target {target!r}")
-        return GridFunction(space, coeffs)
-
-    if space is None:
+        u = f.copy()
+    elif space is None:
         raise TypeError("projecting a callable requires an explicit space")
-    u = _project_callable(f, space, n_points)
+    else:
+        u = _project_callable(f, space, n_points)
     if target == "full":
         return u
-    return project(u, target=target)
+    mask = space.top_mode_mask()
+    if target == "k_minus_1":
+        u.coeffs[..., mask] = 0.0
+    elif target == "perp":
+        u.coeffs[..., ~mask] = 0.0
+    else:
+        raise ValueError(f"unknown projection target {target!r}")
+    return u
 
 
 def _project_callable(f, space, n_points=None):
@@ -598,16 +587,6 @@ def jump_inner(w, v):
     traces = enumerate(zip(_face_traces(w), _face_traces(v)))
     return float(sum(beta * np.vdot(np.roll(wi, -1, axis=d) - wo, np.roll(vi, -1, axis=d) - vo)
                      for d, ((beta, wo, wi), (_, vo, vi)) in traces))
-
-
-def jump_seminorm(v):
-    return float(np.sqrt(max(jump_inner(v, v), 0.0)))
-
-
-def trace_norm(v):
-    """beta-weighted L2 norm of both one-sided traces over the mesh skeleton."""
-    sq = sum(beta * (np.vdot(out, out) + np.vdot(inn, inn)) for beta, out, inn in _face_traces(v))
-    return float(np.sqrt(sq))
 
 
 # ---------------------------------------------------------------------------

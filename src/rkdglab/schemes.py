@@ -282,7 +282,7 @@ def step(scheme, full_op, reduced_op, u, tau, form="compact"):
     return GridFunction(u.space, u.coeffs + tau * full_op.apply_array(v))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvolveResult:
     """Final state plus stepping metadata.
 

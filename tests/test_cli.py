@@ -12,6 +12,7 @@ from rkdglab import cli, stability
 from rkdglab.cli import (
     ACCURACY_HEADER,
     CFL_HEADER,
+    COMMAND_KEYS,
     KEY_SPECS,
     STABILITY_HEADER,
     _check_step_counts,
@@ -297,7 +298,10 @@ def test_sda_with_k0_is_a_config_error(capsys):
     (["accuracy", "--r", "2", "--N", "4,8", "--timestep", "inf"],
      "timestep must be > 0 and < inf, got timestep = inf"),
     (["accuracy", "--r", "2", "--N", "8", "--T", "-1"], "T must be >= 0 and < inf, got T = -1.0"),
-    (["stability", "--r", "2", "--cfl", "0.1,-0.1"], "cfl must be >= 0, got cfl = -0.1"),
+    (["stability", "--r", "2", "--cfl", "0.1,-0.1"], "cfl must be >= 0 and < inf, got cfl = -0.1"),
+    # an infinite CFL number once printed a nan row, "symbols are not finite", and exit 1
+    (["stability", "--r", "2", "--N", "4", "--cfl", "inf"],
+     "cfl must be >= 0 and < inf, got cfl = inf"),
     (["accuracy", "--r", "0"], "r must be >= 1, got r = 0"),
     (["accuracy", "--dim", "3"], "dim must be >= 1 and <= 2, got dim = 3"),
     (["accuracy", "--seed", "-1"], "seed must be >= 0, got seed = -1"),
@@ -316,7 +320,7 @@ def test_sda_with_k0_is_a_config_error(capsys):
     (["stability", "--r", "2", "--N", "8,16,8"],
      "N must not repeat a value, got N = 8 more than once"),
 ], ids=["N1", "N1-2d", "m0", "perturb-high", "perturb-negative", "quad0", "quad101", "timestep0",
-        "timestep-negative", "timestep-inf", "T-negative", "cfl-negative", "r0", "dim3",
+        "timestep-negative", "timestep-inf", "T-negative", "cfl-negative", "cfl-inf", "r0", "dim3",
         "seed-negative", "perturb-stability", "perturb-2d-accuracy", "perturb-2d-regularity",
         "N-repeated", "N-repeated-2d", "N-repeated-regularity", "N-repeated-stability"])
 def test_out_of_range_value_is_a_config_error(argv, message, capsys):
@@ -324,6 +328,29 @@ def test_out_of_range_value_is_a_config_error(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("key", [key for key, (_, _, bounds) in KEY_SPECS.items() if bounds])
+def test_a_non_finite_number_is_a_config_error_that_names_its_key(key):
+    command = next(command for command, keys in COMMAND_KEYS.items() if key in keys)
+    for raw in ("inf", "nan"):
+        with pytest.raises(ConfigError, match=rf"^(bad value for key '{key}'|{key} must be )"):
+            resolve(command=command, **{key: raw})
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 7.45 GiB for an array with shape (100000000, 10) and data type float64",
+     "Unable to allocate 7.45 GiB for an array with shape (100000000, 10) and data type float64"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+def test_an_allocation_failure_is_one_error_line(message, line, monkeypatch, capsys):
+    # numpy raises a MemoryError when an array cannot be allocated; no test allocates one
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "accuracy_table", exhausted)
+    assert main(["accuracy", "--r", "2", "--N", "8"]) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,6 +1,7 @@
 """Every parameter of every function in the package is read in its body,
-every private module-level name is read somewhere in the package, and
-every dataclass field is read somewhere in the project.
+every private module-level name is read somewhere in the package, every
+public function and class has a reader, and every dataclass field is read
+somewhere in the project.
 
 A parameter that no line reads makes each caller build and pass a value
 for nothing.  The scan covers nested functions and lambdas; a nested
@@ -8,7 +9,11 @@ scope that rebinds the name as its own parameter does not count as a read.
 A method's self or cls is bound by the call, not passed, and is not scanned.
 A private (_-prefixed, not dunder) function, class or constant that no
 line of the package loads outside its own definition is dead code; a
-read from the tests does not keep it alive.  A field of a package
+read from the tests does not keep it alive.  A public module-level
+function or class is read by another line of the package (an import
+alone, such as the re-export in __init__.py, is no read), by a bench
+script, in code or as a name in a dotted string, or by the acceptance
+tests; one that only its own unit tests call is a capability nothing uses.  A field of a package
 dataclass that no line of the package, the tests or the bench reads as an
 attribute is stored for nothing.
 """
@@ -80,19 +85,14 @@ def test_a_read_in_a_nested_scope_counts(tmp_path, source):
     assert _unread(tmp_path) == []
 
 
-def _private_definitions(tree):
-    """(name, node) for each private module-level function, class or constant of a module."""
+def _definitions(tree):
+    """(name, node) for each module-level function, class or constant of a module."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
 
 
 def _loads(node):
@@ -107,8 +107,9 @@ def _unread_private(src=SRC):
     loads = sum(map(_loads, trees.values()), collections.Counter())
     out = []
     for fname, tree in trees.items():
-        for name, node in _private_definitions(tree):
-            if loads[name] == _loads(node)[name]:
+        for name, node in _definitions(tree):
+            private = name.startswith("_") and not name.startswith("__")
+            if private and loads[name] == _loads(node)[name]:
                 out.append(f"{fname}:{node.lineno} {name}")
     return out
 
@@ -134,6 +135,64 @@ def test_the_scan_sees_an_unread_private_name(tmp_path):
     )
     (tmp_path / "b.py").write_text("from . import a\nfrom .a import _helper\nX = a._Shape, _helper()\n")
     assert _unread_private(tmp_path) == ["a.py:2 _DEAD", "a.py:4 _loop"]
+
+
+def _names(tree):
+    """The names loaded, read as attributes, imported from a module, or given as
+    the parts of a dotted-name string under tree."""
+    out = set(_loads(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                out.update(parts)
+    return out
+
+
+def _unread_public(src=SRC, outside=(*sorted((ROOT / "bench").glob("*.py")),
+                                     ROOT / "tests" / "test_acceptance.py")):
+    """Public module-level functions and classes under src that no module of src
+    reads outside their own definition and no outside file names."""
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    reads = sum(map(_loads, trees.values()), collections.Counter())
+    named = set().union(*(_names(ast.parse(path.read_text(), str(path))) for path in outside))
+    out = []
+    for fname, tree in trees.items():
+        for name, node in _definitions(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_")
+                    and name not in named and reads[name] == _loads(node)[name]):
+                out.append(f"{fname}:{node.lineno} {name}")
+    return out
+
+
+def test_every_public_function_and_class_has_a_reader():
+    assert (SRC / "schemes.py").is_file()
+    assert _unread_public() == []
+
+
+def test_the_scan_sees_a_public_name_without_a_reader(tmp_path):
+    # a re-export and a recursive call are no readers; a read from another
+    # module of the package, a bench script's code or dotted string, or the
+    # acceptance tests is one
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text("from .a import exported\n")
+    (tmp_path / "pkg" / "a.py").write_text(
+        "def exported():\n    pass\n"
+        "def loop(n):\n    return loop(n - 1)\n"
+        "def used():\n    pass\n"
+        "class Traced:\n    def method(self):\n        pass\n"
+        "def in_code():\n    pass\n"
+        "def accepted():\n    pass\n"
+        "def _private():\n    pass\n"
+    )
+    (tmp_path / "pkg" / "b.py").write_text("from . import a\nX = a.used()\n")
+    (tmp_path / "bench.py").write_text(
+        "from pkg.a import in_code\nSPANS = ((\"span\", \"pkg.a\", \"Traced.method\"),)\n")
+    (tmp_path / "test_acceptance.py").write_text("import pkg.a\npkg.a.accepted()\n")
+    outside = (tmp_path / "bench.py", tmp_path / "test_acceptance.py")
+    assert _unread_public(tmp_path / "pkg", outside) == ["a.py:1 exported", "a.py:3 loop"]
 
 
 def _is_dataclass(cls):
