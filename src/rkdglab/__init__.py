@@ -26,6 +26,7 @@ from .schemes import (
     SchemeSpec,
     energy_coefficients,
     evolve,
+    evolve_group,
     step,
     taylor_scheme,
 )

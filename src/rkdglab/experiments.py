@@ -8,7 +8,7 @@ import numpy as np
 from .errors import BlowUpError
 from .mesh import build_mesh
 from .operators import DGSpace, eval_grid, grid_values, project, quadrature_grid, quadrature_points
-from .schemes import evolve
+from .schemes import evolve_group
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +130,9 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
     """Errors and orders over a refinement sweep, for several (scheme, k) pairs.
 
     schemes is a list of (SchemeSpec, k).  The initial state is the L2
-    projection of the initial data.  Each N's mesh is built once, and its
-    schemes share, read-only, one projected initial state per degree and
+    projection of the initial data.  Each N's mesh is built once, its
+    schemes with the same (k, tau) are evolved together (evolve_group), and
+    they share, read-only, one projected initial state per degree and
     one set of quadrature weights and final-time exact values per error
     rule; only one N's shared arrays are alive at a time.  Rows are ordered
     by (scheme, N); a blow-up is recorded as a flagged row rather than an
@@ -143,24 +144,26 @@ def accuracy_table(schemes, problem, n_list, timestep="benchmark",
     results = [[] for _ in schemes]     # per scheme, per N: (dofs, error, blow-up step or None)
     for n in n_list:
         mesh = build_mesh(problem.dim, n, perturb, seed)
-        starts, grids = {}, {}
-        for (scheme, k), out in zip(schemes, results):
+        groups, starts, grids = {}, {}, {}
+        for i, (scheme, k) in enumerate(schemes):
+            tau = resolve_timestep(timestep, scheme.order, problem.dim, n)
+            groups.setdefault((k, tau), []).append(i)
+        for (k, tau), members in groups.items():
             nq = n_quad if n_quad is not None else problem.error_quadrature(k)
             if k not in starts:
                 starts[k] = project(problem.value, DGSpace(mesh, k), n_points=nq)
                 _read_only(starts[k].coeffs)
             u0 = starts[k]
-            tau = resolve_timestep(timestep, scheme.order, problem.dim, n)
-            try:
-                result = evolve(scheme, u0, problem.final_time, tau)
-            except BlowUpError as exc:
-                out.append((u0.space.n_dofs, math.nan, exc.step_index))
-                continue
-            if nq not in grids:
-                *points, w = quadrature_grid(u0.space, nq)
-                exact = grid_values(problem.exact(problem.final_time), points)
-                grids[nq] = _read_only(w), _read_only(exact)
-            out.append((u0.space.n_dofs, _l2_distance(result.u, *grids[nq], nq), None))
+            entries = evolve_group([schemes[i][0] for i in members], u0, problem.final_time, tau)
+            for i, result in zip(members, entries):
+                if isinstance(result, BlowUpError):
+                    results[i].append((u0.space.n_dofs, math.nan, result.step_index))
+                    continue
+                if nq not in grids:
+                    *points, w = quadrature_grid(u0.space, nq)
+                    exact = grid_values(problem.exact(problem.final_time), points)
+                    grids[nq] = _read_only(w), _read_only(exact)
+                results[i].append((u0.space.n_dofs, _l2_distance(result.u, *grids[nq], nq), None))
 
     rows = []
     for (scheme, k), per_n in zip(schemes, results):

@@ -332,35 +332,53 @@ def step_plan(final_time, tau):
 
 
 def evolve(scheme, u0, final_time, tau):
-    """u0 advanced to final_time in steps of tau; the last step is shortened if needed.
+    """evolve_group's one-scheme case: its EvolveResult, or its BlowUpError raised."""
+    (entry,) = evolve_group([scheme], u0, final_time, tau)
+    if isinstance(entry, BlowUpError):
+        raise entry
+    return entry
 
-    Every stage plan builds one EvolutionMap per step size that takes a
-    step (a mixed plan needs the scheme's tableau).  On a uniform mesh
-    (the operator is block-circulant) their steps are taken in Fourier
-    space: see _evolve_fourier.  Otherwise, and in any case in which
-    stepping might have blown up, it steps with the maps' increments: see
-    _evolve_fused.  final_time and tau are checked as step_plan checks
-    them.  A run that would step more than MAX_STEPPED_STEPS steps raises
-    SteppingLimitError instead.
+
+def evolve_group(schemes, u0, final_time, tau):
+    """u0 advanced to final_time in steps of tau by each scheme; the last step is shortened if needed.
+
+    One entry per scheme: its EvolveResult, or the BlowUpError its stepping
+    raised.  The schemes share one step_plan and one assembly of the stage
+    operators; each builds one EvolutionMap per step size that takes a step
+    (a mixed plan needs the scheme's tableau).  On a uniform mesh (the
+    operator is block-circulant) all schemes take their steps together in
+    Fourier space: see _evolve_fourier.  Otherwise, and for each scheme whose
+    stepping might have blown up, that scheme steps alone with its maps'
+    increments: see _evolve_fused.  final_time and tau are checked as
+    step_plan checks them.  A run that would step more than
+    MAX_STEPPED_STEPS steps raises SteppingLimitError instead.
     """
     n_whole, remainder, shortened = step_plan(final_time, tau)
     full_op, reduced_op = stage_operators(u0.space.mesh, u0.space.degree)
     meta = dict(n_steps=n_whole + (1 if shortened else 0), shortened_last_step=shortened)
+    if not meta["n_steps"]:                 # a zero final time
+        return [EvolveResult(u=u0.copy(), path="stepping", **meta) for _ in schemes]
     sizes = ((tau, n_whole, False), (remainder, int(shortened), True))
-    steps = [(EvolutionMap(scheme, full_op, reduced_op, dt), n, last) for dt, n, last in sizes if n]
-    if not steps:                           # a zero final time
-        return EvolveResult(u=u0.copy(), path="stepping", **meta)
-    if full_op.is_circulant:
-        coeffs = _evolve_fourier(steps, u0.coeffs)
+    plans = [[(EvolutionMap(scheme, full_op, reduced_op, dt), n, last) for dt, n, last in sizes if n]
+             for scheme in schemes]
+    fourier = _evolve_fourier(plans, u0.coeffs) if full_op.is_circulant else [None] * len(plans)
+    entries = []
+    for steps, coeffs in zip(plans, fourier):
         if coeffs is not None and _state_ok(coeffs):
-            return EvolveResult(u=GridFunction(u0.space, coeffs), path="fourier", **meta)
-    if meta["n_steps"] > MAX_STEPPED_STEPS:
-        why = "; the Fourier route cannot bound their growth" if full_op.is_circulant else ""
-        raise SteppingLimitError(f"{meta['n_steps']:.6g} time steps of {tau} to final time "
-                                 f"{final_time} exceed the {MAX_STEPPED_STEPS} that stepping "
-                                 f"takes{why}")
-    coeffs = _evolve_fused(steps, u0.coeffs)
-    return EvolveResult(u=GridFunction(u0.space, coeffs), path="stepping", **meta)
+            entries.append(EvolveResult(u=GridFunction(u0.space, coeffs), path="fourier", **meta))
+            continue
+        if meta["n_steps"] > MAX_STEPPED_STEPS:
+            why = "; the Fourier route cannot bound their growth" if full_op.is_circulant else ""
+            raise SteppingLimitError(f"{meta['n_steps']:.6g} time steps of {tau} to final time "
+                                     f"{final_time} exceed the {MAX_STEPPED_STEPS} that stepping "
+                                     f"takes{why}")
+        try:
+            u = GridFunction(u0.space, _evolve_fused(steps, u0.coeffs))
+        except BlowUpError as exc:
+            entries.append(exc)
+        else:
+            entries.append(EvolveResult(u=u, path="stepping", **meta))
+    return entries
 
 
 #: steps one kernel call of fused stepping takes (a power of 2).  Wall time of
@@ -521,49 +539,63 @@ def _chunk_increment(increment):
     return e, growth, g_p
 
 
-def _evolve_fourier(steps, coeffs):
-    """Coefficients after the steps [(EvolutionMap, count, shortened), ...], in order.
+def _evolve_fourier(plans, coeffs):
+    """Coefficients after each plan's steps [(EvolutionMap, count, shortened), ...], in order.
 
-    A real FFT over the cell axes turns each block-circulant one-step map
-    into one (m, m) symbol G per frequency.  G^n is applied by binary
-    powering on E = G - I (squared as E <- 2E + E^2, applied as
-    v <- v + E v): squaring G itself would amplify the rounding of its
-    identity part n-fold and cost the fifth-order schemes their accuracy.
+    The plans share their step sizes and counts.  A real FFT over the cell
+    axes turns each block-circulant one-step map into one (m, m) symbol G
+    per frequency.  G^n is applied by binary powering on E = G - I (squared
+    as E <- 2E + E^2, applied as v <- v + E v): squaring G itself would
+    amplify the rounding of its identity part n-fold and cost the
+    fifth-order schemes their accuracy.  Per chunk of frequencies, the
+    stage symbols are formed once and the plans' increments are powered as
+    one stack on a leading plan axis.  Every operation of the powering acts
+    on each plan's rows alone, so each plan's coefficients are those of a
+    run of its own, bit for bit.
 
-    Returns None unless stepping provably stays below BLOWUP_LIMIT: every
-    intermediate state G^j u0 (j <= n) has 2-norm at most
-    prod_i max(1, ||G^(2^i)||_F) ||u0||_2 by Parseval, so that product, the
-    shortened step's factor and ||u0||_2 must stay finite and below the
-    limit.  The caller then steps instead and flags exactly as stepping does.
+    A plan's entry is None unless its stepping provably stays below
+    BLOWUP_LIMIT: every intermediate state G^j u0 (j <= n) has 2-norm at
+    most prod_i max(1, ||G^(2^i)||_F) ||u0||_2 by Parseval, so that
+    product, the shortened step's factor and ||u0||_2 must stay finite and
+    below the limit.  The caller then steps that plan instead and flags
+    exactly as stepping does.
     """
-    space = steps[0][0].space
     u_norm = float(np.linalg.norm(coeffs))
     if not u_norm < BLOWUP_LIMIT:           # also catches nan
-        return None
+        return [None] * len(plans)
+    maps = [steps[0][0] for steps in plans]
+    space = maps[0].space
     cells, cell_axes = space.shape[:-1], tuple(range(space.dim))
     spec = np.fft.rfftn(coeffs, axes=cell_axes)
-    flat = spec.reshape(-1, space.n_modes)      # may be a copy: transform back from flat
+    flat = spec.reshape(-1, space.n_modes)      # may be a copy: transform back in its layout
+    powered = np.empty((len(plans),) + flat.shape, flat.dtype)
     angles = fft_angles(space).reshape(cells + (-1,))[half_spectrum(cells)].reshape(-1, space.dim)
+    # the reduced symbols only if some plan's inner stages read them
+    stage_symbols = next((m for m in maps if m.scheme.reads_reduced), maps[0]).stage_symbols
     eye = np.eye(space.n_modes)
+    live = list(range(len(plans)))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(flat), FREQ_CHUNK):
             chunk = slice(start, start + FREQ_CHUNK)
-            full, reduced = steps[0][0].stage_symbols(angles[chunk])
-            v = flat[chunk]
-            growth = np.full(len(v), u_norm)
-            for emap, n, _ in steps:
-                e = emap.increment_of(full, reduced)
+            full, reduced = stage_symbols(angles[chunk])
+            v = flat[chunk]             # (plans, frequencies, m) from the first product on
+            growth = np.full((len(live), len(v)), u_norm)
+            for j, (_, n, _) in enumerate(plans[0]):
+                e = np.array([plans[i][j][0].increment_of(full, reduced) for i in live])
                 while n:
-                    growth *= np.maximum(1.0, np.linalg.norm(eye + e, axis=(1, 2)))
-                    if not growth.max() < BLOWUP_LIMIT:
-                        return None
+                    growth *= np.maximum(1.0, np.linalg.norm(eye + e, axis=(-2, -1)))
                     if n & 1:
                         v = v + (e @ v[..., None])[..., 0]
                     n >>= 1
                     if n:
                         e = doubled_increment(e)
-            flat[chunk] = v
-    return np.fft.irfftn(flat.reshape(spec.shape), s=cells, axes=cell_axes)
+            powered[live, chunk] = v
+            # growth only rises (or turns nan), so its last value decides
+            live = [i for i, peak in zip(live, growth.max(axis=1)) if peak < BLOWUP_LIMIT]
+            if not live:
+                break
+    return [np.fft.irfftn(powered[i].reshape(spec.shape), s=cells, axes=cell_axes) if i in live
+            else None for i in range(len(plans))]
 
 
 def _state_ok(coeffs):

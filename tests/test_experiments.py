@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rkdglab import experiments
+from rkdglab import experiments, schemes
+from rkdglab.cli import main
 from rkdglab.errors import BlowUpError, InvalidMeshError
 from rkdglab.experiments import (
     ProblemSpec,
@@ -14,7 +15,7 @@ from rkdglab.experiments import (
 )
 from rkdglab.mesh import build_mesh, build_mesh_1d
 from rkdglab.operators import DGSpace, eval_grid, project, quadrature_grid
-from rkdglab.schemes import evolve, taylor_scheme
+from rkdglab.schemes import evolve, evolve_group, taylor_scheme
 
 # spot values measured once from this implementation and frozen as
 # regression guards (uniform meshes, projection initialization)
@@ -172,7 +173,7 @@ def test_regularity_study_returns_interleaved_pairs_in_pair_order():
 @pytest.mark.parametrize("where", [0, 1, 2])
 def test_regularity_pair_without_k_of_r_minus_1_is_a_value_error_before_any_row(
         where, monkeypatch):
-    monkeypatch.setattr(experiments, "evolve", None)
+    monkeypatch.setattr(experiments, "evolve_group", None)
     pairs = [(taylor_scheme(2), 1), (taylor_scheme(3, "sdA"), 2)]
     pairs.insert(where, (taylor_scheme(3), 1))
     with pytest.raises(ValueError, match="r = k \\+ 1"):
@@ -182,7 +183,7 @@ def test_regularity_pair_without_k_of_r_minus_1_is_a_value_error_before_any_row(
 @pytest.mark.parametrize("dim", [1, 2])
 def test_repeated_n_is_a_value_error_before_any_row(dim, monkeypatch):
     # its EOC would divide by log(N / N) = 0
-    monkeypatch.setattr(experiments, "evolve", None)
+    monkeypatch.setattr(experiments, "evolve_group", None)
     with pytest.raises(ValueError, match=r"distinct, got \(4, 4\)"):
         accuracy_table([(taylor_scheme(2), 1)], ProblemSpec(dim=dim), (4, 4))
     with pytest.raises(ValueError, match=r"distinct, got \(8, 16, 8\)"):
@@ -321,11 +322,11 @@ def test_accuracy_table_sets_up_each_mesh_degree_and_error_rule_once(monkeypatch
 def test_accuracy_table_shares_read_only_arrays(monkeypatch):
     seen = []
 
-    def evolve_writing(scheme, u0, *args):
+    def evolve_writing(group, u0, *args):
         with pytest.raises(ValueError, match="read-only"):
             u0.coeffs[0, 0] = 0.0
         seen.append("u0")
-        return evolve(scheme, u0, *args)
+        return evolve_group(group, u0, *args)
 
     def distance_writing(u, w, exact, nq):
         with pytest.raises(ValueError, match="read-only"):
@@ -334,13 +335,28 @@ def test_accuracy_table_shares_read_only_arrays(monkeypatch):
         return distance(u, w, exact, nq)
 
     distance = experiments._l2_distance
-    monkeypatch.setattr(experiments, "evolve", evolve_writing)
+    monkeypatch.setattr(experiments, "evolve_group", evolve_writing)
     monkeypatch.setattr(experiments, "_l2_distance", distance_writing)
     schemes = [(taylor_scheme(2, v), 1) for v in ("standard", "sdA")]
     for dim in (1, 2):
         seen.clear()
         accuracy_table(schemes, ProblemSpec(dim=dim, final_time=0.1), (4,))
-        assert seen == ["u0", "exact"] * 2
+        assert seen == ["u0", "exact", "exact"]     # the pair shares (k, tau): one group
+
+
+def test_a_table_assembles_the_operators_once_per_n_and_degree(monkeypatch, capsys):
+    # each N's variant pair shares (k, tau): one evolve_group, one assembly
+    calls = []
+    real = schemes.stage_operators
+
+    def counted(mesh, k):
+        calls.append((mesh.n_cells, k))
+        return real(mesh, k)
+
+    monkeypatch.setattr(schemes, "stage_operators", counted)
+    assert main("accuracy --r 2,3,4 --variant both --N 40,80,160 --perturb 0.15".split()) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4 + 18
+    assert sorted(calls) == sorted((n, k) for n in (40, 80, 160) for k in (1, 2, 3))
 
 
 def test_regularity_problem_sets_flat_and_default_time_from_the_order():

@@ -277,7 +277,7 @@ def test_evolve_refuses_too_many_steps_where_the_fourier_route_declines(monkeypa
 
     def fourier(*args):
         out = real(*args)
-        declined.append(out is None)
+        declined.extend(coeffs is None for coeffs in out)
         return out
 
     monkeypatch.setattr(schemes, "_evolve_fused", stepping)
@@ -447,6 +447,11 @@ def _evolve_outcome(*args, **kwargs):
         return None, exc.step_index
 
 
+def _declined(plans, coeffs):
+    """schemes._evolve_fourier with a route that declines every plan."""
+    return [None] * len(plans)
+
+
 @pytest.fixture
 def step_calls(monkeypatch):
     """Counts the step() calls evolve makes (the test's own loop is not counted)."""
@@ -548,6 +553,114 @@ def test_fourier_evolve_keeps_unsupported_degree_error():
 
 
 # ---------------------------------------------------------------------------
+# evolve_group: each scheme of a group as if evolved alone
+# ---------------------------------------------------------------------------
+
+def _assert_group_is_lone(group, u0, final_time, tau):
+    """evolve_group's entries, each checked against its scheme's lone evolve, bit for bit."""
+    entries = schemes.evolve_group(group, u0, final_time, tau)
+    assert len(entries) == len(group)
+    for scheme, entry in zip(group, entries):
+        try:
+            alone = evolve(scheme, u0, final_time, tau)
+        except BlowUpError as exc:
+            assert isinstance(entry, BlowUpError)
+            assert entry.step_index == exc.step_index and str(entry) == str(exc)
+            continue
+        assert isinstance(entry, schemes.EvolveResult)
+        assert np.array_equal(entry.u.coeffs, alone.u.coeffs)
+        assert (entry.path, entry.n_steps, entry.shortened_last_step) == (
+            alone.path, alone.n_steps, alone.shortened_last_step)
+    return entries
+
+
+def _paths(entries):
+    return [getattr(entry, "path", type(entry).__name__) for entry in entries]
+
+
+@pytest.mark.parametrize("shortened", [False, True])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_group_evolve_is_each_lone_evolve_on_a_uniform_1d_mesh(r, shortened):
+    mesh = build_mesh_1d(12)
+    u0 = project(lambda x: np.sin(2 * np.pi * x), DGSpace(mesh, r - 1))
+    tau = benchmark_tau(r, 1, 12)
+    final_time = (30.4 if shortened else 30) * tau
+    group = [taylor_scheme(r, v) for v in ("standard", "sdA")]
+    for order in (group, group[::-1]):
+        entries = _assert_group_is_lone(order, u0, final_time, tau)
+        assert _paths(entries) == ["fourier"] * 2
+        assert entries[0].shortened_last_step == shortened
+
+
+def test_group_evolve_is_each_lone_evolve_in_2d():
+    mesh = build_mesh_2d(5, 4)
+    u0 = DGSpace(mesh, 2).random(9)
+    tau = benchmark_tau(3, 2, 5)
+    group = [taylor_scheme(3, v) for v in ("standard", "sdA")]
+    assert _paths(_assert_group_is_lone(group, u0, 20.4 * tau, tau)) == ["fourier"] * 2
+
+
+def test_group_evolve_steps_each_scheme_alone_on_a_perturbed_mesh():
+    mesh = build_mesh_1d(11, 0.15, seed=3)
+    u0 = DGSpace(mesh, 2).random(4)
+    group = [taylor_scheme(3, v) for v in ("standard", "sdA")]
+    assert _paths(_assert_group_is_lone(group, u0, 0.105, 0.01)) == ["stepping"] * 2
+
+
+def test_group_evolve_is_each_lone_evolve_for_mixed_plans():
+    # the FR and RF plans of r = 3, with the uniform plans in one group
+    group = [SchemeSpec(3, (False, True, False)), SchemeSpec(3, (True, False, False)),
+             taylor_scheme(3), taylor_scheme(3, "sdA")]
+    assert [scheme.variant for scheme in group] == ["FR", "RF", "standard", "sdA"]
+    u0 = DGSpace(build_mesh_1d(12), 2).random(5)
+    assert _paths(_assert_group_is_lone(group, u0, 0.105, 0.01)) == ["fourier"] * 4
+
+
+#: (group, cfl, steps, paths) on a uniform N = 16 mesh at k = 2.  At cfl 0.2
+#: standard RK3DG2 is stable (its limit is 0.209) and sdA is not (0.191); at
+#: 0.22 RK3 is not and RK4 is; at 0.25 neither is
+DECLINE_CASES = {
+    "sdA-declines": ((3, "standard"), (3, "sdA"), 0.2, 900, ["fourier", "stepping"]),
+    "sdA-blows-up": ((3, "standard"), (3, "sdA"), 0.2, 2000, ["fourier", "BlowUpError"]),
+    "rk3-declines": ((4, "standard"), (3, "standard"), 0.22, 150, ["fourier", "stepping"]),
+    "rk3-blows-up": ((4, "standard"), (3, "standard"), 0.22, 200, ["fourier", "BlowUpError"]),
+    "both-decline": ((4, "standard"), (3, "standard"), 0.25, 100, ["stepping", "BlowUpError"]),
+}
+
+
+@pytest.mark.parametrize("freq_chunk", [schemes.FREQ_CHUNK, 2])
+@pytest.mark.parametrize("case", DECLINE_CASES)
+def test_a_declined_or_blown_up_scheme_leaves_its_partner_bit_for_bit(case, freq_chunk, monkeypatch):
+    # in chunks of 2 frequencies (5 chunks), RK3 at cfl 0.22 declines in the
+    # third chunk and leaves RK4 powered alone; at 0.25 the two decline in
+    # different chunks
+    *specs, cfl, steps, paths = DECLINE_CASES[case]
+    monkeypatch.setattr(schemes, "FREQ_CHUNK", freq_chunk)
+    u0 = DGSpace(build_mesh_1d(16), 2).random(3)
+    tau = cfl / 16
+    group = [taylor_scheme(*spec) for spec in specs]
+    # a flagged entry's step_index is checked against the lone BlowUpError's
+    assert _paths(_assert_group_is_lone(group, u0, steps * tau, tau)) == paths
+
+
+def test_a_blown_up_scheme_leaves_its_partner_on_a_perturbed_mesh():
+    mesh = build_mesh_1d(16, 0.15, seed=2)
+    u0 = DGSpace(mesh, 2).random(3)
+    tau = 0.2 / 16
+    group = [taylor_scheme(3, "sdA"), taylor_scheme(4)]
+    entries = _assert_group_is_lone(group, u0, 2000 * tau, tau)
+    assert _paths(entries) == ["BlowUpError", "stepping"]
+
+
+def test_group_evolve_of_a_zero_final_time_copies_u0_for_each_scheme():
+    u0 = DGSpace(build_mesh_1d(8), 1).random(1)
+    entries = schemes.evolve_group([taylor_scheme(2), taylor_scheme(2, "sdA")], u0, 0.0, 0.01)
+    assert _paths(entries) == ["stepping"] * 2
+    for entry in entries:
+        assert np.array_equal(entry.u.coeffs, u0.coeffs) and entry.u.coeffs is not u0.coeffs
+
+
+# ---------------------------------------------------------------------------
 # the fused one-step operator (meshes without a Fourier route) vs. stepping
 # ---------------------------------------------------------------------------
 
@@ -585,7 +698,7 @@ def test_fused_evolve_matches_stepping_over_ten_thousand_steps(step_calls):
 
 @pytest.mark.parametrize("variant", ["standard", "sdA"])
 def test_fused_evolve_is_the_2d_fourier_fallback(variant, step_calls, monkeypatch):
-    monkeypatch.setattr(schemes, "_evolve_fourier", lambda *args: None)
+    monkeypatch.setattr(schemes, "_evolve_fourier", _declined)
     mesh = build_mesh_2d(5, 4)
     k = 2
     scheme = taylor_scheme(3, variant)
@@ -675,7 +788,7 @@ def test_chunked_fused_evolve_matches_stepping_on_perturbed_meshes(name, kernel_
 
 @pytest.mark.parametrize("name", ["standard-r3", "mixed-r3"])
 def test_chunked_fused_evolve_matches_stepping_in_2d(name, kernel_calls, monkeypatch):
-    monkeypatch.setattr(schemes, "_evolve_fourier", lambda *args: None)
+    monkeypatch.setattr(schemes, "_evolve_fourier", _declined)
     scheme, form = CHUNK_SCHEMES[name]
     _check_chunked_against_stepping(scheme, form, build_mesh_2d(5, 4), 5, kernel_calls)
 
@@ -881,7 +994,7 @@ def test_window_stepping_is_the_gather_bit_for_bit(name, n):
 def test_fourier_fallback_stepping_is_the_gather_bit_for_bit(dim, name, monkeypatch):
     # uniform meshes step when the Fourier route declines: shared blocks,
     # through the window in 1D and through the gather in 2D
-    monkeypatch.setattr(schemes, "_evolve_fourier", lambda *args: None)
+    monkeypatch.setattr(schemes, "_evolve_fourier", _declined)
     scheme = WINDOW_SCHEMES[name]
     mesh = build_mesh_1d(5) if dim == 1 else build_mesh_2d(5, 4)
     r = scheme.order
@@ -916,7 +1029,7 @@ def test_stepping_applies_the_gather_only_where_no_window_fits(monkeypatch):
         return real_apply(op, c)
 
     monkeypatch.setattr(BlockOperator, "apply_array", counted)
-    monkeypatch.setattr(schemes, "_evolve_fourier", lambda *args: None)
+    monkeypatch.setattr(schemes, "_evolve_fourier", _declined)
     mesh = build_mesh_2d(5, 4)
     u0 = DGSpace(mesh, 2).random(3)
     tau = benchmark_tau(3, 2, 5)
@@ -1118,7 +1231,7 @@ def test_accuracy_table_blowup_parity(monkeypatch):
     problem = ProblemSpec(dim=1, final_time=1.0)
     pairs = [(taylor_scheme(3, v), 2) for v in ("standard", "sdA")]
     fourier = accuracy_table(pairs, problem, (20, 40), timestep=0.015)
-    monkeypatch.setattr(schemes, "_evolve_fourier", lambda *args: None)
+    monkeypatch.setattr(schemes, "_evolve_fourier", _declined)
     stepped = accuracy_table(pairs, problem, (20, 40), timestep=0.015)
     assert [r.flagged for r in fourier] == [r.flagged for r in stepped]
     assert any(r.flagged for r in fourier) and not all(r.flagged for r in fourier)
