@@ -154,9 +154,10 @@ def parse_config(text=None, overrides=None):
             values["N"] = (80, 160, 320, 640, 1280)
         else:
             values["N"] = (20, 40, 80, 160, 320) if values["dim"] == 1 else (20, 40, 80)
-    repeated = [n for i, n in enumerate(values["N"]) if n in values["N"][:i]]
-    if repeated:
-        raise ConfigError(f"N must not repeat a value, got N = {repeated[0]} more than once")
+    for key in ("r", "N"):
+        repeated = [v for i, v in enumerate(values[key]) if v in values[key][:i]]
+        if repeated:
+            raise ConfigError(f"{key} must not repeat a value, got {key} = {repeated[0]} more than once")
     if values["perturb"] and (command == "stability" or values["dim"] == 2):
         where = "stability meshes" if command == "stability" else "2D meshes"
         raise ConfigError(f"{where} are uniform: perturb must be 0, got perturb = {values['perturb']}")

@@ -16,6 +16,7 @@ from .mesh import build_mesh
 from .operators import (
     DENSE_CAP,
     _start_vector,
+    fft_angles,
     half_spectrum,
     max_row_sum,
     shift_solver,
@@ -24,7 +25,7 @@ from .operators import (
     symbol_powers,
     top_eigenvalue,
 )
-from .schemes import EvolutionMap
+from .schemes import EvolutionMap, _stack_matmul
 
 DELTA_FLOOR = 1e-16
 #: |norm^2 - 1| below this is indistinguishable from zero in double precision
@@ -251,7 +252,8 @@ _CFL_HALF = half_spectrum((CFL_ANGLES,))
 #: _spectrum_inside: the largest stack order (k + 1) that the characteristic
 #: polynomial decides.  Against eigvals (sdA r = 2..8 and the mixed plans of
 #: r = 3, 4; 31 values of c round each CFL number), orders 2..8 agreed on all
-#: 3,781,225 rows; order 9 missed 3 of 540,175 and order 10 1,484 of 222,425
+#: 3,781,225 rows, with @ and with _stack_matmul products alike; order 9
+#: missed 3 of 540,175 and order 10 1,484 of 222,425
 SCHUR_COHN_MAX_ORDER = 8
 
 
@@ -260,28 +262,30 @@ def _cfl_stable(scheme, k):
 
     G is the one-step symbol on the uniform CFL_ANGLES-cell mesh at
     tau = c h, h the step of the one map _step_map builds per search (at
-    c = 1), read from the stage operators' kept symbols as cfl_sweep reads
-    them.  A plan whose inner stages all read the full operator S has
+    c = 1), from the stage operators' symbols formed at the angles of
+    _CFL_HALF alone (a fresh mesh keeps no symbols for a later reader).
+    A plan whose inner stages all read the full operator S has
     G = R(tau S) with R(z) = sum_i alpha_i z^i, whose eigenvalues
     R(tau lambda) come from the eigenvalues lambda of S, found once.  Any
     other plan's G is no polynomial in one symbol, but it is one in c:
     G(c) = I + sum_i c^i W_i, whose coefficients (that map's
-    increment_coefficients) are formed once on _CFL_HALF.  Each c evaluates
+    increment_coefficients) are formed once at those angles.  Each c evaluates
     G at the rows by Horner's rule, with no matrix product, and decides it
     by _spectrum_inside.
     """
     operators = stage_operators(build_mesh(1, CFL_ANGLES), k)
+    angles = fft_angles(operators[0].space)[_CFL_HALF]
     unit = _step_map(scheme, operators, 1.0)
     h = unit.tau
     if not scheme.reads_reduced:
-        eigs = np.linalg.eigvals(operators[0].norm_symbols(_CFL_HALF))
+        eigs = np.linalg.eigvals(operators[0].symbols(angles))
 
         def stable(c, rows):
             g_eigs = np.polynomial.polynomial.polyval(c * h * eigs[rows], scheme.alphas)
             return np.abs(g_eigs).max(axis=1) <= 1.0 + CFL_GROWTH_TOL
         return stable
 
-    coeffs = unit.increment_coefficients(_CFL_HALF)
+    coeffs = unit.increment_coefficients(angles)
     eye = np.eye(k + 1)
 
     def stable(c, rows):
@@ -324,7 +328,7 @@ def _spectrum_inside(g, radius):
         for j in range(1, m + 1):
             p[..., m - j] = -np.einsum("...ii->...", b_m) / j
             if j < m:
-                b_m = np.matmul(b, b_m + p[..., m - j, None, None] * eye)
+                b_m = _stack_matmul(b, b_m + p[..., m - j, None, None] * eye)
         for _ in range(m):
             p0 = p[..., :1]
             inside &= np.abs(p0[..., 0]) < 1.0

@@ -319,10 +319,17 @@ def test_sda_with_k0_is_a_config_error(capsys):
      "N must not repeat a value, got N = 8 more than once"),
     (["stability", "--r", "2", "--N", "8,16,8"],
      "N must not repeat a value, got N = 8 more than once"),
+    # a repeated r would print and compute each of its rows twice
+    (["accuracy", "--r", "2,2"], "r must not repeat a value, got r = 2 more than once"),
+    (["regularity", "--r", "2,3,2", "--N", "8,16", "--T", "0.1"],
+     "r must not repeat a value, got r = 2 more than once"),
+    (["stability", "--r", "3,3"], "r must not repeat a value, got r = 3 more than once"),
+    (["cfl", "--r", "2,2"], "r must not repeat a value, got r = 2 more than once"),
 ], ids=["N1", "N1-2d", "m0", "perturb-high", "perturb-negative", "quad0", "quad101", "timestep0",
         "timestep-negative", "timestep-inf", "T-negative", "cfl-negative", "cfl-inf", "r0", "dim3",
         "seed-negative", "perturb-stability", "perturb-2d-accuracy", "perturb-2d-regularity",
-        "N-repeated", "N-repeated-2d", "N-repeated-regularity", "N-repeated-stability"])
+        "N-repeated", "N-repeated-2d", "N-repeated-regularity", "N-repeated-stability",
+        "r-repeated", "r-repeated-regularity", "r-repeated-stability", "r-repeated-cfl"])
 def test_out_of_range_value_is_a_config_error(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from rkdglab import operators, stability
+from rkdglab import operators, schemes, stability
 from rkdglab.cli import DEFAULT_CFL_GRID
 from rkdglab.errors import InvalidMeshError, PowerIterationError, UnsupportedDegreeError
 from rkdglab.mesh import build_mesh, build_mesh_1d, build_mesh_2d
@@ -357,9 +357,9 @@ _REDUCED_PLANS = [SchemeSpec(r, flags + (False,)) for r in (3, 4)
 @pytest.mark.parametrize("scheme", _REDUCED_PLANS, ids=[s.variant for s in _REDUCED_PLANS])
 def test_fourier_cfl_reads_g_from_the_kept_symbols(scheme, monkeypatch):
     # a plan with reduced inner stages forms the coefficients of G(c) in c
-    # once per search, from symbols each operator forms once, through the one
-    # map that _step_map builds at c = 1; no round builds a map or reads
-    # EvolutionMap.norm_symbols
+    # once per search, from symbols each operator forms once at the decided
+    # angles, through the one map that _step_map builds at c = 1; no round
+    # builds a map or reads EvolutionMap.norm_symbols
     k = scheme.order - 1
     built, read, formed, stacks = [], [], [], []
     init, symbols = EvolutionMap.__init__, BlockOperator.symbols
@@ -373,9 +373,9 @@ def test_fourier_cfl_reads_g_from_the_kept_symbols(scheme, monkeypatch):
         formed.append(id(self))
         return symbols(self, angles)
 
-    def counted_coefficients(self, rows=...):
+    def counted_coefficients(self, angles):
         stacks.append(self.tau)
-        return coefficients(self, rows)
+        return coefficients(self, angles)
 
     with monkeypatch.context() as patch:
         patch.setattr(EvolutionMap, "__init__", counted_init)
@@ -396,6 +396,42 @@ def test_fourier_cfl_reads_g_from_the_kept_symbols(scheme, monkeypatch):
         ref = stability._step_map(scheme, ops, c).norm_symbols(stability._CFL_HALF)
         err = np.abs(decided[-1] - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
         assert err.max() <= 1e-13, c
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_stack_matmul_is_matmul_to_rounding(m):
+    # the decision-only product, on the three shapes the CFL route multiplies
+    rng = np.random.default_rng(m)
+
+    def stack(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    f = stability.CFL_ANGLES // 2 + 1
+    for a, b in ((stack(f, m, m), stack(f, m, m)), (stack(f, m, m), stack(m, m)),
+                 (stack(m, m), stack(f, m, m))):
+        ref = np.matmul(a, b)
+        got = schemes._stack_matmul(a, b)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("scheme", [taylor_scheme(r, "sdA") for r in range(2, 9)]
+                         + [SchemeSpec(3, (False, True, False)), SchemeSpec(3, (True, False, False))],
+                         ids=[f"sdA-r{r}" for r in range(2, 9)] + ["FR-r3", "RF-r3"])
+def test_increment_coefficients_are_the_matmul_ones(scheme, monkeypatch):
+    # W_1..W_r by the broadcast product equal those by @, at the degree
+    # k = r - 1 that cfl searches and at k = 1, 2, where the stacks are 2 x 2 and 3 x 3
+    for k in sorted({1, 2, scheme.order - 1}):
+        ops = operators.stage_operators(build_mesh_1d(stability.CFL_ANGLES), k)
+        angles = operators.fft_angles(ops[0].space)[stability._CFL_HALF]
+        unit = stability._step_map(scheme, ops, 1.0)
+        got = unit.increment_coefficients(angles)
+        with monkeypatch.context() as patch:
+            patch.setattr(schemes, "_stack_matmul", lambda a, b: a @ b)
+            ref = unit.increment_coefficients(angles)
+        assert len(got) == len(ref) == scheme.order
+        for w, w_ref in zip(got, ref):
+            assert np.abs(w - w_ref).max() <= 1e-14 * np.abs(w_ref).max(), k
 
 
 def _full_spectrum_tops(op, m):
