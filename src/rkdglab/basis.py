@@ -110,20 +110,15 @@ def to_tensor(coeffs, k):
     return out.reshape(coeffs.shape[:-1] + (k + 1, k + 1))
 
 
-@lru_cache(maxsize=64)
-def _kron_sum_pattern(k):
-    ia, ib = np.array(basis_2d_index(k)).T
-    return np.ix_(ia, ia), np.ix_(ib, ib), ib[:, None] == ib, ia[:, None] == ia
-
-
 def kron_sum_2d(a, b):
     """A (x) I + I (x) B on the total-degree modes, for 1D (k+1, k+1) tables A and B.
 
     Entry (p, q) for modes p = (a, b), q = (a', b') is
     A[a, a'] [b = b'] + B[b, b'] [a = a']: A acts along x, B along y.
     """
-    pairs_a, pairs_b, same_b, same_a = _kron_sum_pattern(len(a) - 1)
-    return a[pairs_a] * same_b + b[pairs_b] * same_a
+    eye = np.eye(len(a))
+    modes = np.ix_(tensor_index(len(a) - 1), tensor_index(len(a) - 1))
+    return np.kron(a, eye)[modes] + np.kron(eye, b)[modes]
 
 
 @lru_cache(maxsize=64)

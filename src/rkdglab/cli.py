@@ -220,7 +220,7 @@ def _check_step_counts(values, pairs, t_end):
                                   f"than the {MAX_STEPPED_STEPS} taken on a perturbed mesh")
 
 
-def run(values, out_stream=None):
+def run(values):
     """Execute a resolved config; returns the process exit status."""
     command = values["command"]
     warn_rows = 0
@@ -291,7 +291,7 @@ def run(values, out_stream=None):
 
     body = "".join(line + "\n" for line in rows)
     try:
-        _write_output(values, body, out_stream, plain=command == "prop-tests")
+        _write_output(values, body, plain=command == "prop-tests")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
@@ -304,7 +304,7 @@ def run(values, out_stream=None):
     return 1 if failed_rows or failed_checks else 0
 
 
-def _write_output(values, body, out_stream, plain=False):
+def _write_output(values, body, plain=False):
     preamble = ""
     if not plain:
         preamble = (
@@ -313,9 +313,6 @@ def _write_output(values, body, out_stream, plain=False):
             f"# version: {__version__}\n"
         )
     text = preamble + body
-    if out_stream is not None:
-        out_stream.write(text)
-        return
     if values["output"] == "-":
         sys.stdout.write(text)
         return

@@ -67,9 +67,6 @@ class DGSpace:
         """
         return np.arange(self.n_modes) >= math.comb(self.degree - 1 + self.dim, self.dim)
 
-    def zeros(self):
-        return GridFunction(self, np.zeros(self.shape))
-
     def random(self, seed=0):
         rng = np.random.Generator(np.random.PCG64(seed))
         return GridFunction(self, rng.standard_normal(self.shape))

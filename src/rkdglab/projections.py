@@ -7,8 +7,6 @@ derivative/trace condition.  pi_star: the time-step-aware approximation
 operator built from them; it needs analytic advective derivatives of the
 projected function.
 """
-import math
-
 import numpy as np
 
 from .basis import gauss_mode_table, kron_sum_2d, reference_tables, sum_factorized, tensor_index
@@ -151,7 +149,7 @@ def pi_star(problem, scheme, inner_op, tau, q):
     def taylor_sum(x, *rest):
         acc = 0.0
         for i in range(1, q + 1):
-            acc = acc + tau ** (i - 1) / math.factorial(i) * problem.deriv(i - 1)(x, *rest)
+            acc = acc + alphas[i] * tau ** (i - 1) * problem.deriv(i - 1)(x, *rest)
         return acc
 
     rhs = special_projection(taylor_sum, space)

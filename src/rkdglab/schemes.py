@@ -372,6 +372,8 @@ def evolve_group(schemes, u0, final_time, tau):
     MAX_STEPPED_STEPS steps raises SteppingLimitError instead.
     """
     n_whole, remainder, shortened = step_plan(final_time, tau)
+    if not schemes:
+        return []
     full_op, reduced_op = stage_operators(u0.space.mesh, u0.space.degree)
     meta = dict(n_steps=n_whole + (1 if shortened else 0), shortened_last_step=shortened)
     if not meta["n_steps"]:                 # a zero final time

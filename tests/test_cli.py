@@ -1,5 +1,4 @@
 import csv
-import io
 import os
 import subprocess
 import sys
@@ -78,11 +77,10 @@ def test_flags_override_file():
     assert values["command"] == "cfl"
 
 
-def test_cfl_job_single_scheme():
+def test_cfl_job_single_scheme(capsys):
     values = resolve(command="cfl", r="2", k="1", variant="sdA")
-    out = io.StringIO()
-    assert run(values, out_stream=out) == 0
-    meta, fields, rows = _read_csv(out.getvalue())
+    assert run(values) == 0
+    meta, fields, rows = _read_csv(capsys.readouterr().out)
     assert ",".join(fields) == CFL_HEADER
     assert len(rows) == 1
     assert rows[0]["scheme"] == "RK2DG1" and rows[0]["variant"] == "sdA"
@@ -90,33 +88,30 @@ def test_cfl_job_single_scheme():
     assert "config" in meta and "seed" in meta and "version" in meta
 
 
-def test_cfl_job_full_family():
+def test_cfl_job_full_family(capsys):
     values = resolve(command="cfl", variant="sdA")
-    out = io.StringIO()
-    assert run(values, out_stream=out) == 0
-    _, _, rows = _read_csv(out.getvalue())
+    assert run(values) == 0
+    _, _, rows = _read_csv(capsys.readouterr().out)
     expected = (0.333, 0.191, 0.127, 0.104, 0.085, 0.076, 0.064)
     assert len(rows) == 7
     for row, ref in zip(rows, expected):
         assert abs(float(row["cfl"]) - ref) <= 0.005
 
 
-def test_stability_job_single_point():
+def test_stability_job_single_point(capsys):
     values = resolve(command="stability", r="3", k="2", variant="sdA", N="32", cfl="0.1")
-    out = io.StringIO()
-    assert run(values, out_stream=out) == 0
-    text = out.getvalue()
+    assert run(values) == 0
+    text = capsys.readouterr().out
     lines = [l for l in text.splitlines() if l and not l.startswith("#")]
     assert lines[0] == STABILITY_HEADER
     assert len(lines) == 2  # header plus exactly one data row
     assert float(lines[1].split(",")[-1]) == 1e-16
 
 
-def test_accuracy_job_headers_and_roundtrip():
+def test_accuracy_job_headers_and_roundtrip(capsys):
     values = resolve(command="accuracy", r="2", dim="1", N="20,40")
-    out = io.StringIO()
-    assert run(values, out_stream=out) == 0
-    meta, fields, rows = _read_csv(out.getvalue())
+    assert run(values) == 0
+    meta, fields, rows = _read_csv(capsys.readouterr().out)
     assert ",".join(fields) == ACCURACY_HEADER
     assert [r["N"] for r in rows] == ["20", "40"]
     assert rows[0]["eoc"] == ""
@@ -126,19 +121,18 @@ def test_accuracy_job_headers_and_roundtrip():
     assert float(rows[0]["l2_error_raw"]) == pytest.approx(4.6747422599e-03, rel=1e-9)
 
 
-def test_byte_identical_reruns():
+def test_byte_identical_reruns(capsys):
     values = resolve(command="stability", r="2", k="1", N="16", cfl="0.2,0.4")
-    out1, out2 = io.StringIO(), io.StringIO()
-    assert run(values, out_stream=out1) == 0
-    assert run(values, out_stream=out2) == 0
-    assert out1.getvalue() == out2.getvalue()
+    assert run(values) == 0
+    first = capsys.readouterr().out
+    assert run(values) == 0
+    assert capsys.readouterr().out == first
 
 
-def test_prop_tests_command():
+def test_prop_tests_command(capsys):
     values = resolve(command="prop-tests")
-    out = io.StringIO()
-    assert run(values, out_stream=out) == 0
-    assert all(line.startswith("PASS") for line in out.getvalue().splitlines())
+    assert run(values) == 0
+    assert all(line.startswith("PASS") for line in capsys.readouterr().out.splitlines())
 
 
 def test_main_with_config_file(tmp_path):

@@ -235,7 +235,7 @@ def test_evolve_rejects_bad_time_input(perturb):
 @pytest.mark.parametrize("final_time, tau", [(1e300, 1e-300), (1.0, 1e-320)])
 def test_evolve_rejects_a_step_count_that_is_not_finite(final_time, tau):
     mesh = build_mesh_1d(8)
-    u0 = DGSpace(mesh, 1).zeros()
+    u0 = GridFunction(DGSpace(mesh, 1), np.zeros((8, 2)))
     message = f"final time {final_time} is not a finite number of time steps of {tau}"
     with pytest.raises(ValueError, match=re.escape(message)):
         evolve(taylor_scheme(2), u0, final_time, tau)
@@ -253,7 +253,7 @@ def test_evolve_refuses_more_steps_than_it_can_step_before_the_first(monkeypatch
 
     monkeypatch.setattr(schemes, "_evolve_fused", stepping)
     mesh = build_mesh_1d(8, perturb_fraction=0.2, seed=1)
-    u0 = DGSpace(mesh, 1).zeros()
+    u0 = GridFunction(DGSpace(mesh, 1), np.zeros((8, 2)))
     # 8e10 steps of 0.0125, and one step more than the bound
     for final_time in (1e9, (schemes.MAX_STEPPED_STEPS + 0.5) * 0.0125):
         with pytest.raises(ValueError, match="that stepping takes"):
@@ -262,7 +262,7 @@ def test_evolve_refuses_more_steps_than_it_can_step_before_the_first(monkeypatch
     with pytest.raises(AssertionError, match="stepping started"):
         evolve(taylor_scheme(2), u0, schemes.MAX_STEPPED_STEPS * 0.0125, 0.0125)
     uniform = build_mesh_1d(8)
-    res = evolve(taylor_scheme(2), DGSpace(uniform, 1).zeros(), 1e9, 0.0125)
+    res = evolve(taylor_scheme(2), GridFunction(DGSpace(uniform, 1), np.zeros((8, 2))), 1e9, 0.0125)
     assert res.path == "fourier" and res.n_steps == 80_000_000_000
 
 
@@ -658,6 +658,13 @@ def test_group_evolve_of_a_zero_final_time_copies_u0_for_each_scheme():
     assert _paths(entries) == ["stepping"] * 2
     for entry in entries:
         assert np.array_equal(entry.u.coeffs, u0.coeffs) and entry.u.coeffs is not u0.coeffs
+
+
+@pytest.mark.parametrize("perturb", [0.0, 0.15], ids=["uniform", "perturbed"])
+def test_group_evolve_of_no_schemes_is_empty(perturb):
+    # the uniform mesh's Fourier route once read the first scheme's map: IndexError
+    u0 = DGSpace(build_mesh_1d(8, perturb, seed=1), 1).random(1)
+    assert schemes.evolve_group([], u0, 0.1, 0.01) == []
 
 
 # ---------------------------------------------------------------------------

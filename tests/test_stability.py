@@ -651,6 +651,35 @@ def test_bracket_without_inverse_iteration_still_holds_the_top(fallback, monkeyp
     assert brackets >= 2 + 16
 
 
+#: (N, mesh seed, cfl) of sdA RK4DG3 on 0.15-perturbed meshes: the top excess is
+#: a few 1e-10, so the bracket's absolute width NORM_RESOLUTION is about 1e-3 of
+#: it, and the Rayleigh quotient of the one inverse phase lands within that
+#: width of the certified hi
+INVERSE_CLOSES = [(12, 0, 0.004), (12, 0, 0.005), (24, 0, 0.004)]
+
+
+@pytest.mark.parametrize("n, seed, cfl", INVERSE_CLOSES)
+def test_inverse_iteration_closes_the_bracket(n, seed, cfl, monkeypatch):
+    # growth_excess stops at the inverse phase's hi: no probe follows it
+    scheme = taylor_scheme(4, "sdA")
+    mesh = build_mesh_1d(n, 0.15, seed=seed)
+    calls = _count_factorizations(monkeypatch)
+    phases = []
+
+    def recorded(solve, n_dofs, hi, width):
+        theta, stalled = _inverse_iteration(solve, n_dofs, hi, width)
+        phases.append((hi, theta, width, len(calls)))
+        return theta, stalled
+
+    monkeypatch.setattr(stability, "_inverse_iteration", recorded)
+    point = delta(scheme, mesh, 3, cfl)
+    (hi, theta, width, probes), = phases
+    assert hi - theta <= width and len(calls) == probes
+    assert point.route == "bracket" and point.delta == hi
+    top = np.linalg.eigvalsh(excess_operator(evolution_map(scheme, mesh, 3, cfl)).as_dense())[-1]
+    assert top <= hi
+
+
 def test_excess_operator_is_the_gram_excess_of_the_m_step_map():
     emap = evolution_map(taylor_scheme(3, "sdA"), build_mesh_1d(12, 0.2, seed=3), 2, 0.2)
     k = emap.as_dense()
@@ -736,6 +765,15 @@ def test_certificate_sees_the_periodic_wrap():
     assert shift_solver(narrow @ narrow, 100.0) is not None
     assert shift_solver(narrow @ narrow, 4.0 - 1e-9) is None
     assert shift_solver(assemble_upwind(build_mesh_2d(4, 4), 1), 100.0) is None
+
+
+def test_certificate_refuses_an_operator_that_is_not_finite():
+    # BlockOperator._ring is None for an inf entry, and no bound certifies it
+    blk = np.eye(2)
+    blk[1, 1] = np.inf
+    op = BlockOperator(DGSpace(build_mesh_1d(8), 1), {(0,): blk, (1,): np.ones((2, 2))})
+    assert op._ring is None
+    assert shift_solver(op + op.transpose(), 100.0) is None
 
 
 def test_known_failure_point_certifies_the_floor(monkeypatch):

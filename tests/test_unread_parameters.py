@@ -1,7 +1,7 @@
 """Every parameter of every function in the package is read in its body,
 every private module-level name is read somewhere in the package, every
-public function and class has a reader, and every dataclass field is read
-somewhere in the project.
+public function, class, method and property has a reader, and every
+dataclass field is read somewhere in the project.
 
 A parameter that no line reads makes each caller build and pass a value
 for nothing.  The scan covers nested functions and lambdas; a nested
@@ -13,9 +13,13 @@ read from the tests does not keep it alive.  A public module-level
 function or class is read by another line of the package (an import
 alone, such as the re-export in __init__.py, is no read), by a bench
 script, in code or as a name in a dotted string, or by the acceptance
-tests; one that only its own unit tests call is a capability nothing uses.  A field of a package
-dataclass that no line of the package, the tests or the bench reads as an
-attribute is stored for nothing.
+tests; one that only its own unit tests call is a capability nothing uses.
+So is a public method or property of a public class that no other line of
+the package, no bench script (in code or as a Class.name string) and no
+acceptance test loads as an attribute; an attribute of a module name, as in
+np.zeros, reads no method.  A field of a package dataclass that no line of
+the package, the tests or the bench reads as an attribute is stored for
+nothing.
 """
 import ast
 import collections
@@ -137,17 +141,22 @@ def test_the_scan_sees_an_unread_private_name(tmp_path):
     assert _unread_private(tmp_path) == ["a.py:2 _DEAD", "a.py:4 _loop"]
 
 
+def _dotted_strings(tree):
+    """The parts of each dotted-name string under tree, such as ["Class", "method"]."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                yield parts
+
+
 def _names(tree):
     """The names loaded, read as attributes, imported from a module, or given as
     the parts of a dotted-name string under tree."""
-    out = set(_loads(tree))
+    out = set(_loads(tree)).union(*_dotted_strings(tree))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            parts = node.value.split(".")
-            if all(part.isidentifier() for part in parts):
-                out.update(parts)
     return out
 
 
@@ -193,6 +202,102 @@ def test_the_scan_sees_a_public_name_without_a_reader(tmp_path):
     (tmp_path / "test_acceptance.py").write_text("import pkg.a\npkg.a.accepted()\n")
     outside = (tmp_path / "bench.py", tmp_path / "test_acceptance.py")
     assert _unread_public(tmp_path / "pkg", outside) == ["a.py:1 exported", "a.py:3 loop"]
+
+
+def _module_names(tree):
+    """The names that import statements under tree bind to modules."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+
+
+def _attribute_reads(node, modules):
+    """Counter of the attributes loaded under node, except those loaded from a module name."""
+    return collections.Counter(
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        and not (isinstance(n.value, ast.Name) and n.value.id in modules))
+
+
+def _members(cls):
+    """(name, node) for each method and each name = property(...) of a class body."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and getattr(node.value.func, "id", None) == "property"):
+            yield from ((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+
+
+def _unread_members(src=SRC, outside=(*sorted((ROOT / "bench").glob("*.py")),
+                                      ROOT / "tests" / "test_acceptance.py")):
+    """Public methods and properties of the public classes under src that no module of
+    src loads as an attribute outside their own definition, and no outside file loads
+    as an attribute or names in a Class.name string."""
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    modules = {fname: _module_names(tree) for fname, tree in trees.items()}
+    reads = sum((_attribute_reads(tree, modules[fname]) for fname, tree in trees.items()),
+                collections.Counter())
+    named, pairs = set(), set()
+    for path in outside:
+        tree = ast.parse(path.read_text(), str(path))
+        named.update(_attribute_reads(tree, _module_names(tree)))
+        pairs.update(pair for parts in _dotted_strings(tree) for pair in zip(parts, parts[1:]))
+    out = []
+    for fname, tree in trees.items():
+        for cls_name, cls in _definitions(tree):
+            if not isinstance(cls, ast.ClassDef) or cls_name.startswith("_"):
+                continue
+            for name, node in _members(cls):
+                if (not name.startswith("_") and name not in named and (cls_name, name) not in pairs
+                        and reads[name] == _attribute_reads(node, modules[fname])[name]):
+                    out.append(f"{fname}:{node.lineno} {cls_name}.{name}")
+    return out
+
+
+def test_every_public_method_and_property_has_a_reader():
+    assert (SRC / "schemes.py").is_file()
+    assert _unread_members() == []
+
+
+def test_the_scan_sees_a_public_method_without_a_reader(tmp_path):
+    # a module's attribute, a call from the method's own body and a store are
+    # no readers; another method's body, a bench script's code or Class.name
+    # string, and the acceptance tests are; private classes, dunders and
+    # dataclass fields are not scanned
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(
+        "import numpy as np\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Space:\n"
+        "    field: int\n"
+        "    def zeros(self):\n"
+        "        return np.zeros(3)\n"
+        "    def loop(self):\n"
+        "        return self.loop()\n"
+        "    def used(self):\n"
+        "        return self.helper\n"
+        "    helper = property(lambda self: 1)\n"
+        "    stored = property(lambda self: 2)\n"
+        "    def traced(self):\n"
+        "        pass\n"
+        "    def in_code(self):\n"
+        "        pass\n"
+        "    def accepted(self):\n"
+        "        pass\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "class _Private:\n"
+        "    def unread(self):\n"
+        "        pass\n"
+    )
+    (tmp_path / "pkg" / "b.py").write_text("def f(s):\n    s.stored = s.used()\n")
+    (tmp_path / "bench.py").write_text(
+        "import pkg.a\nSPANS = ((\"span\", \"pkg.a\", \"Space.traced\"),)\n"
+        "def g(s):\n    return s.in_code()\n")
+    (tmp_path / "test_acceptance.py").write_text("def test(s):\n    s.accepted()\n")
+    outside = (tmp_path / "bench.py", tmp_path / "test_acceptance.py")
+    assert _unread_members(tmp_path / "pkg", outside) == [
+        "a.py:6 Space.zeros", "a.py:8 Space.loop", "a.py:13 Space.stored"]
 
 
 def _is_dataclass(cls):
